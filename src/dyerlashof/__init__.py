@@ -7,7 +7,14 @@ ring F_p[h_1..h_n].  The two must agree everywhere; the test suite and
 the `dyerlashof verify` command enforce that.
 """
 
-from .arith import Context, DomainError, binom_mod_p, multinom_mod_p, padic_digits
+from .arith import (
+    Context,
+    DomainError,
+    InvariantError,
+    binom_mod_p,
+    multinom_mod_p,
+    padic_digits,
+)
 from .correspondence import (
     DualExpansion,
     adem_via_invariants,

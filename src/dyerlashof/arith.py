@@ -19,6 +19,7 @@ from math import comb
 __all__ = [
     "Context",
     "DomainError",
+    "InvariantError",
     "binom_mod_p",
     "multinom_mod_p",
     "padic_digits",
@@ -30,6 +31,12 @@ MAX_VARS = 6
 
 class DomainError(ValueError):
     """Raised for inputs outside the supported mathematical domain."""
+
+
+class InvariantError(RuntimeError):
+    """Raised when a mathematical invariant that a result rests on fails
+    (a defect of the program, not of its input).  Unlike an assert, the
+    check still runs under ``python -O``."""
 
 
 @dataclass(frozen=True)

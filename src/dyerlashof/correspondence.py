@@ -1,10 +1,13 @@
 """Duality between Dickson monomials and admissible operations.
 
 The Kronecker pairing <d^m, Q_J> is coefficient extraction: the
-coefficient of h^J in the Borel expansion of d^m.  Per degree the
-pairing matrix is unitriangular for the excess-lex order with chi_min
-on the diagonal, which gives the dual-basis algorithm, its inversion,
-and the straightening map rho(e_I) as a linear solve.
+coefficient of h^J in the Borel expansion of d^m, read through the
+base-p digit recursion of coeff_in_expansion.  Per degree the pairing
+matrix is unitriangular for the excess-lex order with chi_min on the
+diagonal.  That gives the dual-basis algorithm, its inversion by forward
+substitution, and the straightening map rho(e_I) by back-substitution
+over the K <= I.  Both substitutions read only the entries they need;
+no matrix is built.
 
     >>> ctx = Context(2, 2)
     >>> [s.twice for s in admissible_basis(6, ctx)]
@@ -13,9 +16,10 @@ and the straightening map rho(e_I) as a linear solve.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
-from .arith import Context, DomainError, binom_mod_p
+from .arith import Context, DomainError, InvariantError, binom_mod_p
 from .invariants import (
     chi_min,
     coeff_in_expansion,
@@ -50,8 +54,10 @@ class DualExpansion:
                 self.add_term(seq, coeff)
 
     def add_term(self, seq: OpSeq, coeff: int):
-        assert seq.ctx == self.ctx
-        assert is_admissible(seq), "dual expansions are indexed by admissibles"
+        if seq.ctx != self.ctx:
+            raise DomainError("dual expansion term from another context")
+        if not is_admissible(seq):
+            raise DomainError("dual expansions are indexed by admissibles")
         coeff %= self.ctx.p
         if not coeff:
             return
@@ -149,8 +155,9 @@ def kronecker_pair(m, J: OpSeq, ctx: Context) -> int:
 
 @lru_cache(maxsize=None)
 def _degree_data(D: int, ctx: Context):
-    """Per-degree duality data: admissible sequences K (ascending), the
-    Dickson monomials m(K), and the pairing matrix c[K][J]."""
+    """Per-degree duality data: the admissible sequences K of lower
+    degree D (ascending under compare) and the Dickson monomials m(K)
+    with chi_min(d^m(K)) = K."""
     monos = solve_degree_diophantine(D, ctx)
     pairs = sorted(
         ((chi_min(m, ctx), m) for m in monos), key=lambda km: km[0].key()
@@ -158,14 +165,22 @@ def _degree_data(D: int, ctx: Context):
     ks = tuple(k for k, _ in pairs)
     ms = tuple(m for _, m in pairs)
     basis = admissible_basis(D, ctx)
-    assert [s.twice for s in basis] == [k.twice for k in ks], (
-        "chi_min is not a bijection onto the admissible basis"
-    )
-    c = tuple(
-        tuple(kronecker_pair(ms[i], ks[j], ctx) for j in range(len(ks)))
-        for i in range(len(ks))
-    )
-    return ks, ms, c
+    if [s.twice for s in basis] != [k.twice for k in ks]:
+        raise InvariantError("chi_min is not a bijection onto the admissible basis")
+    return ks, ms
+
+
+def _exps(s: OpSeq) -> tuple[int, ...]:
+    return tuple(t // 2 for t in s.twice)
+
+
+def _unit_diagonal(m, K: OpSeq, ctx: Context) -> None:
+    """The pairing <d^m, Q_K> with K = chi_min(d^m) must be 1."""
+    c = coeff_in_expansion(m, _exps(K), ctx)
+    if c != 1:
+        raise InvariantError(
+            f"pairing matrix is not unitriangular: <d^{m}, Q_{K.twice}> = {c}"
+        )
 
 
 def dual_of_dickson(m, ctx: Context) -> DualExpansion:
@@ -178,112 +193,80 @@ def dual_of_dickson(m, ctx: Context) -> DualExpansion:
     for J in admissible_basis(D, ctx):
         c = kronecker_pair(m, J, ctx)
         cmp = compare(J, lead)
-        if cmp < 0:
-            assert c == 0, "pairing below chi_min must vanish"
-        elif cmp == 0 and J.twice == lead.twice:
-            assert c == 1, "chi_min coefficient must be 1"
+        if cmp < 0 and c:
+            raise InvariantError(
+                f"pairing <d^{m}, Q_{J.twice}> below chi_min is {c}, not 0"
+            )
+        if cmp == 0 and J.twice == lead.twice and c != 1:
+            raise InvariantError(f"chi_min coefficient of d^{m} is {c}, not 1")
         if c:
             out.add_term(J, c)
     return out
 
 
 def dickson_of_dual(J: OpSeq) -> dict[tuple[int, ...], int]:
-    """The Dickson combination dual to (Q_J)^*, by forward substitution
-    through the unitriangular per-degree system."""
+    """The Dickson combination dual to (Q_J)^*.
+
+    With K_1 < ... < K_r the admissible basis of the degree and
+    c_ij = <d^m(K_i), Q_(K_j)> (unitriangular), the combination
+    sum_i x_i d^m(K_i) solves sum_(i <= j) x_i c_ij = delta(j, target).
+    Forward substitution gives x_i = 0 below the target; from the target
+    upwards each c_ij is read only for the i with x_i != 0.
+    """
     ctx = J.ctx
     if any(J.eps) or any(t % 2 for t in J.twice):
         raise DomainError("dickson_of_dual needs an integral eps = 0 sequence")
     if not is_admissible(J):
         raise DomainError("dickson_of_dual needs an admissible sequence")
-    D = degree_lower(J)
-    ks, ms, c = _degree_data(D, ctx)
+    ks, ms = _degree_data(degree_lower(J), ctx)
     p = ctx.p
-    r = len(ks)
-    target = next((j for j in range(r) if ks[j].twice == J.twice), None)
-    if target is None:
+    target = bisect_left(ks, J.key(), key=OpSeq.key)
+    if target == len(ks) or ks[target].twice != J.twice:
         raise DomainError("sequence not in the admissible basis of its degree")
-    # columns ascending: sum_{i <= j} x_i c[i][j] = delta(j, target)
-    x = [0] * r
-    for j in range(r):
-        rhs = 1 if j == target else 0
-        acc = sum(x[i] * c[i][j] for i in range(j)) % p
-        assert c[j][j] % p == 1, "pairing matrix must be unitriangular"
-        x[j] = (rhs - acc) % p
-    return {ms[j]: x[j] for j in range(r) if x[j]}
+    x: dict[int, int] = {}
+    for j in range(target, len(ks)):
+        _unit_diagonal(ms[j], ks[j], ctx)
+        col = _exps(ks[j])
+        acc = 1 if j == target else 0
+        for i, xi in x.items():
+            acc -= xi * coeff_in_expansion(ms[i], col, ctx)
+        acc %= p
+        if acc:
+            x[j] = acc
+    return {ms[j]: xj for j, xj in x.items()}
 
 
-def _solve_unitriangular_sweep(c, b, p: int) -> list[int]:
-    """Back-substitution assuming ones on the diagonal and zeros below."""
-    r = len(b)
-    a = [0] * r
-    for i in range(r - 1, -1, -1):
-        assert c[i][i] % p == 1
-        acc = sum(c[i][j] * a[j] for j in range(i + 1, r)) % p
-        a[i] = (b[i] - acc) % p
-    return a
-
-
-def _solve_linear_mod_p(c, b, p: int) -> list[int]:
-    """Full Gauss-Jordan solve of a square system over F_p."""
-    r = len(b)
-    aug = [list(c[i]) + [b[i] % p] for i in range(r)]
-    piv = []
-    row = 0
-    for col in range(r):
-        sel = next((i for i in range(row, r) if aug[i][col] % p), None)
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        inv = pow(aug[row][col], p - 2, p)
-        aug[row] = [v * inv % p for v in aug[row]]
-        for i in range(r):
-            if i != row and aug[i][col] % p:
-                f = aug[i][col]
-                aug[i] = [(vi - f * vr) % p for vi, vr in zip(aug[i], aug[row])]
-        piv.append(col)
-        row += 1
-        if row == r:
-            break
-    for i in range(row, r):
-        if aug[i][r] % p:
-            raise DomainError("inconsistent pairing system")
-    if row < r:
-        raise DomainError("singular pairing system")
-    sol = [0] * r
-    for i, col in enumerate(piv):
-        sol[col] = aug[i][r] % p
-    return sol
-
-
-def adem_via_invariants(x: OpSeq, method: str = "solve") -> OpPoly:
+def adem_via_invariants(x: OpSeq) -> OpPoly:
     """Straighten rho(e_I) through the invariant-theoretic pairing.
 
-    Enumerates all admissible K of degree |I|, extracts b_K = coeff of
-    h^I in the expansion of d^{m(K)}, and solves sum_J c_{K,J} a_J = b_K
-    against the pairing matrix.  method "solve" is a full linear solve;
-    "sweep" exploits unitriangularity directly and is cross-checked in
-    the test suite.
+    With K_1 < ... < K_r the admissible basis of degree |I|, rho(e_I) =
+    sum_j a_j Q_(K_j) solves sum_j c_ij a_j = b_i, where
+    c_ij = <d^m(K_i), Q_(K_j)> and b_i = coeff of h^I in d^m(K_i).  The
+    matrix is unitriangular (c_ii = 1, c_ij = 0 for j < i), and b_i = 0
+    for K_i > I because chi_min = K_i is the least monomial of d^m(K_i);
+    so a_i = 0 there too.  Back-substitution runs over the K_i <= I only
+    and reads c_ij only for the j with a_j != 0.
     """
     ctx = x.ctx
     if any(x.eps):
         raise DomainError("invariant-theoretic straightening needs eps = 0")
     if any(t % 2 for t in x.twice):
         raise DomainError("invariant-theoretic straightening needs integral entries")
-    D = degree_lower(x)
-    ks, ms, c = _degree_data(D, ctx)
-    exps = tuple(t // 2 for t in x.twice)
-    b = [coeff_in_expansion(ms[i], exps, ctx) for i in range(len(ks))]
-    if method == "solve":
-        a = _solve_linear_mod_p(c, b, ctx.p)
-    elif method == "sweep":
-        a = _solve_unitriangular_sweep(c, b, ctx.p)
-    else:
-        raise DomainError(f"unknown method {method!r}")
+    ks, ms = _degree_data(degree_lower(x), ctx)
+    p = ctx.p
+    exps = _exps(x)
+    a: dict[int, int] = {}
+    for i in range(bisect_right(ks, x.key(), key=OpSeq.key) - 1, -1, -1):
+        _unit_diagonal(ms[i], ks[i], ctx)
+        acc = coeff_in_expansion(ms[i], exps, ctx)
+        for j, aj in a.items():
+            acc -= aj * coeff_in_expansion(ms[i], _exps(ks[j]), ctx)
+        acc %= p
+        if acc:
+            a[i] = acc
     out = OpPoly(ctx)
-    for K, aK in zip(ks, a):
-        if aK:
-            assert compare(K, x) <= 0, "straightening produced K above I"
-            out.add_term(K.twice, K.eps, aK)
+    for i in sorted(a):
+        out.add_term(ks[i].twice, ks[i].eps, a[i])
     return out
 
 

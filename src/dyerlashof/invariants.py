@@ -3,7 +3,8 @@
 Dickson generators d_{n,0}..d_{n,n-1} expand into B[n] three independent
 ways (closed subset formula, width recursion, 0/1 matrix family); all
 three must agree.  On top of the expansions sit the coefficient
-extraction used by the duality algorithms, the chi_min / chi_max
+extraction used by the duality algorithms (a base-p digit recursion
+that never expands a whole Dickson monomial), the chi_min / chi_max
 extremal-monomial maps, the decomposition/inclusion identities, and a
 concrete realization inside F_p[y_1..y_n] for checking Borel/GL
 invariance by brute substitution.
@@ -256,14 +257,14 @@ def matrix_to_monomial(A: RowMatrixA, ctx: Context) -> tuple[int, ...]:
 # Dickson monomial expansion and coefficient extraction
 
 
-@lru_cache(maxsize=None)
-def expand_dickson_monomial(m: tuple[int, ...], ctx: Context) -> BPoly:
-    """Expand d^m = prod d_{n,i}^(m_i) in B[n].  Cached; treat the
-    result as immutable."""
+def _check_dickson_exponents(m: tuple[int, ...], ctx: Context) -> None:
     if len(m) != ctx.n:
         raise DomainError(f"expected {ctx.n} exponents, got {len(m)}")
     if any(mi < 0 for mi in m):
         raise DomainError("negative Dickson exponent")
+
+
+def _dickson_product(m: tuple[int, ...], ctx: Context) -> BPoly:
     out = BPoly.one(ctx)
     for i, mi in enumerate(m):
         if mi:
@@ -271,9 +272,73 @@ def expand_dickson_monomial(m: tuple[int, ...], ctx: Context) -> BPoly:
     return out
 
 
+@lru_cache(maxsize=None)
+def _expansion_terms(m: tuple[int, ...], ctx: Context) -> dict:
+    _check_dickson_exponents(m, ctx)
+    return _dickson_product(m, ctx).terms
+
+
+def expand_dickson_monomial(m, ctx: Context) -> BPoly:
+    """Expand d^m = prod d_{n,i}^(m_i) in B[n].
+
+    The terms are cached (``cache_info`` / ``cache_clear`` reach that
+    cache); every call returns a fresh BPoly over a copy of them, so a
+    caller may modify the result.
+    """
+    out = BPoly(ctx)
+    out.terms = dict(_expansion_terms(tuple(m), ctx))
+    return out
+
+
+expand_dickson_monomial.cache_info = _expansion_terms.cache_info
+expand_dickson_monomial.cache_clear = _expansion_terms.cache_clear
+
+
+@lru_cache(maxsize=None)
+def _digit_terms(r: tuple[int, ...], ctx: Context) -> dict:
+    """The terms (s, c) of d^r for a digit vector r (0 <= r_i < p),
+    grouped by s mod p."""
+    p = ctx.p
+    groups: dict = {}
+    for s, c in _dickson_product(r, ctx).terms.items():
+        groups.setdefault(tuple(si % p for si in s), []).append((s, c))
+    return groups
+
+
+@lru_cache(maxsize=None)
+def _coeff(m: tuple[int, ...], J: tuple[int, ...], ctx: Context) -> int:
+    if not any(m):
+        return 0 if any(J) else 1
+    p = ctx.p
+    high = tuple(mi // p for mi in m)
+    low = _digit_terms(tuple(mi % p for mi in m), ctx)
+    total = 0
+    for s, c in low.get(tuple(j % p for j in J), ()):
+        if all(j >= si for j, si in zip(J, s)):
+            rest = tuple((j - si) // p for j, si in zip(J, s))
+            total += c * _coeff(high, rest, ctx)
+    return total % p
+
+
 def coeff_in_expansion(m, J, ctx: Context) -> int:
-    """Coefficient of h^J in d^m, by lookup in the cached expansion."""
-    return expand_dickson_monomial(tuple(m), ctx).terms.get(tuple(J), 0)
+    """Coefficient of h^J in d^m, through the base-p digits of m.
+
+    Over F_p the Frobenius identity gives d^m = (d^(m // p))^p d^(m % p)
+    (componentwise quotient and remainder), so
+
+        [h^J] d^m = sum over terms c h^s of d^(m % p) of
+                    c [h^((J - s) / p)] d^(m // p),
+
+    summed over the s with J - s >= 0 and divisible by p in every
+    coordinate.  The recursion is log_p(max m) deep and each step scans
+    one cached product of generators with exponents below p; no full
+    expansion of d^m is built.  Results are memoised on (m, J, ctx).
+    """
+    m, J = tuple(m), tuple(J)
+    _check_dickson_exponents(m, ctx)
+    if len(J) != ctx.n or any(j < 0 for j in J):
+        return 0
+    return _coeff(m, J, ctx)
 
 
 def _plain_compositions(total: int, parts: int):

@@ -2,11 +2,16 @@
 dual bases, and Adem relations via invariant theory."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from dyerlashof.arith import Context, DomainError
+from dyerlashof import correspondence
+from dyerlashof.arith import Context, DomainError, InvariantError
 from dyerlashof.correspondence import (
     adem_via_invariants,
     admissible_basis,
@@ -144,20 +149,68 @@ def test_adem_via_invariants_guards():
         adem_via_invariants(OpSeq(P3N2, (6, 2), (1, 0)))
     with pytest.raises(DomainError):
         adem_via_invariants(OpSeq(P3N2, (5, 3), (0, 0)))
-    with pytest.raises(DomainError):
-        adem_via_invariants(OpSeq(P3N2, (6, 2), (0, 0)), method="cramer")
 
 
-def test_solver_methods_agree():
+def test_invariant_engine_matches_classical():
     for p, bound in ((2, 12), (3, 8)):
         ctx = Context(p, 2)
         step = 2
         for twice in itertools.product(range(0, bound + 1, step), repeat=2):
             s = OpSeq(ctx, twice, (0, 0))
-            a = adem_via_invariants(s, method="solve")
-            b = adem_via_invariants(s, method="sweep")
-            c = adem_straighten_classical(OpPoly.from_seq(s))
-            assert a == b == c, (p, twice)
+            a = adem_via_invariants(s)
+            b = adem_straighten_classical(OpPoly.from_seq(s))
+            assert a == b, (p, twice)
+    # a larger degree (basis size r = 304) than the exhaustive ranges reach
+    s = OpSeq.from_values(Context(2, 4), (60, 40, 20, 10))
+    assert adem_via_invariants(s) == adem_straighten_classical(OpPoly.from_seq(s))
+
+
+def test_broken_diagonal_raises(monkeypatch):
+    # make <d^m, Q_K> = 0 for K = chi_min(d^m) at m = (1, 1)
+    original = correspondence.coeff_in_expansion
+
+    def broken(m, J, ctx):
+        if tuple(m) == (1, 1) and tuple(J) == (1, 2):
+            return 0
+        return original(m, J, ctx)
+
+    monkeypatch.setattr(correspondence, "coeff_in_expansion", broken)
+    ctx = P3N2
+    # (1, 2) = chi_min(d^(1,1)) lies below (4, 1) in the same degree
+    with pytest.raises(InvariantError):
+        adem_via_invariants(OpSeq.from_values(ctx, (4, 1)))
+    with pytest.raises(InvariantError):
+        dickson_of_dual(OpSeq.from_values(ctx, (1, 2)))
+    with pytest.raises(InvariantError):
+        dual_of_dickson((1, 1), ctx)
+
+
+def test_broken_diagonal_raises_under_optimize():
+    code = (
+        "import sys\n"
+        "from dyerlashof import correspondence\n"
+        "from dyerlashof.arith import Context, InvariantError\n"
+        "from dyerlashof.sequences import OpSeq\n"
+        "original = correspondence.coeff_in_expansion\n"
+        "def broken(m, J, ctx):\n"
+        "    if tuple(m) == (1, 1) and tuple(J) == (1, 2):\n"
+        "        return 0\n"
+        "    return original(m, J, ctx)\n"
+        "correspondence.coeff_in_expansion = broken\n"
+        "assert False, 'asserts are on'\n"
+        "try:\n"
+        "    correspondence.adem_via_invariants(OpSeq.from_values(Context(3, 2), (4, 1)))\n"
+        "except InvariantError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(3)\n"
+    )
+    src = str(Path(correspondence.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_power_dual_examples():

@@ -131,6 +131,79 @@ def test_coeff_formula_matches_expansion():
                     )
 
 
+def same_degree_exponents(D, ctx):
+    """Every exponent vector J with h^J of degree D."""
+    n = ctx.n
+    w = [h_monomial_degree(tuple(int(t == i) for t in range(n)), ctx) for i in range(n)]
+
+    def rec(i, rem, acc):
+        if i == n - 1:
+            if rem % w[i] == 0:
+                yield acc + (rem // w[i],)
+            return
+        for e in range(rem // w[i] + 1):
+            yield from rec(i + 1, rem - e * w[i], acc + (e,))
+
+    yield from rec(0, D, ())
+
+
+def coeff_grid():
+    """(ctx, m) pairs: exhaustive boxes of exponents, deep enough in
+    base p that the digit recursion takes at least two steps."""
+    boxes = (
+        (2, 1, 8), (2, 2, 8), (2, 3, 4),
+        (3, 1, 9), (3, 2, 9), (3, 3, 3),
+        (5, 1, 11), (5, 2, 6), (5, 3, 2),
+        (7, 1, 15), (7, 2, 8), (7, 3, 1),
+    )
+    for p, n, bound in boxes:
+        ctx = Context(p, n)
+        for m in itertools.product(range(bound + 1), repeat=n):
+            yield ctx, m
+    for p in (5, 7):
+        ctx = Context(p, 3)
+        for m in itertools.product((0, 1, p), repeat=3):
+            if sum(m) <= p + 1:
+                yield ctx, m
+
+
+def test_coeff_recursion_matches_both_oracles():
+    # every J of the right degree, in the support or not
+    cases = nonzero = 0
+    for ctx, m in coeff_grid():
+        full = expand_dickson_monomial(m, ctx).terms
+        for J in same_degree_exponents(dickson_monomial_degree(m, ctx), ctx):
+            got = coeff_in_expansion(m, J, ctx)
+            assert got == full.get(J, 0) == coeff_by_multinomial(m, J, ctx), (
+                ctx, m, J,
+            )
+            cases += 1
+            nonzero += bool(got)
+    assert cases > 20000 and nonzero > 3000
+
+
+def test_coeff_off_degree_and_shape():
+    # a J of the wrong degree, length or sign pairs to 0; bad m is refused
+    assert coeff_in_expansion((1, 1), (1, 1), P3N2) == 0
+    assert coeff_in_expansion((1, 1), (1, 2, 0), P3N2) == 0
+    assert coeff_in_expansion((1, 1), (-1, 3), P3N2) == 0
+    with pytest.raises(DomainError):
+        coeff_in_expansion((1,), (0, 0), P3N2)
+    with pytest.raises(DomainError):
+        coeff_in_expansion((1, -1), (0, 0), P3N2)
+
+
+def test_expansion_results_are_independent():
+    first = expand_dickson_monomial((0, 2), P3N2)
+    want = dict(first.terms)
+    first.add_term((6, 0), 1)
+    first.add_term((9, 9), 1)
+    again = expand_dickson_monomial((0, 2), P3N2)
+    assert again is not first
+    assert again.terms == want
+    assert coeff_in_expansion((0, 2), (6, 0), P3N2) == 1
+
+
 def test_degree_formulas():
     assert dickson_degree(0, P3N2) == 16
     assert dickson_degree(1, P3N2) == 12
