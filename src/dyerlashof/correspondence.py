@@ -90,21 +90,24 @@ def solve_degree_diophantine(D: int, ctx: Context) -> list[tuple[int, ...]]:
     """All m with sum m_i deg(d_{n,i}) = D, by bounded lexicographic search."""
     if D < 0:
         raise DomainError("degree must be nonnegative")
-    weights = [dickson_degree(i, ctx) for i in range(ctx.n)]
+    n = ctx.n
+    if n == 0:
+        return [()] if D == 0 else []
+    weights = [dickson_degree(i, ctx) for i in range(n)]
     out: list[tuple[int, ...]] = []
 
-    def rec(i: int, rem: int, acc: list[int]):
-        if i == ctx.n:
-            if rem == 0:
-                out.append(tuple(acc))
-            return
+    def rec(i: int, rem: int, acc: tuple[int, ...]):
         w = weights[i]
+        if i == n - 1:
+            # the last exponent is forced
+            mi, r = divmod(rem, w)
+            if not r:
+                out.append(acc + (mi,))
+            return
         for mi in range(rem // w + 1):
-            acc.append(mi)
-            rec(i + 1, rem - mi * w, acc)
-            acc.pop()
+            rec(i + 1, rem - mi * w, acc + (mi,))
 
-    rec(0, D, [])
+    rec(0, D, ())
     return out
 
 
@@ -118,26 +121,26 @@ def admissible_basis(D: int, ctx: Context) -> list[OpSeq]:
     if D < 0:
         raise DomainError("degree must be nonnegative")
     p, n = ctx.p, ctx.n
-    # weight of entry value 1 at position t (0-based)
+    if n == 0:
+        return [OpSeq(ctx, (), ())] if D == 0 else []
+    # weight of entry value 1 at position t (0-based), and of all of t..n-1
     wt = [(1 << t) if p == 2 else 2 * (p - 1) * p**t for t in range(n)]
+    tails = [sum(wt[t:]) for t in range(n)]
+    zeros = (0,) * n
     out: list[OpSeq] = []
 
-    def rec(t: int, lo: int, rem: int, acc: list[int]):
-        if t == n:
-            if rem == 0:
-                out.append(
-                    OpSeq(ctx, tuple(2 * v for v in acc), (0,) * n)
-                )
+    def rec(t: int, lo: int, rem: int, acc: tuple[int, ...]):
+        if t == n - 1:
+            # the last entry is forced; it is >= lo because the loop
+            # below left rem >= lo * wt[t]
+            v, r = divmod(rem, wt[t])
+            if not r:
+                out.append(OpSeq(ctx, acc + (2 * v,), zeros))
             return
-        tail = sum(wt[t:])
-        for v in range(lo, rem // wt[t] + 1):
-            if v * tail > rem:
-                break
-            acc.append(v)
-            rec(t + 1, v, rem - v * wt[t], acc)
-            acc.pop()
+        for v in range(lo, rem // tails[t] + 1):
+            rec(t + 1, v, rem - v * wt[t], acc + (2 * v,))
 
-    rec(0, 0, D, [])
+    rec(0, 0, D, ())
     out.sort(key=lambda s: s.key())
     return out
 

@@ -71,7 +71,8 @@ class SparsePoly:
     @classmethod
     def variable(cls, k: int, ctx: Context, power: int = 1):
         """The k-th variable (1-based), raised to `power`."""
-        assert 1 <= k <= ctx.n
+        if not 1 <= k <= ctx.n:
+            raise DomainError(f"variable index must be in 1..{ctx.n}, got {k}")
         exps = tuple(power if t == k - 1 else 0 for t in range(ctx.n))
         return cls(ctx, {exps: 1})
 

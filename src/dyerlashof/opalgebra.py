@@ -6,7 +6,9 @@ sequences (see :mod:`dyerlashof.sequences`).  The two workhorses here:
 * :func:`adem_straighten_classical` rewrites any polynomial into the
   admissible basis by repeatedly applying the Adem relations to the
   leftmost inadmissible adjacent pair.  Terms acquiring a negative
-  entry (negative excess) are dropped on sight.
+  entry (negative excess) are dropped on sight.  Pending monomials sit
+  in a heap in rewrite order, so like terms merge before they are
+  rewritten and each distinct monomial is rewritten once.
 
 * :func:`coproduct` computes the componentwise coproduct in upper
   notation, with Koszul signs; legs are kept in upper notation (always
@@ -20,6 +22,9 @@ sequences (see :mod:`dyerlashof.sequences`).  The two workhorses here:
 """
 
 from __future__ import annotations
+
+import heapq
+from operator import sub
 
 from .arith import Context, DomainError, binom_mod_p
 from .sequences import OpSeq, UpperSeq, lower_to_upper, upper_to_lower
@@ -74,7 +79,8 @@ class OpPoly:
             del self.terms[key]
 
     def __add__(self, other: "OpPoly") -> "OpPoly":
-        assert self.ctx == other.ctx
+        if self.ctx != other.ctx:
+            raise DomainError("sum needs matching contexts")
         out = OpPoly(self.ctx, dict(self.terms))
         for (twice, eps), coeff in other.terms.items():
             out.add_term(twice, eps, coeff)
@@ -156,6 +162,8 @@ def pair_rewrite(p: int, tr: int, ts: int, er: int, es: int, use_table=True):
     ts - tr + er < 0.  Returns a tuple of (coeff, ta, tb, ea, eb)
     replacement pairs, each admissible, with coeff in 1..p-1; entries
     may be negative (callers filter through the excess quotient).
+    Every replacement raises the second entry's tail excess tb - eb
+    above ts - es.
     """
     if use_table:
         cached = _REWRITE_TABLE.get((p, tr, ts, er, es))
@@ -164,10 +172,12 @@ def pair_rewrite(p: int, tr: int, ts: int, er: int, es: int, use_table=True):
     out = []
     if es == 0:
         # e_r e_s = sum_i (-1)^(r-i) C((p-1)(i-s)-1, r-i-1) e_{r+ps-pi} e_i,
-        # with a leading Bockstein carried along untouched.
-        for ti in range(0, tr - 1):
-            if (tr - ti) % 2:
-                continue  # binomial argument r-i-1 not an integer
+        # with a leading Bockstein carried along untouched.  The binomial
+        # vanishes for p i < r + (p-1) s (bottom above top) and i <= s
+        # (negative top); r - i must be an integer.
+        lo = max(ts + 1, -(-(tr + (p - 1) * ts) // p))
+        lo += (tr - lo) % 2
+        for ti in range(lo, tr - 1, 2):
             a = (p - 1) * (ti - ts) // 2 - 1
             b = (tr - ti) // 2 - 1
             c = binom_mod_p(a, b, p)
@@ -179,11 +189,14 @@ def pair_rewrite(p: int, tr: int, ts: int, er: int, es: int, use_table=True):
     else:
         # e_r (beta e_s), p odd.  Two sums: the Bockstein moves to the
         # first factor or stays on the second.  A leading Bockstein
-        # kills the first sum (beta beta = 0).
-        assert p != 2
-        for ti in range(0, tr):
-            if (tr - ti) % 2 == 0:
-                continue  # binomial argument r-1/2-i not an integer
+        # kills the first sum (beta beta = 0).  Both binomials vanish
+        # for p i < r - 1/2 + (p-1) s and i < s; r - 1/2 - i must be an
+        # integer.
+        if p == 2:
+            raise DomainError("p = 2 sequences cannot carry Bocksteins")
+        lo = max(ts, -(-(tr - 1 + (p - 1) * ts) // p))
+        lo += 1 - (tr - lo) % 2
+        for ti in range(lo, tr, 2):
             b = (tr - 1 - ti) // 2
             a1 = (p - 1) * (ti - ts) // 2
             if er == 0:
@@ -203,33 +216,54 @@ def pair_rewrite(p: int, tr: int, ts: int, er: int, es: int, use_table=True):
     return result
 
 
-def _first_defect(twice, eps) -> int | None:
-    for t in range(len(twice) - 1):
+def _first_defect(twice, eps, start: int = 0) -> int | None:
+    for t in range(start, len(twice) - 1):
         if twice[t + 1] - twice[t] + eps[t] < 0:
             return t
     return None
 
 
-def adem_straighten_classical(
-    x: OpPoly | OpSeq, use_table: bool = True, max_steps: int = 10**7
-) -> OpPoly:
+def _rewrite_order(twice, eps) -> tuple[int, ...]:
+    """Heap key: the tail excesses read from the last position backwards,
+    then eps.  Distinct monomials have distinct keys, and every rewrite
+    strictly raises the key (see pair_rewrite)."""
+    return tuple(map(sub, twice, eps))[::-1] + eps
+
+
+def adem_straighten_classical(x: OpPoly | OpSeq, max_steps: int = 10**7) -> OpPoly:
     """Express x in the admissible basis via the Adem relations (rho).
 
-    Pure term rewriting: scan for the leftmost inadmissible pair,
-    replace it, repeat; terms acquiring a negative entry are discarded.
-    Raises RuntimeError past max_steps rewrites.
+    Pure term rewriting at the leftmost inadmissible pair; terms
+    acquiring a negative entry are discarded.  Inadmissible monomials
+    wait in a min-heap on their rewrite order.  A rewrite leaves the
+    positions right of the pair alone and raises the tail excess of the
+    pair's second entry, so it only yields monomials of higher order:
+    every contribution to a monomial is queued before the monomial is
+    popped.  Equal keys are summed on pop and each distinct monomial is
+    rewritten once.  The result equals term-by-term rewriting in any
+    processing order: a monomial's rewrite (always at its leftmost
+    defect) is fixed and the map is linear.  Raises RuntimeError past
+    max_steps distinct rewrites.
     """
     if isinstance(x, OpSeq):
         x = OpPoly.from_seq(x)
     p = x.ctx.p
     result = OpPoly(x.ctx)
-    stack = list(x.terms.items())
-    steps = 0
-    while stack:
-        (twice, eps), coeff = stack.pop()
+    heap = []
+    for (twice, eps), coeff in x.terms.items():
         pos = _first_defect(twice, eps)
         if pos is None:
             result.add_term(twice, eps, coeff)
+        else:
+            heap.append((_rewrite_order(twice, eps), coeff, twice, eps, pos))
+    heapq.heapify(heap)
+    steps = 0
+    while heap:
+        order, coeff, twice, eps, pos = heapq.heappop(heap)
+        while heap and heap[0][0] == order:
+            coeff += heapq.heappop(heap)[1]
+        coeff %= p
+        if not coeff:
             continue
         steps += 1
         if steps > max_steps:
@@ -237,14 +271,25 @@ def adem_straighten_classical(
                 f"Adem straightening exceeded {max_steps} rewrite steps"
             )
         replacements = pair_rewrite(
-            p, twice[pos], twice[pos + 1], eps[pos], eps[pos + 1], use_table
+            p, twice[pos], twice[pos + 1], eps[pos], eps[pos + 1]
         )
+        head_twice, tail_twice = twice[:pos], twice[pos + 2 :]
+        head_eps, tail_eps = eps[:pos], eps[pos + 2 :]
         for c, ta, tb, ea, eb in replacements:
             if ta < 0 or tb < 0:
                 continue
-            new_twice = twice[:pos] + (ta, tb) + twice[pos + 2 :]
-            new_eps = eps[:pos] + (ea, eb) + eps[pos + 2 :]
-            stack.append(((new_twice, new_eps), coeff * c % p))
+            new_twice = head_twice + (ta, tb) + tail_twice
+            new_eps = head_eps + (ea, eb) + tail_eps
+            c = coeff * c % p
+            # pairs left of pos - 1 are untouched and admissible
+            new_pos = _first_defect(new_twice, new_eps, max(pos - 1, 0))
+            if new_pos is None:
+                result.add_term(new_twice, new_eps, c)
+            else:
+                heapq.heappush(
+                    heap,
+                    (_rewrite_order(new_twice, new_eps), c, new_twice, new_eps, new_pos),
+                )
     return result
 
 
@@ -294,7 +339,8 @@ class TensorPoly:
     def to_lower(self) -> "TensorPoly":
         """Convert all legs to lower notation, dropping dead legs
         (those whose lower form would need a negative entry)."""
-        assert not self.lower
+        if self.lower:
+            raise DomainError("tensor is already in lower notation")
         out = TensorPoly(self.ctx, self.folds, lower=True)
         for legs, coeff in self.terms.items():
             converted = []
@@ -402,7 +448,8 @@ def tensor_split_leg(t: TensorPoly, which: int) -> TensorPoly:
     No extra sign: the coproduct is an even map, so 1 x ... x psi x ...
     x 1 introduces none beyond those inside the split itself.
     """
-    assert not t.lower
+    if t.lower:
+        raise DomainError("splitting a leg needs an upper-notation tensor")
     out = TensorPoly(t.ctx, t.folds + 1)
     for legs, coeff in t.terms.items():
         twice, eps = legs[which]

@@ -264,11 +264,6 @@ def _suffix_degree(s: OpSeq, start: int) -> int:
     return degree_lower(tail)
 
 
-def suffix_excesses(s: OpSeq) -> tuple[int, ...]:
-    """The excess of each standalone suffix: just 2 j_t - eps_t."""
-    return s.key()
-
-
 def direct_sum(a: OpSeq, b: OpSeq) -> OpSeq:
     """Concatenate two lower sequences (the length-additive product)."""
     if a.ctx.p != b.ctx.p:
