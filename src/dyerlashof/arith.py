@@ -3,7 +3,7 @@
 Binomial coefficients are reduced with Lucas' theorem, digit by digit in
 base p, so huge arguments cost nothing:
 
-    >>> binom_mod_p(3**20 + 4, 5, 3)
+    >>> binom_mod_p(3**20 + 4, 4, 3)
     1
 
 All binomials follow the combinatorial convention: C(a, b) = 0 whenever
@@ -71,17 +71,31 @@ def padic_digits(m: int, p: int) -> list[int]:
     return digits
 
 
+# C(a, b) mod p for single base-p digits 0 <= a, b < p (0 when b > a)
+_DIGIT_BINOMS = {
+    p: tuple(tuple(comb(a, b) % p for b in range(p)) for a in range(p)) for p in PRIMES
+}
+
+
 def binom_mod_p(a: int, b: int, p: int) -> int:
-    """Return C(a, b) mod p via Lucas; 0 if a < 0, b < 0 or b > a."""
+    """Return C(a, b) mod p via Lucas; 0 if a < 0, b < 0 or b > a.
+
+    p must be one of PRIMES.  Once b has no digits left every remaining
+    factor is C(a_d, 0) = 1, so the digit loop stops there.
+    """
     if b < 0 or a < 0 or b > a:
         return 0
+    if p == 2:
+        return 1 if a & b == b else 0
+    table = _DIGIT_BINOMS[p]
     result = 1
-    while a or b:
+    while b:
         a, ad = divmod(a, p)
         b, bd = divmod(b, p)
-        if bd > ad:
+        c = table[ad][bd]
+        if not c:
             return 0
-        result = result * comb(ad, bd) % p
+        result = result * c % p
     return result
 
 

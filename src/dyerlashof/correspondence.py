@@ -23,6 +23,7 @@ from .arith import Context, DomainError, InvariantError, binom_mod_p
 from .invariants import (
     chi_min,
     coeff_in_expansion,
+    coeff_memo,
     dickson_degree,
     dickson_monomial_degree,
 )
@@ -156,11 +157,21 @@ def kronecker_pair(m, J: OpSeq, ctx: Context) -> int:
     return coeff_in_expansion(m, tuple(t // 2 for t in J.twice), ctx)
 
 
+def _exps(s: OpSeq) -> tuple[int, ...]:
+    return tuple(t // 2 for t in s.twice)
+
+
 @lru_cache(maxsize=None)
 def _degree_data(D: int, ctx: Context):
-    """Per-degree duality data: the admissible sequences K of lower
-    degree D (ascending under compare) and the Dickson monomials m(K)
-    with chi_min(d^m(K)) = K."""
+    """Per-degree duality data, one row per admissible sequence K of
+    lower degree D, ascending under compare: the rows K, the Dickson
+    monomials m(K) with chi_min(d^m(K)) = K, the column exponents of K
+    and the keys K.key() (for bisection).
+
+    Checks once per degree that chi_min is a bijection onto the
+    admissible basis and that every diagonal entry <d^m(K), Q_K> is 1;
+    the solves then read the pairing memo directly.
+    """
     monos = solve_degree_diophantine(D, ctx)
     pairs = sorted(
         ((chi_min(m, ctx), m) for m in monos), key=lambda km: km[0].key()
@@ -170,20 +181,14 @@ def _degree_data(D: int, ctx: Context):
     basis = admissible_basis(D, ctx)
     if [s.twice for s in basis] != [k.twice for k in ks]:
         raise InvariantError("chi_min is not a bijection onto the admissible basis")
-    return ks, ms
-
-
-def _exps(s: OpSeq) -> tuple[int, ...]:
-    return tuple(t // 2 for t in s.twice)
-
-
-def _unit_diagonal(m, K: OpSeq, ctx: Context) -> None:
-    """The pairing <d^m, Q_K> with K = chi_min(d^m) must be 1."""
-    c = coeff_in_expansion(m, _exps(K), ctx)
-    if c != 1:
-        raise InvariantError(
-            f"pairing matrix is not unitriangular: <d^{m}, Q_{K.twice}> = {c}"
-        )
+    cols = tuple(_exps(k) for k in ks)
+    for m, k, col in zip(ms, ks, cols):
+        c = coeff_in_expansion(m, col, ctx)
+        if c != 1:
+            raise InvariantError(
+                f"pairing matrix is not unitriangular: <d^{m}, Q_{k.twice}> = {c}"
+            )
+    return ks, ms, cols, tuple(k.key() for k in ks)
 
 
 def dual_of_dickson(m, ctx: Context) -> DualExpansion:
@@ -221,18 +226,18 @@ def dickson_of_dual(J: OpSeq) -> dict[tuple[int, ...], int]:
         raise DomainError("dickson_of_dual needs an integral eps = 0 sequence")
     if not is_admissible(J):
         raise DomainError("dickson_of_dual needs an admissible sequence")
-    ks, ms = _degree_data(degree_lower(J), ctx)
-    p = ctx.p
-    target = bisect_left(ks, J.key(), key=OpSeq.key)
+    ks, ms, cols, keys = _degree_data(degree_lower(J), ctx)
+    coeff = coeff_memo(ctx).coeff
+    target = bisect_left(keys, J.key())
     if target == len(ks) or ks[target].twice != J.twice:
         raise DomainError("sequence not in the admissible basis of its degree")
+    p = ctx.p
     x: dict[int, int] = {}
     for j in range(target, len(ks)):
-        _unit_diagonal(ms[j], ks[j], ctx)
-        col = _exps(ks[j])
+        col = cols[j]
         acc = 1 if j == target else 0
         for i, xi in x.items():
-            acc -= xi * coeff_in_expansion(ms[i], col, ctx)
+            acc -= xi * coeff(ms[i], col)
         acc %= p
         if acc:
             x[j] = acc
@@ -255,15 +260,16 @@ def adem_via_invariants(x: OpSeq) -> OpPoly:
         raise DomainError("invariant-theoretic straightening needs eps = 0")
     if any(t % 2 for t in x.twice):
         raise DomainError("invariant-theoretic straightening needs integral entries")
-    ks, ms = _degree_data(degree_lower(x), ctx)
+    ks, ms, cols, keys = _degree_data(degree_lower(x), ctx)
+    coeff = coeff_memo(ctx).coeff
     p = ctx.p
     exps = _exps(x)
     a: dict[int, int] = {}
-    for i in range(bisect_right(ks, x.key(), key=OpSeq.key) - 1, -1, -1):
-        _unit_diagonal(ms[i], ks[i], ctx)
-        acc = coeff_in_expansion(ms[i], exps, ctx)
+    for i in range(bisect_right(keys, x.key()) - 1, -1, -1):
+        m = ms[i]
+        acc = coeff(m, exps)
         for j, aj in a.items():
-            acc -= aj * coeff_in_expansion(ms[i], _exps(ks[j]), ctx)
+            acc -= aj * coeff(m, cols[j])
         acc %= p
         if acc:
             a[i] = acc

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
+from operator import sub
 from typing import NamedTuple
 
 from . import kernels
@@ -296,29 +297,78 @@ expand_dickson_monomial.cache_clear = _expansion_terms.cache_clear
 
 
 @lru_cache(maxsize=None)
+def _digit_product(r: tuple[int, ...], ctx: Context) -> dict:
+    """The terms of d^r for a digit vector r (0 <= r_i < p), built as
+    d^(r - e_k) d_{n,k} with k the last nonzero digit (one product per
+    vector, on top of the cached smaller one).  Callers must not modify
+    the returned dict."""
+    k = next((i for i in range(len(r) - 1, -1, -1) if r[i]), None)
+    if k is None:
+        return BPoly.one(ctx).terms
+    smaller = r[:k] + (r[k] - 1,) + r[k + 1 :]
+    return kernels.poly_mul(
+        _digit_product(smaller, ctx), dickson_to_borel(k, ctx).terms, ctx.p
+    )
+
+
+@lru_cache(maxsize=None)
 def _digit_terms(r: tuple[int, ...], ctx: Context) -> dict:
     """The terms (s, c) of d^r for a digit vector r (0 <= r_i < p),
     grouped by s mod p."""
     p = ctx.p
     groups: dict = {}
-    for s, c in _dickson_product(r, ctx).terms.items():
+    for s, c in _digit_product(r, ctx).items():
         groups.setdefault(tuple(si % p for si in s), []).append((s, c))
     return groups
 
 
+class CoeffMemo:
+    """The coefficient memo of one context.
+
+    ``coeffs`` maps (m, J) to [h^J] d^m; ``splits`` maps m to its split
+    (m // p, the digit-product groups of d^(m % p)).  Neither is bounded.
+    ``coeff`` trusts its arguments: m and J are exponent tuples of
+    length n with nonnegative entries (coeff_in_expansion checks them).
+    """
+
+    __slots__ = ("ctx", "p", "coeffs", "splits")
+
+    def __init__(self, ctx: Context):
+        self.ctx = ctx
+        self.p = ctx.p
+        self.coeffs: dict = {}
+        self.splits: dict = {}
+
+    def coeff(self, m: tuple[int, ...], J: tuple[int, ...]) -> int:
+        """[h^J] d^m by the digit recursion of coeff_in_expansion."""
+        key = (m, J)
+        total = self.coeffs.get(key)
+        if total is not None:
+            return total
+        p = self.p
+        split = self.splits.get(m)
+        if split is None:
+            if not any(m):
+                total = self.coeffs[key] = 0 if any(J) else 1
+                return total
+            split = self.splits[m] = (
+                tuple([mi // p for mi in m]),
+                _digit_terms(tuple([mi % p for mi in m]), self.ctx),
+            )
+        high, groups = split
+        total = 0
+        for s, c in groups.get(tuple([j % p for j in J]), ()):
+            rest = tuple(map(sub, J, s))
+            if min(rest) >= 0:
+                total += c * self.coeff(high, tuple([r // p for r in rest]))
+        total = self.coeffs[key] = total % p
+        return total
+
+
 @lru_cache(maxsize=None)
-def _coeff(m: tuple[int, ...], J: tuple[int, ...], ctx: Context) -> int:
-    if not any(m):
-        return 0 if any(J) else 1
-    p = ctx.p
-    high = tuple(mi // p for mi in m)
-    low = _digit_terms(tuple(mi % p for mi in m), ctx)
-    total = 0
-    for s, c in low.get(tuple(j % p for j in J), ()):
-        if all(j >= si for j, si in zip(J, s)):
-            rest = tuple((j - si) // p for j, si in zip(J, s))
-            total += c * _coeff(high, rest, ctx)
-    return total % p
+def coeff_memo(ctx: Context) -> CoeffMemo:
+    """The one coefficient memo of ctx (``cache_clear`` drops every memo)."""
+    return CoeffMemo(ctx)
 
 
 def coeff_in_expansion(m, J, ctx: Context) -> int:
@@ -333,13 +383,14 @@ def coeff_in_expansion(m, J, ctx: Context) -> int:
     summed over the s with J - s >= 0 and divisible by p in every
     coordinate.  The recursion is log_p(max m) deep and each step scans
     one cached product of generators with exponents below p; no full
-    expansion of d^m is built.  Results are memoised on (m, J, ctx).
+    expansion of d^m is built.  Results are memoised per context
+    (coeff_memo), keyed on (m, J).
     """
     m, J = tuple(m), tuple(J)
     _check_dickson_exponents(m, ctx)
     if len(J) != ctx.n or any(j < 0 for j in J):
         return 0
-    return _coeff(m, J, ctx)
+    return coeff_memo(ctx).coeff(m, J)
 
 
 def _plain_compositions(total: int, parts: int):

@@ -44,17 +44,20 @@ __all__ = [
 ]
 
 
+_BITS = frozenset((0, 1))
+
+
 def _check_entries(ctx: Context, twice: tuple[int, ...], eps: tuple[int, ...]):
     if len(twice) != ctx.n:
         raise DomainError(f"expected {ctx.n} entries, got {len(twice)}")
     if len(eps) != ctx.n:
         raise DomainError(f"expected {ctx.n} eps flags, got {len(eps)}")
-    if any(e not in (0, 1) for e in eps):
+    if not _BITS.issuperset(eps):
         raise DomainError(f"eps flags must be 0 or 1, got {eps}")
-    if any(t < 0 for t in twice):
+    if twice and min(twice) < 0:
         raise DomainError(f"entries must be >= 0, got {_halves_str(twice)}")
     if ctx.p == 2:
-        if any(e for e in eps):
+        if 1 in eps:
             raise DomainError("p = 2 sequences cannot carry Bocksteins")
         if any(t % 2 for t in twice):
             raise DomainError("p = 2 entries must be integers")

@@ -122,7 +122,7 @@ def suite_triangularity(ctx: Context, max_sum: int = 6):
         {dickson_monomial_degree(m, ctx) for m in _monomials_up_to(ctx, max_sum)}
     )
     for D in degrees:
-        ks, ms = _degree_data(D, ctx)
+        ks, ms, _, _ = _degree_data(D, ctx)
         for i in range(len(ks)):
             c = [kronecker_pair(ms[i], K, ctx) for K in ks]
             if c[i] != 1:

@@ -60,11 +60,19 @@ def test_binom_conventions():
 
 
 def test_binom_against_factorials():
-    # Lucas vs exact integer binomials, 0 <= b <= a <= 30.
-    for p in PRIMES:
-        for a in range(31):
-            for b in range(a + 1):
-                assert binom_mod_p(a, b, p) == math.comb(a, b) % p, (p, a, b)
+    # Lucas vs exact integer binomials, 0 <= b <= a <= 400 (three base-7
+    # digits), and 0 whenever an argument is negative or b > a.
+    primes = (2, 3, 5, 7)
+    for a in range(401):
+        for b in range(a + 1):
+            exact = math.comb(a, b)
+            for p in primes:
+                assert binom_mod_p(a, b, p) == exact % p, (p, a, b)
+    for p in primes:
+        for a in range(-5, 30):
+            for b in range(-5, 35):
+                if a < 0 or b < 0 or b > a:
+                    assert binom_mod_p(a, b, p) == 0, (p, a, b)
 
 
 def test_binom_vandermonde():

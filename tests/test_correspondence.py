@@ -175,6 +175,8 @@ def test_broken_diagonal_raises(monkeypatch):
         return original(m, J, ctx)
 
     monkeypatch.setattr(correspondence, "coeff_in_expansion", broken)
+    # the diagonal is checked when a degree's data is built
+    correspondence._degree_data.cache_clear()
     ctx = P3N2
     # (1, 2) = chi_min(d^(1,1)) lies below (4, 1) in the same degree
     with pytest.raises(InvariantError):
@@ -183,6 +185,23 @@ def test_broken_diagonal_raises(monkeypatch):
         dickson_of_dual(OpSeq.from_values(ctx, (1, 2)))
     with pytest.raises(InvariantError):
         dual_of_dickson((1, 1), ctx)
+
+
+def test_broken_diagonal_above_input_raises(monkeypatch):
+    # K = (2, 2) = chi_min(d^(2,0)) lies above I = (0, 3) in degree 6, so
+    # back-substitution for e_I never reads its row; the per-degree check
+    # must still see its diagonal entry
+    original = correspondence.coeff_in_expansion
+
+    def broken(m, J, ctx):
+        if ctx == P2N2 and tuple(m) == (2, 0) and tuple(J) == (2, 2):
+            return 0
+        return original(m, J, ctx)
+
+    monkeypatch.setattr(correspondence, "coeff_in_expansion", broken)
+    correspondence._degree_data.cache_clear()
+    with pytest.raises(InvariantError):
+        adem_via_invariants(OpSeq.from_values(P2N2, (0, 3)))
 
 
 def test_broken_diagonal_raises_under_optimize():

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from dyerlashof import invariants
 from dyerlashof.arith import Context, DomainError
 from dyerlashof.invariants import (
     BPoly,
@@ -191,6 +192,29 @@ def test_coeff_off_degree_and_shape():
         coeff_in_expansion((1,), (0, 0), P3N2)
     with pytest.raises(DomainError):
         coeff_in_expansion((1, -1), (0, 0), P3N2)
+
+
+def test_coeff_memo_per_context():
+    # [h^(3,1)] d_(2,1)^2 is 0 at p = 2 and 2 at p = 3; asked in either
+    # order, each context answers from its own memo
+    m, J = (0, 2), (3, 1)
+    for order in ((P2N2, P3N2), (P3N2, P2N2)):
+        invariants.coeff_memo.cache_clear()
+        for ctx in order:
+            assert coeff_in_expansion(m, J, ctx) == coeff_by_multinomial(m, J, ctx)
+    assert coeff_in_expansion(m, J, P2N2) == 0
+    assert coeff_in_expansion(m, J, P3N2) == 2
+
+
+def test_digit_product_matches_direct_product():
+    # d^r built from the next smaller digit vector equals the product of
+    # the generators' powers, for every digit vector
+    shapes = [(p, n) for p in (2, 3, 5, 7) for n in (1, 2, 3)] + [(2, 4), (3, 4)]
+    for p, n in shapes:
+        ctx = Context(p, n)
+        for r in itertools.product(range(p), repeat=n):
+            want = invariants._dickson_product(r, ctx).terms
+            assert invariants._digit_product(r, ctx) == want, (p, n, r)
 
 
 def test_expansion_results_are_independent():

@@ -33,16 +33,23 @@ def seq(ctx, values, eps=None):
 
 
 def test_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="p = 2 entries must be integers"):
         OpSeq(P2N2, (3, 0), (0, 0))  # half entry at p=2
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="p = 2 sequences cannot carry Bocksteins"):
         OpSeq(P2N2, (2, 0), (1, 0))  # Bockstein at p=2
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="entries must be >= 0"):
         OpSeq(P3N2, (-2, 0), (0, 0))  # negative entry
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="expected 2 entries, got 3"):
         OpSeq(P3N2, (2, 0, 0), (0, 0, 0))  # wrong length
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="expected 2 eps flags, got 1"):
+        OpSeq(P3N2, (2, 0), (0,))  # wrong eps length
+    with pytest.raises(DomainError, match="eps flags must be 0 or 1"):
         OpSeq(P3N2, (2, 0), (0, 2))  # eps not a bit
+    with pytest.raises(DomainError, match="eps flags must be 0 or 1"):
+        OpSeq(P3N2, (2, 0), (-1, 0))  # negative eps
+    # a bad eps is reported before a negative entry or a p = 2 rule
+    with pytest.raises(DomainError, match="eps flags must be 0 or 1"):
+        OpSeq(P2N2, (-3, 0), (2, 0))
     # half entries are fine at odd p
     OpSeq(P3N2, (3, 1), (1, 1))
 
