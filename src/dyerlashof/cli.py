@@ -13,6 +13,7 @@ verification), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -96,18 +97,32 @@ def _need_n(args) -> Context:
     return Context(args.p, args.n)
 
 
-def _emit(args, payload_input, result, text: str) -> None:
+def _emit(args, result, to_json, to_text, input_json) -> None:
+    """Print result in the format args.format selects.
+
+    Only that format is built: to_json(result) and the envelope's input
+    field input_json() for json, to_text(result) for text.
+    """
     if args.format == "json":
         doc = {
             "p": args.p,
             "n": args.n,
             "command": args.command,
-            "input": payload_input,
-            "result": result,
+            "input": input_json(),
+            "result": to_json(result),
         }
         print(json.dumps(doc))
     else:
-        print(text)
+        print(to_text(result))
+
+
+def _mono_json(m) -> dict:
+    return {"m": list(m)}
+
+
+def _lines(render):
+    """Text form of a list: one rendered item per line, `0` when empty."""
+    return lambda items: "\n".join(map(render, items)) if items else "0"
 
 
 def run(args) -> int:
@@ -144,16 +159,19 @@ def run(args) -> int:
             res = adem_straighten_classical(OpPoly.from_seq(s))
         _emit(
             args,
-            textio.seq_to_json(s),
-            textio.op_poly_to_json(res),
-            textio.render_op_poly(res),
+            res,
+            textio.op_poly_to_json,
+            textio.render_op_poly,
+            lambda: textio.seq_to_json(s),
         )
         return 0
 
     if cmd == "dual":
         m = textio.parse_dickson(args.expr, ctx)
         res = dual_of_dickson(m, ctx)
-        _emit(args, {"m": list(m)}, textio.dual_to_json(res), textio.render_dual(res))
+        _emit(
+            args, res, textio.dual_to_json, textio.render_dual, lambda: _mono_json(m)
+        )
         return 0
 
     if cmd == "invert-dual":
@@ -161,25 +179,29 @@ def run(args) -> int:
         res = dickson_of_dual(s)
         _emit(
             args,
-            textio.seq_to_json(s),
-            textio.dickson_combo_to_json(res),
-            textio.render_dickson_combo(res),
+            res,
+            textio.dickson_combo_to_json,
+            textio.render_dickson_combo,
+            lambda: textio.seq_to_json(s),
         )
         return 0
 
     if cmd == "expand":
         m = textio.parse_dickson(args.expr, ctx)
         res = expand_dickson_monomial(m, ctx)
-        _emit(args, {"m": list(m)}, textio.bpoly_to_json(res), textio.render_bpoly(res))
+        _emit(
+            args, res, textio.bpoly_to_json, textio.render_bpoly, lambda: _mono_json(m)
+        )
         return 0
 
     if cmd == "basis":
         seqs = admissible_basis(args.degree, ctx)
         _emit(
             args,
-            {"degree": args.degree},
-            [textio.seq_to_json(s) for s in seqs],
-            "\n".join(textio.render_seq(s) for s in seqs) if seqs else "0",
+            seqs,
+            lambda items: [textio.seq_to_json(s) for s in items],
+            _lines(textio.render_seq),
+            lambda: {"degree": args.degree},
         )
         return 0
 
@@ -187,11 +209,10 @@ def run(args) -> int:
         monos = solve_degree_diophantine(args.degree, ctx)
         _emit(
             args,
-            {"degree": args.degree},
-            [{"m": list(m)} for m in monos],
-            "\n".join(textio.render_dickson_monomial(m) for m in monos)
-            if monos
-            else "0",
+            monos,
+            lambda items: [_mono_json(m) for m in items],
+            _lines(textio.render_dickson_monomial),
+            lambda: {"degree": args.degree},
         )
         return 0
 
@@ -201,27 +222,39 @@ def run(args) -> int:
         v = kronecker_pair(m, s, ctx)
         _emit(
             args,
-            {"m": list(m), **textio.seq_to_json(s)},
-            {"value": v},
-            str(v),
+            v,
+            lambda v: {"value": v},
+            str,
+            lambda: {**_mono_json(m), **textio.seq_to_json(s)},
         )
         return 0
 
     if cmd == "coprod":
         s = textio.parse_any_sequence(args.expr, ctx)
         res = coproduct(s).to_lower()
-        payload = textio.seq_to_json(s)
-        if isinstance(s, UpperSeq):
-            payload["notation"] = "upper"
-        _emit(args, payload, textio.tensor_to_json(res), textio.render_tensor(res))
+
+        def input_json():
+            payload = textio.seq_to_json(s)
+            if isinstance(s, UpperSeq):
+                payload["notation"] = "upper"
+            return payload
+
+        _emit(args, res, textio.tensor_to_json, textio.render_tensor, input_json)
         return 0
 
     raise DomainError(f"unhandled command {cmd!r}")
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on its first call; build_parser() hands
+    out fresh ones.  Parsing leaves a parser unchanged, and every call gets
+    a fresh Namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return run(args)
     except DomainError as exc:

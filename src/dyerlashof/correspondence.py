@@ -21,6 +21,7 @@ from functools import lru_cache
 
 from .arith import Context, DomainError, InvariantError, binom_mod_p
 from .invariants import (
+    _check_dickson_exponents,
     chi_min,
     coeff_in_expansion,
     coeff_memo,
@@ -28,7 +29,7 @@ from .invariants import (
     dickson_monomial_degree,
 )
 from .opalgebra import OpPoly
-from .sequences import OpSeq, compare, degree_lower, is_admissible
+from .sequences import OpSeq, degree_lower, is_admissible
 
 __all__ = [
     "DualExpansion",
@@ -193,19 +194,26 @@ def _degree_data(D: int, ctx: Context):
 
 def dual_of_dickson(m, ctx: Context) -> DualExpansion:
     """Expand (the dual of) d^m in the dual basis: sum over admissible J
-    of <d^m, Q_J> (Q_J)^*."""
+    of <d^m, Q_J> (Q_J)^*.
+
+    Reads every pairing of the degree's rows from the coefficient memo,
+    and checks that those below chi_min(d^m) vanish and that the one at
+    chi_min(d^m) is 1.
+    """
     m = tuple(m)
-    D = dickson_monomial_degree(m, ctx)
-    out = DualExpansion(ctx)
+    _check_dickson_exponents(m, ctx)
+    ks, ms, cols, keys = _degree_data(dickson_monomial_degree(m, ctx), ctx)
+    coeff = coeff_memo(ctx).coeff
     lead = chi_min(m, ctx)
-    for J in admissible_basis(D, ctx):
-        c = kronecker_pair(m, J, ctx)
-        cmp = compare(J, lead)
-        if cmp < 0 and c:
+    at_lead = bisect_left(keys, lead.key())
+    out = DualExpansion(ctx)
+    for i, (J, col) in enumerate(zip(ks, cols)):
+        c = coeff(m, col)
+        if i < at_lead and c:
             raise InvariantError(
                 f"pairing <d^{m}, Q_{J.twice}> below chi_min is {c}, not 0"
             )
-        if cmp == 0 and J.twice == lead.twice and c != 1:
+        if i == at_lead and c != 1:
             raise InvariantError(f"chi_min coefficient of d^{m} is {c}, not 1")
         if c:
             out.add_term(J, c)

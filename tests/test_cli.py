@@ -5,10 +5,16 @@ checked exactly as a shell user would see them.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from dyerlashof.cli import main
+import dyerlashof
+from dyerlashof import cli, textio
+from dyerlashof.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -161,3 +167,175 @@ def test_usage_errors_exit_2(capsys):
         main(["adem", "--n", "2", "e[3,1]"])  # --p is required
     assert e.value.code == 2
     capsys.readouterr()
+
+
+# argv, text output, JSON output (both byte for byte, without the newline)
+FORMAT_CASES = [
+    (
+        ["adem", "--p", "3", "--n", "2", "e[3,1]"],
+        "2*Q[0,2]",
+        '{"p": 3, "n": 2, "command": "adem", "input": {"seq": ["3", "1"], '
+        '"eps": [0, 0]}, "result": [{"coeff": 2, "seq": ["0", "2"], "eps": [0, 0]}]}',
+    ),
+    (
+        ["adem-classical", "--p", "3", "--n", "2", "e[3,1]"],
+        "2*Q[0,2]",
+        '{"p": 3, "n": 2, "command": "adem-classical", "input": {"seq": ["3", "1"], '
+        '"eps": [0, 0]}, "result": [{"coeff": 2, "seq": ["0", "2"], "eps": [0, 0]}]}',
+    ),
+    (
+        ["dual", "--p", "2", "--n", "2", "d1^3"],
+        "(Q[0,3])* + (Q[2,2])*",
+        '{"p": 2, "n": 2, "command": "dual", "input": {"m": [0, 3]}, "result": '
+        '[{"coeff": 1, "seq": ["0", "3"], "eps": [0, 0]}, '
+        '{"coeff": 1, "seq": ["2", "2"], "eps": [0, 0]}]}',
+    ),
+    (
+        ["invert-dual", "--p", "2", "--n", "2", "Q[0,3]"],
+        "d0^2 + d1^3",
+        '{"p": 2, "n": 2, "command": "invert-dual", "input": {"seq": ["0", "3"], '
+        '"eps": [0, 0]}, "result": [{"coeff": 1, "m": [2, 0]}, {"coeff": 1, "m": [0, 3]}]}',
+    ),
+    (
+        ["expand", "--p", "3", "--n", "2", "d1^2"],
+        "h1^6 + 2*h1^3*h2 + h2^2",
+        '{"p": 3, "n": 2, "command": "expand", "input": {"m": [0, 2]}, "result": '
+        '[{"coeff": 1, "exps": [6, 0]}, {"coeff": 2, "exps": [3, 1]}, '
+        '{"coeff": 1, "exps": [0, 2]}]}',
+    ),
+    (
+        ["basis", "--p", "2", "--n", "2", "6"],
+        "Q[0,3]\nQ[2,2]",
+        '{"p": 2, "n": 2, "command": "basis", "input": {"degree": 6}, "result": '
+        '[{"seq": ["0", "3"], "eps": [0, 0]}, {"seq": ["2", "2"], "eps": [0, 0]}]}',
+    ),
+    (
+        ["basis", "--p", "2", "--n", "2", "1"],
+        "0",
+        '{"p": 2, "n": 2, "command": "basis", "input": {"degree": 1}, "result": []}',
+    ),
+    (
+        ["solve-degree", "--p", "2", "--n", "2", "6"],
+        "d1^3\nd0^2",
+        '{"p": 2, "n": 2, "command": "solve-degree", "input": {"degree": 6}, '
+        '"result": [{"m": [0, 3]}, {"m": [2, 0]}]}',
+    ),
+    (
+        ["solve-degree", "--p", "3", "--n", "2", "7"],
+        "0",
+        '{"p": 3, "n": 2, "command": "solve-degree", "input": {"degree": 7}, '
+        '"result": []}',
+    ),
+    (
+        ["pair", "--p", "3", "--n", "2", "d1^2", "e[3,1]"],
+        "2",
+        '{"p": 3, "n": 2, "command": "pair", "input": {"m": [0, 2], '
+        '"seq": ["3", "1"], "eps": [0, 0]}, "result": {"value": 2}}',
+    ),
+    (
+        ["coprod", "--p", "3", "--n", "1", "Qu[1;eps=1]"],
+        "Q[0] (x) Q[1;eps=1] + Q[1;eps=1] (x) Q[0]",
+        '{"p": 3, "n": 1, "command": "coprod", "input": {"seq": ["1"], "eps": [1], '
+        '"notation": "upper"}, "result": [{"coeff": 1, "legs": [{"seq": ["0"], '
+        '"eps": [0]}, {"seq": ["1"], "eps": [1]}]}, {"coeff": 1, "legs": '
+        '[{"seq": ["1"], "eps": [1]}, {"seq": ["0"], "eps": [0]}]}]}',
+    ),
+    (
+        ["coprod", "--p", "3", "--n", "1", "e[1]"],
+        "Q[0] (x) Q[1] + Q[1] (x) Q[0]",
+        '{"p": 3, "n": 1, "command": "coprod", "input": {"seq": ["1"], "eps": [0]}, '
+        '"result": [{"coeff": 1, "legs": [{"seq": ["0"], "eps": [0]}, {"seq": ["1"], '
+        '"eps": [0]}]}, {"coeff": 1, "legs": [{"seq": ["1"], "eps": [0]}, '
+        '{"seq": ["0"], "eps": [0]}]}]}',
+    ),
+]
+FORMAT_IDS = [" ".join(argv) for argv, _, _ in FORMAT_CASES]
+
+TEXT_RENDERERS = [name for name in textio.__all__ if name.startswith("render_")]
+TEXT_RENDERERS.append("render_dickson_monomial")
+JSON_CONVERTERS = [name for name in textio.__all__ if name.endswith("_to_json")]
+
+
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+
+    return refuse
+
+
+@pytest.mark.parametrize("argv,text,doc", FORMAT_CASES, ids=FORMAT_IDS)
+def test_json_output_pinned(capsys, argv, text, doc):
+    rc, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert rc == 0
+    assert out == doc + "\n"
+    assert err == ""
+
+
+@pytest.mark.parametrize("argv,text,doc", FORMAT_CASES, ids=FORMAT_IDS)
+def test_only_requested_format_is_built(capsys, monkeypatch, argv, text, doc):
+    with monkeypatch.context() as mp:
+        for name in TEXT_RENDERERS:
+            mp.setattr(textio, name, _refuse(name))
+        assert run_cli(capsys, *argv, "--format", "json") == (0, doc + "\n", "")
+    with monkeypatch.context() as mp:
+        for name in JSON_CONVERTERS:
+            mp.setattr(textio, name, _refuse(name))
+        mp.setattr(cli, "_mono_json", _refuse("_mono_json"))
+        assert run_cli(capsys, *argv) == (0, text + "\n", "")
+
+
+def test_parser_reuse_keeps_no_format(capsys):
+    argv = ["adem", "--p", "3", "--n", "2", "e[3,1]"]
+    rc, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert rc == 0 and json.loads(out)["command"] == "adem"
+    assert run_cli(capsys, *argv) == (0, "2*Q[0,2]\n", "")
+
+
+def test_parser_reuse_keeps_no_n(capsys):
+    assert run_cli(capsys, "coprod", "--p", "3", "--n", "1", "E[1]")[0] == 0
+    rc, out, err = run_cli(capsys, "coprod", "--p", "3", "E[1]")
+    assert rc == 1
+    assert out == ""
+    assert "needs --n" in err
+
+
+def test_parser_reuse_after_usage_error(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["adem", "--p", "3", "--n", "2", "--format", "xml", "e[3,1]"])
+    assert e.value.code == 2
+    capsys.readouterr()
+    assert run_cli(capsys, "adem", "--p", "3", "--n", "2", "e[3,1]") == (
+        0,
+        "2*Q[0,2]\n",
+        "",
+    )
+
+
+def test_build_parser_is_fresh(capsys):
+    assert build_parser() is not build_parser()
+    assert build_parser() is not cli._parser()
+    handed_out = build_parser()
+    handed_out.add_argument("--extra")
+    assert handed_out.parse_args(["--extra", "1", "basis", "--p", "2", "1"]).extra == "1"
+    with pytest.raises(SystemExit) as e:
+        main(["--extra", "1", "basis", "--p", "2", "--n", "2", "1"])
+    assert e.value.code == 2
+    capsys.readouterr()
+    assert run_cli(capsys, "basis", "--p", "2", "--n", "2", "1") == (0, "0\n", "")
+
+
+def test_shell_entry_point():
+    src = str(Path(dyerlashof.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def shell(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "dyerlashof.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    proc = shell("adem", "--p", "3", "--n", "2", "e[3,1]")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2*Q[0,2]\n", "")
+    proc = shell("no-such-command", "--p", "3")
+    assert proc.returncode == 2
+    assert proc.stdout == ""

@@ -13,6 +13,7 @@ import pytest
 from dyerlashof import correspondence
 from dyerlashof.arith import Context, DomainError, InvariantError
 from dyerlashof.correspondence import (
+    DualExpansion,
     adem_via_invariants,
     admissible_basis,
     dickson_of_dual,
@@ -24,12 +25,13 @@ from dyerlashof.correspondence import (
 from dyerlashof.invariants import (
     chi_min,
     coeff_in_expansion,
+    coeff_memo,
     dickson_degree,
     dickson_monomial_degree,
     expand_dickson_monomial,
 )
 from dyerlashof.opalgebra import OpPoly, adem_straighten_classical, coproduct
-from dyerlashof.sequences import OpSeq, degree_lower, is_admissible
+from dyerlashof.sequences import OpSeq, compare, degree_lower, is_admissible
 
 P3N2 = Context(3, 2)
 P2N2 = Context(2, 2)
@@ -101,6 +103,75 @@ def test_dual_leads_with_chi_min():
                 lead, c = d.sorted_terms()[0]
                 assert lead.twice == chi_min(m, ctx).twice
                 assert c == 1
+
+
+def dual_by_pairing(m, ctx):
+    """Reference: the pairing with every admissible J of the degree,
+    through the checked kronecker_pair."""
+    m = tuple(m)
+    D = dickson_monomial_degree(m, ctx)
+    out = DualExpansion(ctx)
+    lead = chi_min(m, ctx)
+    for J in admissible_basis(D, ctx):
+        c = kronecker_pair(m, J, ctx)
+        cmp = compare(J, lead)
+        if cmp < 0 and c:
+            raise InvariantError(
+                f"pairing <d^{m}, Q_{J.twice}> below chi_min is {c}, not 0"
+            )
+        if cmp == 0 and J.twice == lead.twice and c != 1:
+            raise InvariantError(f"chi_min coefficient of d^{m} is {c}, not 1")
+        if c:
+            out.add_term(J, c)
+    return out
+
+
+def test_dual_matches_pairing_reference():
+    for p in (2, 3, 5):
+        for n in (1, 2, 3):
+            ctx = Context(p, n)
+            for m in itertools.product(range(9), repeat=n):
+                if sum(m) <= 8:
+                    assert dual_of_dickson(m, ctx) == dual_by_pairing(m, ctx), (p, n, m)
+
+
+def test_dual_on_cold_degree():
+    correspondence._degree_data.cache_clear()
+    coeff_memo.cache_clear()
+    ctx = Context(2, 4)
+    m = (3, 0, 2, 1)
+    got = dual_of_dickson(m, ctx)
+    assert got == dual_by_pairing(m, ctx)
+    assert got.sorted_terms()[0] == (chi_min(m, ctx), 1)
+
+
+def test_dual_checks_the_pairings_it_reads():
+    # at p = 2, n = 2, degree 6: Q_(0,3) < chi_min(d^(2,0)) = Q_(2,2), and
+    # <d^(2,0), Q_(0,3)> = 0
+    m = (2, 0)
+    assert dual_of_dickson(m, P2N2) == dual_by_pairing(m, P2N2)
+    memo = coeff_memo(P2N2)
+    try:
+        memo.coeffs[(m, (0, 3))] = 1
+        with pytest.raises(InvariantError, match="below chi_min is 1, not 0"):
+            dual_of_dickson(m, P2N2)
+        memo.coeffs[(m, (0, 3))] = 0
+        memo.coeffs[(m, (2, 2))] = 0
+        with pytest.raises(InvariantError, match="chi_min coefficient of d"):
+            dual_of_dickson(m, P2N2)
+    finally:
+        coeff_memo.cache_clear()
+    assert dual_of_dickson(m, P2N2) == dual_by_pairing(m, P2N2)
+
+
+def test_dual_rejects_bad_exponents():
+    for m in ((1,), (1, 0, 0), ()):
+        with pytest.raises(DomainError, match="expected 2 exponents"):
+            dual_of_dickson(m, P2N2)
+    with pytest.raises(DomainError, match="negative Dickson exponent"):
+        dual_of_dickson((-1, 2), P2N2)
+    with pytest.raises(DomainError, match="negative Dickson exponent"):
+        dual_of_dickson((3, -1), P3N2)
 
 
 def test_dickson_of_dual_examples():
