@@ -40,7 +40,6 @@ from .invariants import (
     identity_checks,
     matrix_to_monomial,
     psi_inverse,
-    psi_map,
     psi_T,
     realize_in_y,
 )

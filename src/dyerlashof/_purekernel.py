@@ -1,7 +1,7 @@
-"""Pure-Python sparse polynomial kernel (fallback for the compiled one).
+"""Pure-Python sparse polynomial kernel, reached through ``kernels``.
 
-Polynomials are dicts mapping exponent tuples to coefficients in [1, p).
-Both implementations of this interface must return identical dicts.
+Polynomials are dicts mapping exponent tuples to coefficients in [1, p);
+zero coefficients are never stored, and the inputs are never mutated.
 """
 
 __all__ = ["poly_mul", "poly_scale"]

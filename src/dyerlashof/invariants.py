@@ -42,7 +42,6 @@ __all__ = [
     "coeff_by_multinomial",
     "chi_min",
     "chi_max",
-    "psi_map",
     "psi_inverse",
     "psi_T",
     "identity_checks",
@@ -470,11 +469,6 @@ def chi_max(m, ctx: Context) -> OpSeq:
         for t in range(1, n + 1)
     )
     return OpSeq(ctx, entries, (0,) * n)
-
-
-def psi_map(m, ctx: Context) -> OpSeq:
-    """Psi(d^m) = the admissible sequence chi_min(d^m)."""
-    return chi_min(m, ctx)
 
 
 def psi_inverse(s: OpSeq) -> tuple[int, ...]:

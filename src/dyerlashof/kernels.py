@@ -1,20 +1,13 @@
-"""Select the polynomial kernel at import time.
+"""The sparse polynomial product over F_p.
 
-The compiled extension is used when present; DL_PURE=1 forces the
-pure-Python fallback.  Both expose the same functions with identical
-results, and benchmarks/bench_kernel.py times them side by side.
+Callers reach the kernel through this module's attributes
+(``kernels.poly_mul``), so a tracer can wrap the product by patching one
+name.  ``IMPL_NAME`` names the module that implements it and is recorded
+with every benchmark run.
 """
 
-import os
+from ._purekernel import poly_mul, poly_scale
 
-if os.environ.get("DL_PURE"):
-    from . import _purekernel as impl
-else:
-    try:
-        from . import _fastkernel as impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _purekernel as impl
+__all__ = ["IMPL_NAME", "poly_mul", "poly_scale"]
 
-poly_mul = impl.poly_mul
-poly_scale = impl.poly_scale
-IMPL_NAME = impl.__name__.rsplit(".", 1)[-1]
+IMPL_NAME = "_purekernel"

@@ -155,7 +155,7 @@ def clear_rewrite_table():
     _REWRITE_TABLE.clear()
 
 
-def pair_rewrite(p: int, tr: int, ts: int, er: int, es: int, use_table=True):
+def pair_rewrite(p: int, tr: int, ts: int, er: int, es: int):
     """Adem relation for one inadmissible pair, in doubled arithmetic.
 
     The pair is (beta^er e_{tr/2})(beta^es e_{ts/2}) with defect
@@ -165,10 +165,9 @@ def pair_rewrite(p: int, tr: int, ts: int, er: int, es: int, use_table=True):
     Every replacement raises the second entry's tail excess tb - eb
     above ts - es.
     """
-    if use_table:
-        cached = _REWRITE_TABLE.get((p, tr, ts, er, es))
-        if cached is not None:
-            return cached
+    cached = _REWRITE_TABLE.get((p, tr, ts, er, es))
+    if cached is not None:
+        return cached
     out = []
     if es == 0:
         # e_r e_s = sum_i (-1)^(r-i) C((p-1)(i-s)-1, r-i-1) e_{r+ps-pi} e_i,
@@ -211,8 +210,7 @@ def pair_rewrite(p: int, tr: int, ts: int, er: int, es: int, use_table=True):
                     c2 = p - c2
                 out.append((c2, tr + p * ts - p * ti, ti, er, 1))
     result = tuple(out)
-    if use_table:
-        _REWRITE_TABLE[(p, tr, ts, er, es)] = result
+    _REWRITE_TABLE[(p, tr, ts, er, es)] = result
     return result
 
 

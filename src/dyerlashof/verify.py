@@ -26,11 +26,13 @@ from .invariants import (
     dickson_to_borel,
     dickson_to_borel_recursive,
     enumerate_A,
+    identity_checks_detail,
     matrix_to_monomial,
     realize_in_y,
 )
 from .opalgebra import OpPoly, adem_straighten_classical
 from .sequences import OpSeq, compare
+from .textio import render_op_poly
 
 SUITES = (
     "oracle-equivalence",
@@ -43,12 +45,6 @@ SUITES = (
 )
 
 __all__ = ["SUITES", "run_suite"]
-
-
-def _render_terms(x: OpPoly) -> str:
-    from .textio import render_op_poly
-
-    return render_op_poly(x)
 
 
 def suite_oracle_equivalence(ctx: Context, max_entry: int = 8):
@@ -64,7 +60,7 @@ def suite_oracle_equivalence(ctx: Context, max_entry: int = 8):
         b = adem_straighten_classical(OpPoly.from_seq(s))
         if a != b:
             failures.append(
-                f"{s.twice}: invariants {_render_terms(a)} / classical {_render_terms(b)}"
+                f"{s.twice}: invariants {render_op_poly(a)} / classical {render_op_poly(b)}"
             )
     return len(inputs), failures
 
@@ -138,8 +134,6 @@ def suite_triangularity(ctx: Context, max_sum: int = 6):
 def suite_identities(ctx: Context):
     """Decomposition/inclusion/exchange identities at every index tuple
     that fits inside width n."""
-    from .invariants import identity_checks_detail
-
     failures = []
     cases = 0
     n = ctx.n
@@ -277,7 +271,7 @@ def suite_reference_vectors(p: int):
                 continue
         if not ok:
             failures.append(
-                f"{label}: got {_render_terms(got)}, expected {_render_terms(expected)}"
+                f"{label}: got {render_op_poly(got)}, expected {render_op_poly(expected)}"
             )
     return len(cases), failures
 

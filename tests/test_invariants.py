@@ -23,7 +23,6 @@ from dyerlashof.invariants import (
     matrix_to_monomial,
     psi_T,
     psi_inverse,
-    psi_map,
     realize_in_y,
 )
 from dyerlashof.sequences import OpSeq, compare
@@ -285,8 +284,8 @@ def test_chi_extremality():
                 assert expansion.terms[tuple(t // 2 for t in hi.twice)] == 1
 
 
-def test_psi_maps():
-    s = psi_map((0, 2), P3N2)
+def test_psi_identifications():
+    s = chi_min((0, 2), P3N2)
     assert isinstance(s, OpSeq) and s.twice == (0, 4)
     assert psi_T((3, 1), P3N2).twice == (6, 2)
     assert psi_inverse(chi_min((2, 1, 3), Context(3, 3))) == (2, 1, 3)

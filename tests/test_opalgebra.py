@@ -105,7 +105,6 @@ def test_classical_with_bocksteins():
 
 
 def test_pair_rewrite_memo_agrees():
-    clear_rewrite_table()
     for p in (2, 3):
         step = 2 if p == 2 else 1
         for tr in range(0, 13, step):
@@ -115,12 +114,14 @@ def test_pair_rewrite_memo_agrees():
                         continue
                     if ts - tr + er >= 0:
                         continue
+                    clear_rewrite_table()
+                    cold = pair_rewrite(p, tr, ts, er, es)
                     hot = pair_rewrite(p, tr, ts, er, es)
-                    cold = pair_rewrite(p, tr, ts, er, es, use_table=False)
-                    assert hot == cold, (p, tr, ts, er, es)
+                    assert hot == cold and hot is cold, (p, tr, ts, er, es)
+    hot = pair_rewrite(3, 6, 2, 0, 0)
     clear_rewrite_table()
     # recompute after clearing: results unchanged
-    assert pair_rewrite(3, 6, 2, 0, 0) == pair_rewrite(3, 6, 2, 0, 0, use_table=False)
+    assert pair_rewrite(3, 6, 2, 0, 0) == hot
 
 
 def pair_full_range(p, tr, ts, er, es):
@@ -157,6 +158,7 @@ def pair_full_range(p, tr, ts, er, es):
 
 
 def test_pair_rewrite_range_matches_full_sum():
+    clear_rewrite_table()
     for p in (2, 3, 5, 7):
         step = 2 if p == 2 else 1
         flags = ((0, 0),) if p == 2 else tuple(itertools.product((0, 1), repeat=2))
@@ -165,7 +167,7 @@ def test_pair_rewrite_range_matches_full_sum():
                 for er, es in flags:
                     if ts - tr + er >= 0:
                         continue
-                    got = pair_rewrite(p, tr, ts, er, es, use_table=False)
+                    got = pair_rewrite(p, tr, ts, er, es)
                     assert got == pair_full_range(p, tr, ts, er, es), (p, tr, ts, er, es)
 
 
@@ -303,7 +305,7 @@ def test_classical_merges_only_equal_monomials():
 
 def test_domain_errors_replace_asserts():
     with pytest.raises(DomainError):
-        pair_rewrite(2, 4, 1, 0, 1, use_table=False)
+        pair_rewrite(2, 4, 1, 0, 1)
     with pytest.raises(DomainError):
         poly(P3N2, (1, 0)) + poly(Context(3, 1), (1,))
     lower = coproduct(upper(Context(3, 1), (1,))).to_lower()
