@@ -1,7 +1,7 @@
 """Mod-p arithmetic helpers shared by the whole package.
 
-Binomial coefficients are reduced with Lucas' theorem, digit by digit in
-base p, so huge arguments cost nothing:
+Binomial coefficients are reduced with Lucas' theorem, read in blocks of
+several base-p digits at a time, so huge arguments cost nothing:
 
     >>> binom_mod_p(3**20 + 4, 4, 3)
     1
@@ -71,27 +71,40 @@ def padic_digits(m: int, p: int) -> list[int]:
     return digits
 
 
-# C(a, b) mod p for single base-p digits 0 <= a, b < p (0 when b > a)
-_DIGIT_BINOMS = {
-    p: tuple(tuple(comb(a, b) % p for b in range(p)) for a in range(p)) for p in PRIMES
-}
+def _block_binoms(p: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Q = the largest power of p that is at most 64, and the table of
+    C(a, b) mod p for 0 <= a, b < Q (0 when b > a).
+
+    Lucas' theorem holds in base Q too: by Lucas in base p, the product
+    of the digit binomials over one block of k base-p digits is C(a', b')
+    mod p for the base-Q digits a', b' that the block spells.
+    """
+    q = p
+    while q * p <= 64:
+        q *= p
+    return q, tuple(tuple(comb(a, b) % p for b in range(q)) for a in range(q))
+
+
+_BLOCK_BINOMS = {p: _block_binoms(p) for p in PRIMES if p != 2}
 
 
 def binom_mod_p(a: int, b: int, p: int) -> int:
     """Return C(a, b) mod p via Lucas; 0 if a < 0, b < 0 or b > a.
 
-    p must be one of PRIMES.  Once b has no digits left every remaining
-    factor is C(a_d, 0) = 1, so the digit loop stops there.
+    p must be one of PRIMES.  At odd p the digits are read in base Q
+    (see _block_binoms), so arguments below Q take one table lookup.
+    Once b has no digits left every remaining factor is C(a_d, 0) = 1,
+    so the digit loop stops there.
     """
     if b < 0 or a < 0 or b > a:
         return 0
     if p == 2:
         return 1 if a & b == b else 0
-    table = _DIGIT_BINOMS[p]
+    q, table = _BLOCK_BINOMS[p]
     result = 1
     while b:
-        a, ad = divmod(a, p)
-        b, bd = divmod(b, p)
+        a, ad = divmod(a, q)
+        b, bd = divmod(b, q)
         c = table[ad][bd]
         if not c:
             return 0

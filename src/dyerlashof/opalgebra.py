@@ -148,10 +148,12 @@ def quotient_excess(raw_terms, ctx: Context) -> OpPoly:
 # Adem straightening
 
 
+# (p, tr - ts, ts parity when es, er, es) -> replacement offsets
 _REWRITE_TABLE: dict[tuple, tuple] = {}
 
 
 def clear_rewrite_table():
+    """Empty the rewrite table, the only cache of the classical engine."""
     _REWRITE_TABLE.clear()
 
 
@@ -159,58 +161,69 @@ def pair_rewrite(p: int, tr: int, ts: int, er: int, es: int):
     """Adem relation for one inadmissible pair, in doubled arithmetic.
 
     The pair is (beta^er e_{tr/2})(beta^es e_{ts/2}) with defect
-    ts - tr + er < 0.  Returns a tuple of (coeff, ta, tb, ea, eb)
-    replacement pairs, each admissible, with coeff in 1..p-1; entries
-    may be negative (callers filter through the excess quotient).
-    Every replacement raises the second entry's tail excess tb - eb
-    above ts - es.
+    ts - tr + er < 0.  Returns a tuple of (coeff, ta - ts, tb - ts, ea,
+    eb): each replacement pair (beta^ea e_{ta/2})(beta^eb e_{tb/2}) is
+    admissible, has coeff in 1..p-1 and is given by its entries' offsets
+    from ts; callers add ts back.  Entries may come out negative
+    (callers filter through the excess quotient).  Every replacement
+    raises the second entry's tail excess tb - eb above ts - es.
+
+    With the entries measured from ts, every binomial argument, the
+    summation bounds and the eps = 0 sign depend on (tr, ts) only
+    through d = tr - ts; the signs of the Bockstein branch also depend
+    on ts mod 2.  So the table is keyed by (p, d, ts mod 2 if es else 0,
+    er, es), and each distinct relation is summed once.
     """
-    cached = _REWRITE_TABLE.get((p, tr, ts, er, es))
+    d = tr - ts
+    parity = ts & 1 if es else 0
+    key = (p, d, parity, er, es)
+    cached = _REWRITE_TABLE.get(key)
     if cached is not None:
         return cached
     out = []
+    # u = ti - ts is the second replacement entry's offset
     if es == 0:
         # e_r e_s = sum_i (-1)^(r-i) C((p-1)(i-s)-1, r-i-1) e_{r+ps-pi} e_i,
         # with a leading Bockstein carried along untouched.  The binomial
         # vanishes for p i < r + (p-1) s (bottom above top) and i <= s
         # (negative top); r - i must be an integer.
-        lo = max(ts + 1, -(-(tr + (p - 1) * ts) // p))
-        lo += (tr - lo) % 2
-        for ti in range(lo, tr - 1, 2):
-            a = (p - 1) * (ti - ts) // 2 - 1
-            b = (tr - ti) // 2 - 1
+        lo = max(1, -(-d // p))
+        lo += (d - lo) % 2
+        for u in range(lo, d - 1, 2):
+            a = (p - 1) * u // 2 - 1
+            b = (d - u) // 2 - 1
             c = binom_mod_p(a, b, p)
             if not c:
                 continue
-            if (tr - ti) // 2 % 2:
+            if (d - u) // 2 % 2:
                 c = p - c
-            out.append((c, tr + p * ts - p * ti, ti, er, 0))
+            out.append((c, d - p * u, u, er, 0))
     else:
         # e_r (beta e_s), p odd.  Two sums: the Bockstein moves to the
         # first factor or stays on the second.  A leading Bockstein
         # kills the first sum (beta beta = 0).  Both binomials vanish
         # for p i < r - 1/2 + (p-1) s and i < s; r - 1/2 - i must be an
-        # integer.
+        # integer.  The signs (-1)^((tr + ti +- 1)/2) read ts mod 2.
         if p == 2:
             raise DomainError("p = 2 sequences cannot carry Bocksteins")
-        lo = max(ts, -(-(tr - 1 + (p - 1) * ts) // p))
-        lo += 1 - (tr - lo) % 2
-        for ti in range(lo, tr, 2):
-            b = (tr - 1 - ti) // 2
-            a1 = (p - 1) * (ti - ts) // 2
+        lo = max(0, -(-(d - 1) // p))
+        lo += 1 - (d - lo) % 2
+        for u in range(lo, d, 2):
+            b = (d - 1 - u) // 2
+            a1 = (p - 1) * u // 2
             if er == 0:
                 c1 = binom_mod_p(a1, b, p)
                 if c1:
-                    if (tr + ti + 1) // 2 % 2:
+                    if ((d + u + 1) // 2 + parity) % 2:
                         c1 = p - c1
-                    out.append((c1, tr + p * ts - p * ti - 1, ti, 1, 0))
+                    out.append((c1, d - p * u - 1, u, 1, 0))
             c2 = binom_mod_p(a1 - 1, b, p)
             if c2:
-                if (tr + ti - 1) // 2 % 2:
+                if ((d + u - 1) // 2 + parity) % 2:
                     c2 = p - c2
-                out.append((c2, tr + p * ts - p * ti, ti, er, 1))
+                out.append((c2, d - p * u, u, er, 1))
     result = tuple(out)
-    _REWRITE_TABLE[(p, tr, ts, er, es)] = result
+    _REWRITE_TABLE[key] = result
     return result
 
 
@@ -268,12 +281,13 @@ def adem_straighten_classical(x: OpPoly | OpSeq, max_steps: int = 10**7) -> OpPo
             raise RuntimeError(
                 f"Adem straightening exceeded {max_steps} rewrite steps"
             )
-        replacements = pair_rewrite(
-            p, twice[pos], twice[pos + 1], eps[pos], eps[pos + 1]
-        )
+        ts = twice[pos + 1]
+        replacements = pair_rewrite(p, twice[pos], ts, eps[pos], eps[pos + 1])
         head_twice, tail_twice = twice[:pos], twice[pos + 2 :]
         head_eps, tail_eps = eps[:pos], eps[pos + 2 :]
         for c, ta, tb, ea, eb in replacements:
+            ta += ts
+            tb += ts
             if ta < 0 or tb < 0:
                 continue
             new_twice = head_twice + (ta, tb) + tail_twice

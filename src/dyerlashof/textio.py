@@ -55,6 +55,9 @@ class ParseError(DomainError):
         self.offset = offset
 
 
+_DIGITS = frozenset("0123456789")
+
+
 class _Cursor:
     def __init__(self, text: str):
         self.text = text
@@ -83,11 +86,16 @@ class _Cursor:
     def integer(self) -> int:
         self._skip_ws()
         start = self.i
-        while self.i < len(self.text) and self.text[self.i].isdigit():
+        # ASCII only: str.isdigit also accepts superscripts and other
+        # scripts' digits, which int() refuses or reads silently
+        while self.i < len(self.text) and self.text[self.i] in _DIGITS:
             self.i += 1
         if self.i == start:
             raise ParseError("expected a number", start)
-        return int(self.text[start : self.i])
+        try:
+            return int(self.text[start : self.i])
+        except ValueError:  # longer than int()'s digit limit
+            raise ParseError("number too long", start) from None
 
     def done(self):
         self._skip_ws()

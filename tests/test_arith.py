@@ -1,6 +1,7 @@
 """Tests for modular binomial arithmetic."""
 
 import math
+import random
 
 from hypothesis import given, strategies as st
 
@@ -73,6 +74,30 @@ def test_binom_against_factorials():
             for b in range(-5, 35):
                 if a < 0 or b < 0 or b > a:
                     assert binom_mod_p(a, b, p) == 0, (p, a, b)
+
+
+def test_binom_past_one_block():
+    # at odd p the Lucas digits are read in blocks of Q, the largest power
+    # of p <= 64 (27, 25, 49): check around every multiple kQ, k <= Q;
+    # p = 2 reads bits, so its multiples of 64 stop at k = 16, where
+    # math.comb is still cheap.  Then a seeded sample up to p^9 with
+    # min(b, a - b) <= 150, for the same reason.
+    rng = random.Random(8)
+    for p in (2, 3, 5, 7):
+        q = p
+        while q * p <= 64:
+            q *= p
+        kmax = 16 if p == 2 else q
+        edges = [v for k in range(kmax + 1) for v in (k * q - 1, k * q, k * q + 1)]
+        for a in edges:
+            for b in edges:
+                want = math.comb(a, b) % p if 0 <= b <= a else 0
+                assert binom_mod_p(a, b, p) == want, (p, a, b)
+        for _ in range(400):
+            a = rng.randrange(p**9)
+            k = rng.randrange(min(a, 150) + 1)
+            b = k if rng.random() < 0.5 else a - k
+            assert binom_mod_p(a, b, p) == math.comb(a, b) % p, (p, a, b)
 
 
 def test_binom_vandermonde():

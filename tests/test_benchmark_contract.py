@@ -3,7 +3,9 @@
 perfbench imports names from the package (``kernels.IMPL_NAME``, the
 functions its tracer patches, ``_purekernel`` in the traced pass), so a
 rename in src/ breaks the benchmark without breaking any other test.
-One smoke run of the traced fresh-degree workload touches all of them.
+One smoke run of the traced fresh-degree workload touches all of them;
+one of classical-long checks that the classical engine still reaches
+``pair_rewrite`` through the module attribute the tracer patches.
 """
 
 import json
@@ -14,9 +16,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_fresh_degree_smoke_run():
+def traced_smoke_run(workload):
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "fresh-degree",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seconds", "0", "--trace", "1", "--smoke"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
@@ -25,5 +27,17 @@ def test_traced_fresh_degree_smoke_run():
     assert result["correct"] is True
     assert result["failed"] == 0
     assert report["crashes"] == []
+    return report, result
+
+
+def test_traced_fresh_degree_smoke_run():
+    report, _ = traced_smoke_run("fresh-degree")
     assert report["traced_passes"] >= 1
     assert report["meta"]["kernel"] == "_purekernel"
+
+
+def test_traced_classical_long_smoke_run():
+    _, result = traced_smoke_run("classical-long")
+    metrics = result["metrics"]
+    assert metrics["opalgebra.straighten_calls"]["value"] > 0
+    assert metrics["opalgebra.pair_rewrite_calls"]["value"] > 0

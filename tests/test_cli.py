@@ -146,6 +146,23 @@ def test_parse_error_exit_code(capsys):
     assert err == "error: expected ']', got '' (byte 5)\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["adem", "--p", "2", "--n", "1", "e[\u00b2]"],  # superscript two
+        ["expand", "--p", "2", "--n", "1", "d0^\u00b2"],
+        ["adem", "--p", "2", "--n", "1", "e[\u0661]"],  # Arabic-Indic one
+        ["adem", "--p", "2", "--n", "1", "e[" + "1" * 5000 + "]"],
+    ],
+)
+def test_number_reader_accepts_ascii_digits_only(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_missing_n_exit_code(capsys):
     rc, _, err = run_cli(capsys, "adem", "--p", "3", "e[3,1]")
     assert rc == 1

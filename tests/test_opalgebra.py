@@ -167,14 +167,43 @@ def test_pair_rewrite_range_matches_full_sum():
                 for er, es in flags:
                     if ts - tr + er >= 0:
                         continue
-                    got = pair_rewrite(p, tr, ts, er, es)
+                    got = tuple(
+                        (c, ta + ts, tb + ts, ea, eb)
+                        for c, ta, tb, ea, eb in pair_rewrite(p, tr, ts, er, es)
+                    )
                     assert got == pair_full_range(p, tr, ts, er, es), (p, tr, ts, er, es)
 
 
-def straighten_rightmost(x):
-    """Reference engine: rewrite the rightmost defect first, one term at a
-    time, without merging like terms, without the rewrite table, with the
-    full-range pair formula."""
+def test_pair_formula_is_translation_invariant():
+    # the full-range formula at (tr + delta, ts + delta) is the one at
+    # (tr, ts) with every entry shifted by delta, for even delta, and for
+    # every delta when es = 0; with es = 1 an odd shift flips signs, so
+    # pair_rewrite's table key carries ts mod 2
+    odd_bockstein_differs = False
+    for p in (3, 5, 7):
+        for er, es in itertools.product((0, 1), repeat=2):
+            for tr in range(40):
+                for ts in range(40):
+                    if ts - tr + er >= 0:
+                        continue
+                    base = pair_full_range(p, tr, ts, er, es)
+                    for delta in (1, 2, 3, 4, 7, 10):
+                        shifted = tuple(
+                            (c, ta + delta, tb + delta, ea, eb)
+                            for c, ta, tb, ea, eb in base
+                        )
+                        moved = pair_full_range(p, tr + delta, ts + delta, er, es)
+                        if delta % 2 == 0 or es == 0:
+                            assert moved == shifted, (p, tr, ts, er, es, delta)
+                        elif moved != shifted:
+                            odd_bockstein_differs = True
+    assert odd_bockstein_differs
+
+
+def straighten_one_at_a_time(x, pick):
+    """Reference engine: rewrite the defect that pick chooses from the
+    list of defect positions, one term at a time, without merging like
+    terms, without the rewrite table, with the full-range pair formula."""
     p = x.ctx.p
     out = OpPoly(x.ctx)
     stack = list(x.terms.items())
@@ -186,7 +215,7 @@ def straighten_rightmost(x):
         if not defects:
             out.add_term(twice, eps, coeff)
             continue
-        pos = defects[-1]
+        pos = pick(defects)
         pair = pair_full_range(p, twice[pos], twice[pos + 1], eps[pos], eps[pos + 1])
         for c, ta, tb, ea, eb in pair:
             if ta < 0 or tb < 0:
@@ -195,6 +224,14 @@ def straighten_rightmost(x):
             new_eps = eps[:pos] + (ea, eb) + eps[pos + 2 :]
             stack.append(((new_twice, new_eps), coeff * c % p))
     return out
+
+
+def straighten_rightmost(x):
+    return straighten_one_at_a_time(x, lambda defects: defects[-1])
+
+
+def straighten_leftmost(x):
+    return straighten_one_at_a_time(x, lambda defects: defects[0])
 
 
 def one_parity(s):
@@ -253,6 +290,34 @@ def test_confluence_long_inputs():
         assert_confluent(Context(p, len(twice)), twice, (0,) * len(twice))
 
 
+# two long Bockstein inputs of the classical benchmark pool; with
+# bockstein_box they make up most of the strict xfail's cases
+LONG_BOCKSTEIN_CASES = (
+    (Context(3, 6), (151, 144, 92, 78, 62, 56), (1, 1, 0, 0, 0, 0)),
+    (Context(5, 5), (199, 144, 131, 63, 62), (1, 1, 1, 0, 1)),
+)
+
+
+def bockstein_box():
+    """p = 3, 5, 7, n = 3, doubled entries < 8, every eps."""
+    for p in (3, 5, 7):
+        ctx = Context(p, 3)
+        for twice in itertools.product(range(8), repeat=3):
+            for eps in itertools.product((0, 1), repeat=3):
+                yield ctx, twice, eps
+
+
+def test_engine_is_leftmost_rewriting_on_bockstein_inputs():
+    # the merged engine gives exactly what unmerged leftmost rewriting
+    # gives, also where that differs from the rightmost reference; this
+    # pins the current Bockstein answers until an independent engine
+    # settles them
+    for ctx, twice, eps in itertools.chain(bockstein_box(), LONG_BOCKSTEIN_CASES):
+        s = OpSeq(ctx, twice, eps)
+        got = adem_straighten_classical(s)
+        assert got == straighten_leftmost(OpPoly.from_seq(s)), (ctx, twice, eps)
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="leftmost and rightmost rewriting disagree on inputs with "
@@ -265,14 +330,9 @@ def test_confluence_with_bocksteins():
     cases = [
         (Context(3, 3), (7, 4, 0), (0, 1, 0)),
         (Context(3, 3), (6, 2, 1), (0, 0, 0)),
-        (Context(3, 6), (151, 144, 92, 78, 62, 56), (1, 1, 0, 0, 0, 0)),
-        (Context(5, 5), (199, 144, 131, 63, 62), (1, 1, 1, 0, 1)),
+        *LONG_BOCKSTEIN_CASES,
+        *bockstein_box(),
     ]
-    for p in (3, 5, 7):
-        ctx = Context(p, 3)
-        for twice in itertools.product(range(8), repeat=3):
-            for eps in itertools.product((0, 1), repeat=3):
-                cases.append((ctx, twice, eps))
     bad = []
     for ctx, twice, eps in cases:
         s = OpSeq(ctx, twice, eps)
