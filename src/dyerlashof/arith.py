@@ -16,7 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
+from . import kernels
+
 __all__ = [
+    "Combination",
     "Context",
     "DomainError",
     "InvariantError",
@@ -44,7 +47,7 @@ class Context:
     """A prime p and a number of variables n (length of sequences).
 
     n = 0 is tolerated so the empty sequence can act as the unit for
-    direct sums; the CLI and all solvers require 1 <= n <= 6.
+    direct sums; the CLI requires 1 <= n <= 6.
     """
 
     p: int
@@ -54,7 +57,84 @@ class Context:
         if self.p not in PRIMES:
             raise DomainError(f"p must be one of {PRIMES}, got {self.p}")
         if not 0 <= self.n <= MAX_VARS:
-            raise DomainError(f"n must be in 1..{MAX_VARS}, got {self.n}")
+            raise DomainError(f"n must be in 0..{MAX_VARS}, got {self.n}")
+
+
+class Combination:
+    """A finite F_p-linear combination: ``terms`` maps keys to coefficients
+    in 1..p-1, and a key whose coefficient cancels is removed.
+
+    Equality, sums and differences need the same kind: the same class
+    and ``_shape`` (the constructor arguments before ``terms``).  A sum
+    of two kinds raises DomainError.  Combinations are mutable, so they
+    are not hashable.  A subclass's ``add_term`` checks or normalises
+    its key, then calls ``Combination.add_term``.
+    """
+
+    __slots__ = ("ctx", "terms")
+    __hash__ = None
+
+    def __init__(self, ctx: Context, terms: dict | None = None):
+        self.ctx = ctx
+        self.terms: dict = {}
+        for key, coeff in (terms or {}).items():
+            self._add_key(key, coeff)
+
+    def _add_key(self, key, coeff: int):
+        self.add_term(key, coeff)
+
+    def _shape(self) -> tuple:
+        return (self.ctx,)
+
+    def add_term(self, key, coeff: int):
+        """Add coeff * key, reducing mod p and removing a cancelled key."""
+        p = self.ctx.p
+        coeff %= p
+        if coeff:
+            terms = self.terms
+            coeff = (terms.get(key, 0) + coeff) % p
+            if coeff:
+                terms[key] = coeff
+            else:
+                terms.pop(key)
+
+    def _combine(self, other: "Combination", sign: int):
+        if not isinstance(other, Combination):
+            return NotImplemented
+        if type(other) is not type(self) or other._shape() != self._shape():
+            raise DomainError(
+                f"cannot combine {type(self).__name__}{self._shape()} "
+                f"with {type(other).__name__}{other._shape()}"
+            )
+        out = self.scaled(1)
+        for key, coeff in other.terms.items():
+            Combination.add_term(out, key, sign * coeff)
+        return out
+
+    def __add__(self, other: "Combination"):
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "Combination"):
+        return self._combine(other, -1)
+
+    def scaled(self, c: int):
+        out = type(self)(*self._shape())
+        out.terms = kernels.poly_scale(self.terms, c, self.ctx.p)
+        return out
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and other._shape() == self._shape()
+            and other.terms == self.terms
+        )
+
+    def __repr__(self):
+        args = ", ".join(map(repr, self._shape()))
+        return f"{type(self).__name__}({args}; {self.terms!r})"
 
 
 def padic_digits(m: int, p: int) -> list[int]:

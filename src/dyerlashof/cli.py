@@ -18,7 +18,7 @@ import json
 import sys
 
 from . import textio, verify
-from .arith import Context, DomainError
+from .arith import MAX_VARS, Context, DomainError
 from .correspondence import (
     adem_via_invariants,
     admissible_basis,
@@ -127,6 +127,9 @@ def _lines(render):
 
 def run(args) -> int:
     cmd = args.command
+    # Context accepts n = 0 (the unit of direct sums); no command does
+    if args.n is not None and not 1 <= args.n <= MAX_VARS:
+        raise DomainError(f"--n must be in 1..{MAX_VARS}, got {args.n}")
 
     if cmd == "verify":
         n = args.n

@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
-from .arith import Context, DomainError, InvariantError, binom_mod_p
+from .arith import Combination, Context, DomainError, InvariantError, binom_mod_p
 from .invariants import (
     _check_dickson_exponents,
     chi_min,
@@ -43,49 +43,23 @@ __all__ = [
 ]
 
 
-class DualExpansion:
-    """A finite sum of dual-basis elements c_J (Q_J)^*."""
+class DualExpansion(Combination):
+    """A finite sum of dual-basis elements c_J (Q_J)^*, keyed by the
+    admissible OpSeq J."""
 
-    __slots__ = ("ctx", "terms")
-
-    def __init__(self, ctx: Context, terms: dict | None = None):
-        self.ctx = ctx
-        self.terms: dict[OpSeq, int] = {}
-        if terms:
-            for seq, coeff in terms.items():
-                self.add_term(seq, coeff)
+    __slots__ = ()
 
     def add_term(self, seq: OpSeq, coeff: int):
         if seq.ctx != self.ctx:
             raise DomainError("dual expansion term from another context")
         if not is_admissible(seq):
             raise DomainError("dual expansions are indexed by admissibles")
-        coeff %= self.ctx.p
-        if not coeff:
-            return
-        new = (self.terms.get(seq, 0) + coeff) % self.ctx.p
-        if new:
-            self.terms[seq] = new
-        else:
-            del self.terms[seq]
+        Combination.add_term(self, seq, coeff)
 
     def sorted_terms(self):
         return sorted(
             self.terms.items(), key=lambda kv: (kv[0].key(), kv[0].twice, kv[0].eps)
         )
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DualExpansion)
-            and self.ctx == other.ctx
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        return f"DualExpansion({self.ctx.p},{self.ctx.n}; {len(self.terms)} terms)"
 
 
 def solve_degree_diophantine(D: int, ctx: Context) -> list[tuple[int, ...]]:

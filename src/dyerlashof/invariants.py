@@ -22,7 +22,14 @@ from operator import sub
 from typing import NamedTuple
 
 from . import kernels
-from .arith import Context, DomainError, binom_mod_p, multinom_mod_p, padic_digits
+from .arith import (
+    Combination,
+    Context,
+    DomainError,
+    binom_mod_p,
+    multinom_mod_p,
+    padic_digits,
+)
 from .sequences import OpSeq
 
 __all__ = [
@@ -52,17 +59,10 @@ __all__ = [
 ]
 
 
-class SparsePoly:
+class SparsePoly(Combination):
     """Sparse polynomial over F_p keyed by exponent tuples."""
 
-    __slots__ = ("ctx", "terms")
-
-    def __init__(self, ctx: Context, terms: dict | None = None):
-        self.ctx = ctx
-        self.terms: dict[tuple[int, ...], int] = {}
-        if terms:
-            for exps, coeff in terms.items():
-                self.add_term(exps, coeff)
+    __slots__ = ()
 
     @classmethod
     def one(cls, ctx: Context):
@@ -77,38 +77,14 @@ class SparsePoly:
         return cls(ctx, {exps: 1})
 
     def add_term(self, exps, coeff: int):
-        coeff %= self.ctx.p
-        if not coeff:
-            return
         exps = tuple(exps)
         if any(e < 0 for e in exps):
             raise DomainError("negative exponent in polynomial")
-        new = (self.terms.get(exps, 0) + coeff) % self.ctx.p
-        if new:
-            self.terms[exps] = new
-        else:
-            del self.terms[exps]
-
-    def __add__(self, other):
-        out = type(self)(self.ctx, dict(self.terms))
-        for exps, coeff in other.terms.items():
-            out.add_term(exps, coeff)
-        return out
-
-    def __sub__(self, other):
-        out = type(self)(self.ctx, dict(self.terms))
-        for exps, coeff in other.terms.items():
-            out.add_term(exps, -coeff)
-        return out
+        Combination.add_term(self, exps, coeff)
 
     def __mul__(self, other):
         out = type(self)(self.ctx)
         out.terms = kernels.poly_mul(self.terms, other.terms, self.ctx.p)
-        return out
-
-    def scaled(self, c: int):
-        out = type(self)(self.ctx)
-        out.terms = kernels.poly_scale(self.terms, c, self.ctx.p)
         return out
 
     def frobenius(self, k: int = 1):
@@ -132,25 +108,9 @@ class SparsePoly:
                 result = result * block
         return result
 
-    def __eq__(self, other):
-        return (
-            type(self) is type(other)
-            and self.ctx == other.ctx
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.ctx, tuple(sorted(self.terms.items()))))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def sorted_terms(self):
         """Terms in reverse-lex exponent order (canonical output order)."""
         return sorted(self.terms.items(), key=lambda item: item[0][::-1])
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.ctx.p},{self.ctx.n}; {len(self.terms)} terms)"
 
 
 class BPoly(SparsePoly):
@@ -206,9 +166,11 @@ def dickson_to_borel(j: int, ctx: Context) -> BPoly:
     return out
 
 
-@lru_cache(maxsize=None)
 def dickson_to_borel_recursive(k: int, s: int, ctx: Context) -> BPoly:
-    """Expand d_{k,s} (width k <= n) by d_{k,s} = d_{k-1,s-1}^p + d_{k-1,s} h_k."""
+    """Expand d_{k,s} (width k <= n) by d_{k,s} = d_{k-1,s-1}^p + d_{k-1,s} h_k.
+
+    Not cached: the result is mutable, and each call builds a fresh one.
+    """
     if k > ctx.n:
         raise DomainError(f"width {k} exceeds n = {ctx.n}")
     if s < 0 or s > k:
@@ -593,16 +555,30 @@ def _h_realized(k: int, ctx: Context) -> YPoly:
     with the exponent dropping to 1 at p = 2.
     """
     _guard_realize(ctx)
-    p, n = ctx.p, ctx.n
+    p = ctx.p
     out = YPoly.one(ctx)
     for coeffs in product(range(p), repeat=k - 1):
-        form = YPoly(ctx)
-        form.add_term(tuple(1 if t == k - 1 else 0 for t in range(n)), 1)
-        for i, c in enumerate(coeffs):
-            if c:
-                form.add_term(tuple(1 if t == i else 0 for t in range(n)), -c)
-        out = out * form
+        out = out * _linear_form([-c for c in coeffs] + [1], ctx)
     return out.pow(p - 1)
+
+
+def _linear_form(coeffs, ctx: Context) -> YPoly:
+    """sum_b coeffs[b] y_(b+1)."""
+    return YPoly(
+        ctx, {tuple(int(t == b) for t in range(ctx.n)): c for b, c in enumerate(coeffs)}
+    )
+
+
+def _evaluate(x: SparsePoly, images) -> YPoly:
+    """x with its k-th variable replaced by the y-polynomial images[k]."""
+    out = YPoly(x.ctx)
+    for exps, coeff in x.terms.items():
+        mono = YPoly.one(x.ctx)
+        for image, e in zip(images, exps):
+            if e:
+                mono = mono * image.pow(e)
+        out = out + mono.scaled(coeff)
+    return out
 
 
 def realize_in_y(x, ctx: Context) -> YPoly:
@@ -612,35 +588,13 @@ def realize_in_y(x, ctx: Context) -> YPoly:
     if isinstance(x, tuple):
         x = expand_dickson_monomial(tuple(x), ctx)
     if isinstance(x, BPoly):
-        out = YPoly(ctx)
-        for exps, coeff in x.terms.items():
-            mono = YPoly.one(ctx)
-            for k, e in enumerate(exps, start=1):
-                if e:
-                    mono = mono * _h_realized(k, ctx).pow(e)
-            out = out + mono.scaled(coeff)
-        return out
+        return _evaluate(x, [_h_realized(k, ctx) for k in range(1, ctx.n + 1)])
     raise DomainError(f"cannot realize {type(x).__name__}")
 
 
 def _substitute(x: YPoly, mat) -> YPoly:
     """Apply the linear substitution y_a -> sum_b mat[a][b] y_b."""
-    ctx = x.ctx
-    forms = []
-    for a in range(ctx.n):
-        form = YPoly(ctx)
-        for b, c in enumerate(mat[a]):
-            if c:
-                form.add_term(tuple(1 if t == b else 0 for t in range(ctx.n)), c)
-        forms.append(form)
-    out = YPoly(ctx)
-    for exps, coeff in x.terms.items():
-        mono = YPoly.one(ctx)
-        for a, e in enumerate(exps):
-            if e:
-                mono = mono * forms[a].pow(e)
-        out = out + mono.scaled(coeff)
-    return out
+    return _evaluate(x, [_linear_form(row, x.ctx) for row in mat])
 
 
 def _primitive_root(p: int) -> int:

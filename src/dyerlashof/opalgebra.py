@@ -26,8 +26,8 @@ from __future__ import annotations
 import heapq
 from operator import sub
 
-from .arith import Context, DomainError, binom_mod_p
-from .sequences import OpSeq, UpperSeq, lower_to_upper, upper_to_lower
+from .arith import Combination, Context, DomainError, binom_mod_p
+from .sequences import OpSeq, UpperSeq, first_defect, lower_to_upper, upper_to_lower
 
 __all__ = [
     "OpPoly",
@@ -46,15 +46,11 @@ __all__ = [
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-class OpPoly:
-    """Sparse mod-p combination of lower-notation sequences."""
+class OpPoly(Combination):
+    """Sparse mod-p combination of lower-notation sequences, keyed by
+    (twice, eps)."""
 
-    def __init__(self, ctx: Context, terms: dict[Key, int] | None = None):
-        self.ctx = ctx
-        self.terms: dict[Key, int] = {}
-        if terms:
-            for (twice, eps), coeff in terms.items():
-                self.add_term(twice, eps, coeff)
+    __slots__ = ()
 
     @classmethod
     def zero(cls, ctx: Context) -> "OpPoly":
@@ -68,42 +64,10 @@ class OpPoly:
 
     def add_term(self, twice, eps, coeff: int):
         """Add coeff * e_{twice/2, eps}, dropping cancelled terms."""
-        coeff %= self.ctx.p
-        if not coeff:
-            return
-        key = (tuple(twice), tuple(eps))
-        new = (self.terms.get(key, 0) + coeff) % self.ctx.p
-        if new:
-            self.terms[key] = new
-        else:
-            del self.terms[key]
+        Combination.add_term(self, (tuple(twice), tuple(eps)), coeff)
 
-    def __add__(self, other: "OpPoly") -> "OpPoly":
-        if self.ctx != other.ctx:
-            raise DomainError("sum needs matching contexts")
-        out = OpPoly(self.ctx, dict(self.terms))
-        for (twice, eps), coeff in other.terms.items():
-            out.add_term(twice, eps, coeff)
-        return out
-
-    def scaled(self, c: int) -> "OpPoly":
-        out = OpPoly(self.ctx)
-        for (twice, eps), coeff in self.terms.items():
-            out.add_term(twice, eps, coeff * c)
-        return out
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, OpPoly)
-            and self.ctx == other.ctx
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ctx, tuple(sorted(self.terms.items()))))
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _add_key(self, key: Key, coeff: int):
+        self.add_term(*key, coeff)
 
     def seq_terms(self):
         """Yield (OpSeq, coeff) pairs in canonical (ascending) order."""
@@ -113,9 +77,6 @@ class OpPoly:
 
         for (twice, eps), coeff in sorted(self.terms.items(), key=sort_key):
             yield OpSeq(self.ctx, twice, eps), coeff
-
-    def __repr__(self):
-        return f"OpPoly({self.ctx.p},{self.ctx.n}; {self.terms})"
 
 
 def concat_product(a: OpPoly, b: OpPoly) -> OpPoly:
@@ -227,13 +188,6 @@ def pair_rewrite(p: int, tr: int, ts: int, er: int, es: int):
     return result
 
 
-def _first_defect(twice, eps, start: int = 0) -> int | None:
-    for t in range(start, len(twice) - 1):
-        if twice[t + 1] - twice[t] + eps[t] < 0:
-            return t
-    return None
-
-
 def _rewrite_order(twice, eps) -> tuple[int, ...]:
     """Heap key: the tail excesses read from the last position backwards,
     then eps.  Distinct monomials have distinct keys, and every rewrite
@@ -262,7 +216,7 @@ def adem_straighten_classical(x: OpPoly | OpSeq, max_steps: int = 10**7) -> OpPo
     result = OpPoly(x.ctx)
     heap = []
     for (twice, eps), coeff in x.terms.items():
-        pos = _first_defect(twice, eps)
+        pos = first_defect(twice, eps)
         if pos is None:
             result.add_term(twice, eps, coeff)
         else:
@@ -294,7 +248,7 @@ def adem_straighten_classical(x: OpPoly | OpSeq, max_steps: int = 10**7) -> OpPo
             new_eps = head_eps + (ea, eb) + tail_eps
             c = coeff * c % p
             # pairs left of pos - 1 are untouched and admissible
-            new_pos = _first_defect(new_twice, new_eps, max(pos - 1, 0))
+            new_pos = first_defect(new_twice, new_eps, max(pos - 1, 0))
             if new_pos is None:
                 result.add_term(new_twice, new_eps, c)
             else:
@@ -308,45 +262,26 @@ def adem_straighten_classical(x: OpPoly | OpSeq, max_steps: int = 10**7) -> OpPo
 # ---------------------------------------------------------------------------
 # Coproduct
 
-# One tensor leg: an upper-notation (twice tuple, eps tuple) pair.
-Leg = tuple[tuple[int, ...], tuple[int, ...]]
 
-
-class TensorPoly:
-    """Sparse mod-p combination of r-fold tensors of sequences.
+class TensorPoly(Combination):
+    """Sparse mod-p combination of r-fold tensors of sequences, keyed by
+    tuples of ``folds`` legs, each a (twice tuple, eps tuple) pair.
 
     Legs are stored in upper notation (field ``lower`` False) where
     every monomial of the free algebra is representable; ``to_lower``
     converts for display, dropping legs killed by the excess quotient.
+    ``folds`` and ``lower`` are part of the kind.
     """
 
+    __slots__ = ("folds", "lower")
+
     def __init__(self, ctx: Context, folds: int, lower: bool = False):
-        self.ctx = ctx
         self.folds = folds
         self.lower = lower
-        self.terms: dict[tuple[Leg, ...], int] = {}
+        super().__init__(ctx)
 
-    def add_term(self, legs: tuple[Leg, ...], coeff: int):
-        coeff %= self.ctx.p
-        if not coeff:
-            return
-        new = (self.terms.get(legs, 0) + coeff) % self.ctx.p
-        if new:
-            self.terms[legs] = new
-        else:
-            del self.terms[legs]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorPoly)
-            and (self.ctx, self.folds, self.lower)
-            == (other.ctx, other.folds, other.lower)
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        kind = "lower" if self.lower else "upper"
-        return f"TensorPoly({self.ctx.p},{self.ctx.n}; {self.folds}-fold {kind}; {len(self.terms)} terms)"
+    def _shape(self) -> tuple:
+        return (self.ctx, self.folds, self.lower)
 
     def to_lower(self) -> "TensorPoly":
         """Convert all legs to lower notation, dropping dead legs
@@ -394,7 +329,7 @@ def coproduct(x: OpPoly | OpSeq | UpperSeq, folds: int = 2) -> TensorPoly:
         terms = x.terms
         ctx = x.ctx
         upper_input = False
-    p, n = ctx.p, ctx.n
+    n = ctx.n
     out = TensorPoly(ctx, folds)
     for (twice, eps), coeff in terms.items():
         if upper_input:
@@ -404,17 +339,17 @@ def coproduct(x: OpPoly | OpSeq | UpperSeq, folds: int = 2) -> TensorPoly:
         if any(t % 2 for t in up.twice):
             raise DomainError("coproduct needs integral upper entries")
         # state: (legs as tuples of (entry, eps) pairs, leg parities)
-        acc = {(((),) * folds, (0,) * folds): coeff}
+        acc = Combination(ctx, {(((),) * folds, (0,) * folds): coeff})
         for t in range(n):
             total, e = up.twice[t], up.eps[t]
-            nxt: dict = {}
-            for (legs, parities), c in acc.items():
+            nxt = Combination(ctx)
+            for (legs, parities), c in acc.terms.items():
                 for split in _compositions(total, folds):
                     if e == 0:
                         new_legs = tuple(
                             legs[u] + ((split[u], 0),) for u in range(folds)
                         )
-                        _bump(nxt, (new_legs, parities), c, p)
+                        nxt.add_term((new_legs, parities), c)
                         continue
                     for u in range(folds):
                         if split[u] == 0:
@@ -428,23 +363,15 @@ def coproduct(x: OpPoly | OpSeq | UpperSeq, folds: int = 2) -> TensorPoly:
                             parities[v] ^ (1 if v == u else 0)
                             for v in range(folds)
                         )
-                        _bump(nxt, (new_legs, new_par), c if not sign else -c, p)
+                        nxt.add_term((new_legs, new_par), c if not sign else -c)
             acc = nxt
-        for (legs, _parities), c in acc.items():
+        for (legs, _parities), c in acc.terms.items():
             key = tuple(
                 (tuple(e for e, _ in leg), tuple(b for _, b in leg))
                 for leg in legs
             )
             out.add_term(key, c)
     return out
-
-
-def _bump(table: dict, key, delta: int, p: int):
-    new = (table.get(key, 0) + delta) % p
-    if new:
-        table[key] = new
-    else:
-        table.pop(key, None)
 
 
 def iterated_coproduct(x: OpPoly | OpSeq | UpperSeq, r: int) -> TensorPoly:

@@ -34,6 +34,7 @@ __all__ = [
     "excess",
     "excess_lower",
     "excess_upper",
+    "first_defect",
     "is_admissible",
     "compare",
     "lower_to_upper",
@@ -190,15 +191,23 @@ def excess(s: OpSeq | UpperSeq) -> int:
     return excess_lower(s)
 
 
+def first_defect(twice, eps, start: int = 0) -> int | None:
+    """The first t >= start where the admissibility rule
+    2 j_(t+1) - 2 j_t + eps_t >= 0 fails, or None (the package's one
+    statement of the rule; the classical engine rewrites there)."""
+    for t in range(start, len(twice) - 1):
+        if twice[t + 1] - twice[t] + eps[t] < 0:
+            return t
+    return None
+
+
 def is_admissible(s: OpSeq) -> bool:
-    """True when 2 j_t - 2 j_{t-1} + eps_{t-1} >= 0 for t = 2..n.
+    """True when no pair of s breaks the rule of first_defect.
 
     Length-1 sequences are always admissible.  With all eps zero this
     says the entries are weakly increasing.
     """
-    return all(
-        s.twice[t] - s.twice[t - 1] + s.eps[t - 1] >= 0 for t in range(1, len(s.twice))
-    )
+    return first_defect(s.twice, s.eps) is None
 
 
 def compare(a: OpSeq, b: OpSeq) -> int:

@@ -240,36 +240,44 @@ def parse(text: str, ctx: Context):
 # Text rendering
 
 
-def render_seq(s: OpSeq, head: str = "Q") -> str:
-    body = ",".join(entry_str(t) for t in s.twice)
-    if any(s.eps):
-        body += ";eps=" + "".join(str(b) for b in s.eps)
+def _render_entries(twice, eps, head: str) -> str:
+    """`head[entries]`, with `;eps=bits` when some eps bit is set."""
+    body = ",".join(entry_str(t) for t in twice)
+    if any(eps):
+        body += ";eps=" + "".join(str(b) for b in eps)
     return f"{head}[{body}]"
+
+
+def render_seq(s: OpSeq, head: str = "Q") -> str:
+    return _render_entries(s.twice, s.eps, head)
 
 
 def render_upper_seq(u: UpperSeq, head: str = "E") -> str:
-    body = ",".join(entry_str(t) for t in u.twice)
-    if any(u.eps):
-        body += ";eps=" + "".join(str(b) for b in u.eps)
-    return f"{head}[{body}]"
+    return _render_entries(u.twice, u.eps, head)
 
 
-def _coeff_prefix(c: int) -> str:
-    return "" if c == 1 else f"{c}*"
+def _render_sum(items, render_key) -> str:
+    """Every printed sum: `c*key + ...` over (key, c) items in order, `0`
+    when there are none.  A coefficient 1 is left out, and a key that
+    renders as `1` (the unit monomial) prints as its coefficient alone."""
+    out = []
+    for key, c in items:
+        body = render_key(key)
+        if body == "1":
+            out.append(str(c))
+        elif c == 1:
+            out.append(body)
+        else:
+            out.append(f"{c}*{body}")
+    return " + ".join(out) if out else "0"
 
 
 def render_op_poly(x: OpPoly, head: str = "Q") -> str:
-    terms = list(x.seq_terms())
-    if not terms:
-        return "0"
-    return " + ".join(f"{_coeff_prefix(c)}{render_seq(s, head)}" for s, c in terms)
+    return _render_sum(x.seq_terms(), lambda s: render_seq(s, head))
 
 
 def render_dual(d: DualExpansion) -> str:
-    terms = d.sorted_terms()
-    if not terms:
-        return "0"
-    return " + ".join(f"{_coeff_prefix(c)}({render_seq(s)})*" for s, c in terms)
+    return _render_sum(d.sorted_terms(), lambda s: f"({render_seq(s)})*")
 
 
 def _render_indexed_monomial(head: str, indices_exps) -> str:
@@ -280,53 +288,33 @@ def _render_indexed_monomial(head: str, indices_exps) -> str:
 
 
 def render_bpoly(x: BPoly) -> str:
-    terms = x.sorted_terms()
-    if not terms:
-        return "0"
-    out = []
-    for exps, c in terms:
-        mono = _render_indexed_monomial("h", enumerate(exps, start=1))
-        if mono == "1":
-            out.append(str(c))
-        else:
-            out.append(f"{_coeff_prefix(c)}{mono}")
-    return " + ".join(out)
+    return _render_sum(
+        x.sorted_terms(),
+        lambda exps: _render_indexed_monomial("h", enumerate(exps, start=1)),
+    )
+
+
+def _reverse_lex(item) -> tuple[int, ...]:
+    return item[0][::-1]
 
 
 def render_dickson_combo(x: dict[tuple[int, ...], int]) -> str:
-    if not x:
-        return "0"
-    out = []
-    for m in sorted(x, key=lambda t: t[::-1]):
-        mono = _render_indexed_monomial("d", enumerate(m))
-        c = x[m]
-        if mono == "1":
-            out.append(str(c))
-        else:
-            out.append(f"{_coeff_prefix(c)}{mono}")
-    return " + ".join(out)
+    return _render_sum(
+        sorted(x.items(), key=_reverse_lex),
+        lambda m: _render_indexed_monomial("d", enumerate(m)),
+    )
 
 
 def render_dickson_monomial(m) -> str:
     return _render_indexed_monomial("d", enumerate(m))
 
 
-def _render_leg(twice, eps, head: str = "Q") -> str:
-    body = ",".join(entry_str(t) for t in twice)
-    if any(eps):
-        body += ";eps=" + "".join(str(b) for b in eps)
-    return f"{head}[{body}]"
-
-
 def render_tensor(t: TensorPoly) -> str:
     """Render a lower-notation tensor; legs are (twice, eps) pairs."""
-    if not t.terms:
-        return "0"
-    out = []
-    for legs, c in sorted(t.terms.items()):
-        body = " (x) ".join(_render_leg(tw, ep) for tw, ep in legs)
-        out.append(f"{_coeff_prefix(c)}{body}")
-    return " + ".join(out)
+    return _render_sum(
+        sorted(t.terms.items()),
+        lambda legs: " (x) ".join(_render_entries(tw, ep, "Q") for tw, ep in legs),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +368,7 @@ def bpoly_from_json(items: list, ctx: Context) -> BPoly:
 
 
 def dickson_combo_to_json(x: dict[tuple[int, ...], int]) -> list:
-    return [
-        {"coeff": x[m], "m": list(m)} for m in sorted(x, key=lambda t: t[::-1])
-    ]
+    return [{"coeff": c, "m": list(m)} for m, c in sorted(x.items(), key=_reverse_lex)]
 
 
 def dickson_combo_from_json(items: list) -> dict[tuple[int, ...], int]:

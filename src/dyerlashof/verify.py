@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from .arith import Context, DomainError
+from .arith import Combination, Context, DomainError
 from .correspondence import (
     _degree_data,
     adem_via_invariants,
@@ -100,14 +100,12 @@ def suite_roundtrip(ctx: Context, max_sum: int = 6):
     cases = 0
     for m in _monomials_up_to(ctx, max_sum):
         cases += 1
-        d = dual_of_dickson(m, ctx)
-        acc: dict = {}
-        for J, c in d.terms.items():
+        acc = Combination(ctx)
+        for J, c in dual_of_dickson(m, ctx).terms.items():
             for mm, cc in dickson_of_dual(J).items():
-                acc[mm] = (acc.get(mm, 0) + c * cc) % ctx.p
-        acc = {k: v for k, v in acc.items() if v}
-        if acc != {tuple(m): 1}:
-            failures.append(f"d^{m}: round trip gave {acc}")
+                acc.add_term(mm, c * cc)
+        if acc.terms != {tuple(m): 1}:
+            failures.append(f"d^{m}: round trip gave {acc.terms}")
     return cases, failures
 
 
@@ -257,9 +255,7 @@ def suite_reference_vectors(p: int):
     failures = []
     cases = reference_vector_cases(p)
     for label, s, expected_terms, up_to_unit in cases:
-        expected = OpPoly(ctx)
-        for (tw, ep), c in expected_terms.items():
-            expected.add_term(tw, ep, c)
+        expected = OpPoly(ctx, expected_terms)
         got = adem_straighten_classical(OpPoly.from_seq(s))
         ok = got == expected
         if not ok and up_to_unit:

@@ -1,4 +1,4 @@
-"""Tests for modular binomial arithmetic."""
+"""Tests for modular binomial arithmetic and the F_p term container."""
 
 import math
 import random
@@ -6,12 +6,17 @@ import random
 from hypothesis import given, strategies as st
 
 from dyerlashof.arith import (
+    Combination,
     Context,
     DomainError,
     binom_mod_p,
     multinom_mod_p,
     padic_digits,
 )
+from dyerlashof.correspondence import DualExpansion
+from dyerlashof.invariants import BPoly, YPoly
+from dyerlashof.opalgebra import OpPoly, TensorPoly
+from dyerlashof.sequences import OpSeq
 
 import pytest
 
@@ -144,3 +149,129 @@ def test_multinom_matches_factorials():
 )
 def test_multinom_permutation_invariant(p, parts):
     assert multinom_mod_p(parts, p) == multinom_mod_p(sorted(parts), p)
+
+
+# Every term container: (name, empty(ctx), add(x, key, c), two keys at ctx).
+P3N2 = Context(3, 2)
+CONTAINERS = [
+    ("BPoly", BPoly, BPoly.add_term, (1, 0), (0, 2)),
+    ("YPoly", YPoly, YPoly.add_term, (1, 0), (0, 2)),
+    (
+        "OpPoly",
+        OpPoly,
+        lambda x, key, c: x.add_term(*key, c),
+        ((0, 4), (0, 0)),
+        ((1, 3), (1, 0)),
+    ),
+    (
+        "DualExpansion",
+        DualExpansion,
+        DualExpansion.add_term,
+        OpSeq(P3N2, (0, 4), (0, 0)),
+        OpSeq(P3N2, (2, 2), (0, 0)),
+    ),
+    (
+        "TensorPoly",
+        lambda ctx: TensorPoly(ctx, 2),
+        TensorPoly.add_term,
+        (((0, 0), (0, 0)), ((2, 2), (0, 1))),
+        (((2, 2), (0, 1)), ((0, 0), (0, 0))),
+    ),
+]
+CONTAINER_IDS = [name for name, *_ in CONTAINERS]
+
+
+@pytest.mark.parametrize("name,empty,add,ka,kb", CONTAINERS, ids=CONTAINER_IDS)
+def test_combination_contract(name, empty, add, ka, kb):
+    p = P3N2.p
+    x = empty(P3N2)
+    assert isinstance(x, Combination)
+    assert x.is_zero() and x.terms == {}
+    # coefficients are reduced into 1..p-1
+    add(x, ka, -1)
+    add(x, kb, p + 2)
+    assert x.terms == {ka: p - 1, kb: 2}
+    # a cancelled key is removed, and adding 0 adds no key
+    y = empty(P3N2)
+    add(y, ka, 1)
+    add(y, kb, 0)
+    assert y.terms == {ka: 1}
+    add(y, ka, p - 1)
+    assert y.terms == {} and y.is_zero()
+    add(y, ka, 1)
+    # scaled at c = 0, 1, p - 1 (and their shifts by p)
+    for c in (0, p):
+        assert x.scaled(c).is_zero()
+        assert x.scaled(c) == empty(P3N2)
+    for c in (1, p + 1):
+        assert x.scaled(c) == x
+        assert x.scaled(c) is not x and x.scaled(c).terms is not x.terms
+    assert x.scaled(p - 1).terms == {ka: 1, kb: 1}
+    assert x.scaled(-1) == x.scaled(p - 1)
+    # + and - against those scalings, with cancellation
+    assert (x + x.scaled(0)) == x
+    assert (x - x.scaled(0)) == x
+    assert (x + x.scaled(p - 1)).is_zero()
+    assert (x - x).terms == {}
+    assert (x - x.scaled(p - 1)) == x.scaled(2)
+    assert (x + y).terms == {kb: 2}
+    assert (x - y).terms == {ka: p - 2, kb: 2}
+    # operands are left alone
+    assert x.terms == {ka: p - 1, kb: 2} and y.terms == {ka: 1}
+    assert type(x + y) is type(x) and type(x.scaled(2)) is type(x)
+    # mutable, so not hashable
+    with pytest.raises(TypeError):
+        hash(x)
+    with pytest.raises(TypeError):
+        {x}
+
+
+def test_combination_kinds():
+    b = BPoly(P3N2, {(1, 0): 1})
+    y = YPoly(P3N2, {(1, 0): 1})
+    assert b.terms == y.terms
+    assert b != y and y != b
+    assert b == BPoly(P3N2, {(1, 0): 4})
+    assert b != BPoly(Context(5, 2), {(1, 0): 1})
+    # TensorPoly's kind includes its folds and its notation
+    legs = (((0,), (0,)), ((2,), (0,)))
+    t = TensorPoly(Context(3, 1), 2)
+    t.add_term(legs, 1)
+    for folds, lower in ((3, False), (2, True)):
+        other = TensorPoly(Context(3, 1), folds, lower)
+        other.add_term(legs, 1)
+        assert other.terms == t.terms
+        assert other != t
+        with pytest.raises(DomainError):
+            t + other
+    assert t.scaled(2).folds == 2 and not t.scaled(2).lower
+    lower = TensorPoly(Context(3, 1), 2, lower=True)
+    assert (lower + lower).lower
+
+
+@pytest.mark.parametrize("name,empty,add,ka,kb", CONTAINERS, ids=CONTAINER_IDS)
+def test_sums_across_contexts_raise(name, empty, add, ka, kb):
+    x = empty(P3N2)
+    add(x, ka, 1)
+    z = empty(Context(5, 2))
+    if name != "DualExpansion":  # its keys carry their own context
+        add(z, ka, 4)
+    for op in (lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(DomainError):
+            op(x, z)
+        with pytest.raises(DomainError):
+            op(z, x)
+    assert x.terms == {ka: 1}
+
+
+def test_sums_across_kinds_raise():
+    b = BPoly(P3N2, {(1, 0): 1})
+    y = YPoly(P3N2, {(1, 0): 1})
+    with pytest.raises(DomainError):
+        b + y
+    with pytest.raises(DomainError):
+        y - b
+    with pytest.raises(DomainError):
+        OpPoly(P3N2) + TensorPoly(P3N2, 1)
+    with pytest.raises(TypeError):
+        b + 1

@@ -301,6 +301,122 @@ def test_only_requested_format_is_built(capsys, monkeypatch, argv, text, doc):
         assert run_cli(capsys, *argv) == (0, text + "\n", "")
 
 
+# argv and the text stdout of every command, byte for byte: empty results,
+# coefficients > 1, unit monomials and Bockstein legs
+TEXT_CASES = [
+    (["adem", "--p", "3", "--n", "2", "e[3,1]"], "2*Q[0,2]\n"),
+    (["adem", "--p", "3", "--n", "2", "e[2,1]"], "0\n"),
+    (["adem", "--p", "2", "--n", "3", "e[4,2,1]"], "0\n"),
+    (["adem", "--p", "5", "--n", "2", "e[5,1]"], "2*Q[0,2]\n"),
+    (["adem-classical", "--p", "3", "--n", "2", "e[1,0]"], "0\n"),
+    (
+        ["adem-classical", "--p", "3", "--n", "2", "e[3,1/2;eps=01]"],
+        "Q[0,3/2;eps=01]\n",
+    ),
+    (
+        ["adem-classical", "--p", "3", "--n", "2", "e[4,1/2;eps=01]"],
+        "Q[1/2,3/2;eps=10]\n",
+    ),
+    (
+        ["adem-classical", "--p", "3", "--n", "2", "e[5/2,3/2;eps=01]"],
+        "2*Q[1/2,2;eps=10] + Q[1,2;eps=01]\n",
+    ),
+    (["dual", "--p", "2", "--n", "2", "d1^3"], "(Q[0,3])* + (Q[2,2])*\n"),
+    (["dual", "--p", "3", "--n", "2", "d0^2*d1^4"], "(Q[2,6])* + (Q[5,5])*\n"),
+    (["dual", "--p", "2", "--n", "2", "1"], "(Q[0,0])*\n"),
+    (["dual", "--p", "3", "--n", "2", "d1^5"], "(Q[0,5])* + 2*(Q[3,4])*\n"),
+    (["invert-dual", "--p", "2", "--n", "2", "Q[0,0]"], "1\n"),
+    (["invert-dual", "--p", "3", "--n", "2", "Q[1,3]"], "d0*d1^2\n"),
+    (["invert-dual", "--p", "2", "--n", "3", "Q[1,2,3]"], "d0*d1*d2\n"),
+    (["invert-dual", "--p", "3", "--n", "2", "Q[0,4]"], "2*d0^3 + d1^4\n"),
+    (["expand", "--p", "3", "--n", "2", "1"], "1\n"),
+    (["expand", "--p", "3", "--n", "2", "d1^2"], "h1^6 + 2*h1^3*h2 + h2^2\n"),
+    (
+        ["expand", "--p", "5", "--n", "2", "d0*d1^2"],
+        "h1^11*h2 + 2*h1^6*h2^2 + h1*h2^3\n",
+    ),
+    (
+        ["expand", "--p", "2", "--n", "3", "d0*d2"],
+        "h1^5*h2*h3 + h1*h2^3*h3 + h1*h2*h3^2\n",
+    ),
+    (["basis", "--p", "2", "--n", "2", "6"], "Q[0,3]\nQ[2,2]\n"),
+    (["basis", "--p", "2", "--n", "2", "1"], "0\n"),
+    (["basis", "--p", "3", "--n", "2", "0"], "Q[0,0]\n"),
+    (["solve-degree", "--p", "2", "--n", "2", "6"], "d1^3\nd0^2\n"),
+    (["solve-degree", "--p", "3", "--n", "2", "7"], "0\n"),
+    (["solve-degree", "--p", "2", "--n", "2", "0"], "1\n"),
+    (["pair", "--p", "3", "--n", "2", "d1^2", "e[3,1]"], "2\n"),
+    (["pair", "--p", "2", "--n", "2", "d1", "e[1,1]"], "0\n"),
+    (
+        ["coprod", "--p", "3", "--n", "1", "Qu[1;eps=1]"],
+        "Q[0] (x) Q[1;eps=1] + Q[1;eps=1] (x) Q[0]\n",
+    ),
+    (
+        ["coprod", "--p", "3", "--n", "2", "E[2,1;eps=01]"],
+        "Q[0,0] (x) Q[1/2,1;eps=01] + Q[1/2,1;eps=01] (x) Q[0,0]\n",
+    ),
+    (
+        ["coprod", "--p", "5", "--n", "2", "e[1,1]"],
+        "Q[0,0] (x) Q[1,1] + Q[0,1] (x) Q[1,0] + Q[1,0] (x) Q[0,1] + "
+        "Q[1,1] (x) Q[0,0]\n",
+    ),
+    (["coprod", "--p", "3", "--n", "1", "e[0;eps=1]"], "0\n"),
+    (
+        ["coprod", "--p", "3", "--n", "2", "E[3,1;eps=11]"],
+        "Q[0,0] (x) Q[3/2,1;eps=11] + 2*Q[1/2,1;eps=01] (x) Q[1,0;eps=10] + "
+        "Q[1/2,1;eps=11] (x) Q[1,0] + Q[1,0] (x) Q[1/2,1;eps=11] + "
+        "Q[1,0;eps=10] (x) Q[1/2,1;eps=01] + Q[3/2,1;eps=11] (x) Q[0,0]\n",
+    ),
+    (["verify", "reference-vectors", "--p", "3"], "reference-vectors: 20 cases, ok\n"),
+    (
+        ["verify", "oracle-equivalence", "--p", "2", "--n", "2", "--max-entry", "4"],
+        "oracle-equivalence: 25 cases, ok\n",
+    ),
+    (
+        ["verify", "dickson-oracles", "--p", "3", "--n", "3"],
+        "dickson-oracles: 3 cases, ok\n",
+    ),
+    (
+        ["verify", "roundtrip", "--p", "2", "--n", "2", "--max-degree", "3"],
+        "roundtrip: 10 cases, ok\n",
+    ),
+    (
+        ["verify", "triangularity", "--p", "3", "--n", "2", "--max-degree", "3"],
+        "triangularity: 10 cases, ok\n",
+    ),
+    (["verify", "identities", "--p", "2", "--n", "3"], "identities: 12 cases, ok\n"),
+    (["verify", "invariance", "--p", "2", "--n", "2"], "invariance: 11 cases, ok\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,out", TEXT_CASES, ids=[" ".join(argv) for argv, _ in TEXT_CASES]
+)
+def test_text_output_pinned(capsys, argv, out):
+    assert run_cli(capsys, *argv) == (0, out, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["basis", "--p", "2", "--n", "0", "0"],
+        ["dual", "--p", "2", "--n", "0", "1"],
+        ["adem", "--p", "3", "--n", "0", "e[0]"],
+        ["verify", "oracle-equivalence", "--p", "2", "--n", "0"],
+        ["verify", "reference-vectors", "--p", "3", "--n", "0"],
+        ["basis", "--p", "2", "--n", "-1", "0"],
+        ["basis", "--p", "2", "--n", "7", "0"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_n_out_of_range_is_a_domain_error(capsys, argv):
+    for fmt in ("text", "json"):
+        rc, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error:") and "--n must be in 1..6" in err
+
+
 def test_parser_reuse_keeps_no_format(capsys):
     argv = ["adem", "--p", "3", "--n", "2", "e[3,1]"]
     rc, out, _ = run_cli(capsys, *argv, "--format", "json")

@@ -46,6 +46,19 @@ def test_recursive_examples():
     assert dickson_to_borel_recursive(2, -1, P3N2).is_zero()
 
 
+def test_recursive_results_are_fresh():
+    # a result is the caller's to change: later calls do not see it
+    ctx = Context(3, 2)
+    fresh = dickson_to_borel(1, ctx)
+    first = dickson_to_borel_recursive(2, 1, ctx)
+    first.add_term((5, 5), 1)
+    first.terms[(3, 0)] = 2
+    again = dickson_to_borel_recursive(2, 1, ctx)
+    assert again is not first
+    assert again == fresh
+    assert dickson_to_borel_recursive(1, 0, ctx).terms == {(1, 0): 1}
+
+
 def test_matrix_family_examples():
     rows = enumerate_A(1, P3N2)
     assert sorted(r.a for r in rows) == [(0, 1), (1, 0)]

@@ -19,6 +19,7 @@ from dyerlashof.sequences import (
     excess_lower,
     excess_upper,
     family,
+    first_defect,
     is_admissible,
     lower_to_upper,
     upper_to_lower,
@@ -151,6 +152,28 @@ def test_admissible_examples():
     # Bockstein relaxes the constraint by one half step
     assert is_admissible(OpSeq(P3N2, (2, 1), (1, 0)))
     assert not is_admissible(OpSeq(P3N2, (2, 1), (0, 1)))
+
+
+def test_first_defect():
+    # doubled entries: e[2] e[1] e[0] breaks at both pairs, e[1/2] e[1/2]
+    # e[0] only at the second, and a Bockstein on the left of that pair
+    # relaxes the rule by one half step
+    assert first_defect((4, 2, 0), (0, 0, 0)) == 0
+    assert first_defect((4, 2, 0), (0, 0, 0), start=1) == 1
+    assert first_defect((1, 1, 0), (0, 0, 0)) == 1
+    assert first_defect((1, 1, 0), (0, 1, 0)) is None
+    assert first_defect((2, 1), (1, 0)) is None
+    assert first_defect((2, 1), (0, 1)) == 0
+    assert first_defect((3,), (1,)) is None
+    assert first_defect((), ()) is None
+    assert first_defect((0, 2, 0), (0, 0, 0), start=2) is None
+    for s in all_lower(Context(3, 3), 6):
+        pos = first_defect(s.twice, s.eps)
+        assert is_admissible(s) == (pos is None)
+        if pos is not None:
+            assert s.twice[pos + 1] - s.twice[pos] + s.eps[pos] < 0
+            assert first_defect(s.twice, s.eps, pos) == pos
+            assert first_defect(s.twice, s.eps, pos + 1) != pos
 
 
 def test_admissible_is_monotone_for_eps_zero():
