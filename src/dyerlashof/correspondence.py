@@ -62,13 +62,26 @@ class DualExpansion(Combination):
         )
 
 
+ENUMERATION_CACHE_SIZE = 256
+"""How many (degree, context) pairs each enumeration cache keeps."""
+
+
 def solve_degree_diophantine(D: int, ctx: Context) -> list[tuple[int, ...]]:
-    """All m with sum m_i deg(d_{n,i}) = D, by bounded lexicographic search."""
+    """All m with sum m_i deg(d_{n,i}) = D, by bounded lexicographic search.
+
+    Each (D, ctx) is searched once while it stays in the cache, which the
+    solves' per-degree data share; every call returns a fresh list.
+    """
+    return list(_degree_monomials(D, ctx))
+
+
+@lru_cache(maxsize=ENUMERATION_CACHE_SIZE)
+def _degree_monomials(D: int, ctx: Context) -> tuple[tuple[int, ...], ...]:
     if D < 0:
         raise DomainError("degree must be nonnegative")
     n = ctx.n
     if n == 0:
-        return [()] if D == 0 else []
+        return ((),) if D == 0 else ()
     weights = [dickson_degree(i, ctx) for i in range(n)]
     out: list[tuple[int, ...]] = []
 
@@ -84,7 +97,7 @@ def solve_degree_diophantine(D: int, ctx: Context) -> list[tuple[int, ...]]:
             rec(i + 1, rem - mi * w, acc + (mi,))
 
     rec(0, D, ())
-    return out
+    return tuple(out)
 
 
 def admissible_basis(D: int, ctx: Context) -> list[OpSeq]:
@@ -92,13 +105,20 @@ def admissible_basis(D: int, ctx: Context) -> list[OpSeq]:
     lower degree D, ascending under compare.
 
     Enumerated directly (not through the Dickson side) so that the
-    bijection with solve_degree_diophantine stays a real check.
+    bijection with solve_degree_diophantine stays a real check.  Each
+    (D, ctx) is enumerated once while it stays in the cache, which the
+    solves' per-degree data share; every call returns a fresh list.
     """
+    return list(_degree_basis(D, ctx))
+
+
+@lru_cache(maxsize=ENUMERATION_CACHE_SIZE)
+def _degree_basis(D: int, ctx: Context) -> tuple[OpSeq, ...]:
     if D < 0:
         raise DomainError("degree must be nonnegative")
     p, n = ctx.p, ctx.n
     if n == 0:
-        return [OpSeq(ctx, (), ())] if D == 0 else []
+        return (OpSeq(ctx, (), ()),) if D == 0 else ()
     # weight of entry value 1 at position t (0-based), and of all of t..n-1
     wt = [(1 << t) if p == 2 else 2 * (p - 1) * p**t for t in range(n)]
     tails = [sum(wt[t:]) for t in range(n)]
@@ -118,7 +138,7 @@ def admissible_basis(D: int, ctx: Context) -> list[OpSeq]:
 
     rec(0, 0, D, ())
     out.sort(key=lambda s: s.key())
-    return out
+    return tuple(out)
 
 
 def kronecker_pair(m, J: OpSeq, ctx: Context) -> int:
@@ -151,11 +171,12 @@ def _degree_data(D: int, ctx: Context):
     pairs = sorted(
         ((chi_min(m, ctx), m) for m in monos), key=lambda km: km[0].key()
     )
-    ks = tuple(k for k, _ in pairs)
-    ms = tuple(m for _, m in pairs)
     basis = admissible_basis(D, ctx)
-    if [s.twice for s in basis] != [k.twice for k in ks]:
+    if [s.twice for s in basis] != [k.twice for k, _ in pairs]:
         raise InvariantError("chi_min is not a bijection onto the admissible basis")
+    # the rows are the enumerated basis itself, equal to the chi_min images
+    ks = tuple(basis)
+    ms = tuple(m for _, m in pairs)
     cols = tuple(_exps(k) for k in ks)
     for m, k, col in zip(ms, ks, cols):
         c = coeff_in_expansion(m, col, ctx)

@@ -228,14 +228,35 @@ def _check_dickson_exponents(m: tuple[int, ...], ctx: Context) -> None:
 
 
 def _dickson_product(m: tuple[int, ...], ctx: Context) -> BPoly:
-    out = BPoly.one(ctx)
-    for i, mi in enumerate(m):
-        if mi:
-            out = out * dickson_to_borel(i, ctx).pow(mi)
+    """d^m as one chain of packed products (see ``_purekernel``).
+
+    Each factor is d_{n,i}^(p^k), once per unit of the base-p digit k
+    of m_i; its Frobenius twist multiplies the packed keys of d_{n,i} by
+    p^k.  The field width holds the sum of the factors' largest
+    exponents, so no field overflows.  The product is unpacked once, in
+    canonical (reverse-lex) order.
+    """
+    p, n = ctx.p, ctx.n
+    gens = [(dickson_to_borel(i, ctx).terms, mi) for i, mi in enumerate(m) if mi]
+    width = kernels.field_width(sum(mi * max(map(max, g)) for g, mi in gens))
+    acc = {0: 1}
+    for g, mi in gens:
+        packed = kernels.pack(g, n, width)
+        for k, digit in enumerate(padic_digits(mi, p)):
+            q = p**k
+            twisted = {key * q: c for key, c in packed.items()}
+            for _ in range(digit):
+                acc = kernels.mul_packed(acc, twisted, p)
+    out = BPoly(ctx)
+    out.terms = kernels.unpack(sorted(acc.items()), n, width)
     return out
 
 
-@lru_cache(maxsize=None)
+EXPANSION_CACHE_SIZE = 128
+"""How many Dickson monomial expansions ``_expansion_terms`` keeps."""
+
+
+@lru_cache(maxsize=EXPANSION_CACHE_SIZE)
 def _expansion_terms(m: tuple[int, ...], ctx: Context) -> dict:
     _check_dickson_exponents(m, ctx)
     return _dickson_product(m, ctx).terms
@@ -244,9 +265,10 @@ def _expansion_terms(m: tuple[int, ...], ctx: Context) -> dict:
 def expand_dickson_monomial(m, ctx: Context) -> BPoly:
     """Expand d^m = prod d_{n,i}^(m_i) in B[n].
 
-    The terms are cached (``cache_info`` / ``cache_clear`` reach that
-    cache); every call returns a fresh BPoly over a copy of them, so a
-    caller may modify the result.
+    The terms are cached, in canonical order, for the last
+    EXPANSION_CACHE_SIZE monomials (``cache_info`` / ``cache_clear``
+    reach that cache); every call returns a fresh BPoly over a copy of
+    them, so a caller may modify the result.
     """
     out = BPoly(ctx)
     out.terms = dict(_expansion_terms(tuple(m), ctx))

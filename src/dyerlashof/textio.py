@@ -12,6 +12,8 @@ zero element renders as `0`.
 
 from __future__ import annotations
 
+from operator import getitem
+
 from .arith import Context, DomainError
 from .correspondence import DualExpansion
 from .invariants import BPoly
@@ -259,7 +261,8 @@ def render_upper_seq(u: UpperSeq, head: str = "E") -> str:
 def _render_sum(items, render_key) -> str:
     """Every printed sum: `c*key + ...` over (key, c) items in order, `0`
     when there are none.  A coefficient 1 is left out, and a key that
-    renders as `1` (the unit monomial) prints as its coefficient alone."""
+    renders as `1` (the unit monomial) prints as its coefficient alone.
+    render_bpoly applies the same rule in its own single pass."""
     out = []
     for key, c in items:
         body = render_key(key)
@@ -288,10 +291,27 @@ def _render_indexed_monomial(head: str, indices_exps) -> str:
 
 
 def render_bpoly(x: BPoly) -> str:
-    return _render_sum(
-        x.sorted_terms(),
-        lambda exps: _render_indexed_monomial("h", enumerate(exps, start=1)),
-    )
+    """As _render_sum over the sorted terms, in one pass.  Each piece
+    `h{t}^{e}` is formatted once per call, into a table per position t
+    that maps every exponent met there to its piece (0 to nothing)."""
+    items = x.sorted_terms()
+    if not items:
+        return "0"
+    columns = zip(*[exps for exps, _ in items])
+    pieces = [
+        {e: f"h{t}^{e}" if e != 1 else f"h{t}" for e in set(col) if e} | {0: ""}
+        for t, col in enumerate(columns, start=1)
+    ]
+    out = []
+    for exps, c in items:
+        body = "*".join(filter(None, map(getitem, pieces, exps)))
+        if not body:
+            out.append(str(c))
+        elif c == 1:
+            out.append(body)
+        else:
+            out.append(f"{c}*{body}")
+    return " + ".join(out)
 
 
 def _reverse_lex(item) -> tuple[int, ...]:

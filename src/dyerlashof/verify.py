@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from .arith import Combination, Context, DomainError
+from .arith import MAX_VARS, Combination, Context, DomainError
 from .correspondence import (
     _degree_data,
     adem_via_invariants,
@@ -286,6 +286,9 @@ def run_suite(
         return suite_reference_vectors(p)
     if n is None:
         raise DomainError(f"suite {name!r} needs --n")
+    # Context accepts n = 0 (the unit of direct sums); no suite does
+    if not 1 <= n <= MAX_VARS:
+        raise DomainError(f"suite {name!r} needs n in 1..{MAX_VARS}, got {n}")
     ctx = Context(p, n)
     if name == "oracle-equivalence":
         return suite_oracle_equivalence(ctx, max_entry if max_entry is not None else 8)

@@ -5,7 +5,9 @@ functions its tracer patches, ``_purekernel`` in the traced pass), so a
 rename in src/ breaks the benchmark without breaking any other test.
 One smoke run of the traced fresh-degree workload touches all of them;
 one of classical-long checks that the classical engine still reaches
-``pair_rewrite`` through the module attribute the tracer patches.
+``pair_rewrite`` through the module attribute the tracer patches, and
+one of cli-session that the CLI still reaches the renderers, the
+Dickson expansion and the kernel through theirs.
 """
 
 import json
@@ -41,3 +43,10 @@ def test_traced_classical_long_smoke_run():
     metrics = result["metrics"]
     assert metrics["opalgebra.straighten_calls"]["value"] > 0
     assert metrics["opalgebra.pair_rewrite_calls"]["value"] > 0
+
+
+def test_traced_cli_session_smoke_run():
+    _, result = traced_smoke_run("cli-session")
+    metrics = result["metrics"]
+    for name in ("textio.render_calls", "invariants.expand_calls", "kernels.poly_mul_calls"):
+        assert metrics[name]["value"] > 0, name

@@ -4,6 +4,7 @@ Everything goes through cli.main(argv) so exit codes and output are
 checked exactly as a shell user would see them.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -13,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import dyerlashof
-from dyerlashof import cli, textio
+from dyerlashof import cli, textio, verify
+from dyerlashof.arith import DomainError
 from dyerlashof.cli import build_parser, main
 
 
@@ -415,6 +417,35 @@ def test_n_out_of_range_is_a_domain_error(capsys, argv):
         assert rc == 1
         assert out == ""
         assert err.startswith("error:") and "--n must be in 1..6" in err
+
+
+@pytest.mark.parametrize("suite", verify.SUITES)
+def test_run_suite_n_out_of_range(suite):
+    if suite == "reference-vectors":
+        # fixed at n = 2: it reads no n
+        assert verify.run_suite(suite, 3, 0) == verify.run_suite(suite, 3) == (20, [])
+        return
+    for n in (0, -1, 7):
+        with pytest.raises(DomainError, match=r"1\.\.6"):
+            verify.run_suite(suite, 2, n)
+
+
+@pytest.mark.parametrize(
+    "fmt,size,sha256",
+    [
+        ("text", 228210, "3249dde9645ce2358e08c4adf9d582a14141dd10fe1e741abded8ab92637114b"),
+        ("json", 302098, "da1e814f3a848aa02365f31c6e05c25a2f218940a20abc3ba1c74d4ac7f686d6"),
+    ],
+)
+def test_big_expand_output_pinned(capsys, fmt, size, sha256):
+    # the 6,876-term expansion of the benchmark's CLI session, byte for byte
+    rc, out, err = run_cli(
+        capsys, "expand", "--p", "2", "--n", "6", "d0*d1*d2*d3*d4*d5", "--format", fmt
+    )
+    assert (rc, err) == (0, "")
+    data = out.encode()
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == sha256
 
 
 def test_parser_reuse_keeps_no_format(capsys):

@@ -68,6 +68,76 @@ def test_admissible_basis_examples():
         assert degree_lower(s) == 36
 
 
+def test_enumerations_hand_out_fresh_lists():
+    for enumerate_degree in (admissible_basis, solve_degree_diophantine):
+        first = enumerate_degree(6, P2N2)
+        want = list(first)
+        first.reverse()
+        first.append("junk")
+        second = enumerate_degree(6, P2N2)
+        assert second == want and second is not first
+        second.clear()
+        assert enumerate_degree(6, P2N2) == want
+
+
+def count_searches(fn):
+    """Run fn and count, per enumeration, the top-level calls of its
+    inner recursion ``rec``: one per search of a degree."""
+    searches = {}
+
+    def profile(frame, event, arg):
+        if event != "call" or frame.f_code.co_name != "rec":
+            return
+        outer = frame.f_back.f_code
+        if outer.co_name != "rec" and outer.co_filename == correspondence.__file__:
+            searches[outer.co_name] = searches.get(outer.co_name, 0) + 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return searches
+
+
+def test_degree_is_enumerated_once(capsys):
+    from dyerlashof import cli
+
+    ctx = Context(2, 3)
+    D = degree_lower(OpSeq.from_values(ctx, (4, 0, 4)))
+    common = ["--p", "2", "--n", "3"]
+    correspondence._degree_basis.cache_clear()
+    correspondence._degree_monomials.cache_clear()
+    correspondence._degree_data.cache_clear()
+
+    def session():
+        for argv in (
+            ["basis", *common, str(D)],
+            ["solve-degree", *common, str(D)],
+            ["adem", *common, "e[4,0,4]"],
+            ["basis", *common, str(D), "--format", "json"],
+        ):
+            assert cli.main(argv) == 0
+
+    assert count_searches(session) == {"_degree_basis": 1, "_degree_monomials": 1}
+    out = capsys.readouterr().out.splitlines()
+    assert out[:6] == ["Q[0,0,5]", "Q[0,2,4]", "Q[2,3,3]", "d2^5", "d1^2*d2^2", "d0^2*d1"]
+
+
+def test_enumeration_caches_are_bounded():
+    ctx = Context(2, 1)
+    bound = correspondence.ENUMERATION_CACHE_SIZE
+    caches = (correspondence._degree_basis, correspondence._degree_monomials)
+    for cache in caches:
+        assert cache.cache_info().maxsize == bound
+    for D in range(bound + 20):
+        assert len(admissible_basis(D, ctx)) == len(solve_degree_diophantine(D, ctx)) == 1
+        for cache in caches:
+            assert cache.cache_info().currsize <= bound
+    for cache in caches:
+        assert cache.cache_info().currsize == bound
+
+
 def test_kronecker_examples():
     assert kronecker_pair((0, 2), OpSeq(P3N2, (6, 2), (0, 0)), P3N2) == 2
     assert kronecker_pair((0, 3), OpSeq(P2N2, (4, 4), (0, 0)), P2N2) == 1

@@ -1,11 +1,12 @@
 """Tests for the Borel/Dickson polynomial side."""
 
 import itertools
+import random
 
 import pytest
 
 from dyerlashof import invariants
-from dyerlashof.arith import Context, DomainError
+from dyerlashof.arith import Context, DomainError, padic_digits
 from dyerlashof.invariants import (
     BPoly,
     check_invariance,
@@ -227,6 +228,45 @@ def test_digit_product_matches_direct_product():
         for r in itertools.product(range(p), repeat=n):
             want = invariants._dickson_product(r, ctx).terms
             assert invariants._digit_product(r, ctx) == want, (p, n, r)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_packed_expansion_matches_multinomial(p):
+    # random m with entries >= p, so the packed chain repeats factors and
+    # multiplies Frobenius twists; each term is checked against the
+    # digit/multinomial formula, the whole expansion against a product of
+    # powers on exponent tuples, and the order against reverse-lex
+    rng = random.Random(p)
+    for n in (1, 2, 3, 4):
+        ctx = Context(p, n)
+        checked = 0
+        while checked < 5:
+            m = tuple(rng.choice((0, p, p + 1, 2 * p + 1, p * p)) for _ in range(n))
+            # the multinomial oracle is exponential in the digit sum
+            if not any(m) or sum(sum(padic_digits(mi, p)) for mi in m) > 5:
+                continue
+            checked += 1
+            terms = invariants._expansion_terms(m, ctx)
+            assert list(terms) == sorted(terms, key=lambda J: J[::-1])
+            for J, c in terms.items():
+                assert coeff_by_multinomial(m, J, ctx) == c, (m, J)
+            want = BPoly.one(ctx)
+            for i, mi in enumerate(m):
+                want = want * dickson_to_borel(i, ctx).pow(mi)
+            assert terms == want.terms
+
+
+def test_expansion_cache_is_bounded():
+    # the tracer reads the misses of this cache
+    info = expand_dickson_monomial.cache_info
+    assert info().maxsize == invariants.EXPANSION_CACHE_SIZE
+    ctx = Context(2, 1)
+    expand_dickson_monomial.cache_clear()
+    for k in range(invariants.EXPANSION_CACHE_SIZE + 20):
+        assert expand_dickson_monomial((k,), ctx).terms == {(k,): 1}
+        assert info().currsize <= invariants.EXPANSION_CACHE_SIZE
+    assert info().misses == invariants.EXPANSION_CACHE_SIZE + 20
+    assert info().currsize == invariants.EXPANSION_CACHE_SIZE
 
 
 def test_expansion_results_are_independent():

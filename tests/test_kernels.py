@@ -66,6 +66,88 @@ def test_poly_mul_empty_and_inputs_untouched():
     assert a == a0 and b == b0
 
 
+def assert_matches_schoolbook(a, b, p):
+    a0, b0 = dict(a), dict(b)
+    got = poly_mul(a, b, p)
+    assert got == schoolbook_mul(a, b, p)
+    assert got == poly_mul(b, a, p)
+    assert all(0 < c < p for c in got.values())
+    assert a == a0 and b == b0
+    return got
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("bits", [1, 2, 3, 5, 8, 13])
+def test_poly_mul_field_boundaries(p, bits):
+    # the packed field width comes from the largest exponent sum; sums
+    # just below and exactly at 2^bits sit on either side of a width
+    # change, and a field that overflowed would carry into its neighbour
+    rng = random.Random(100 * p + bits)
+    edge = 1 << bits
+    for top in (edge - 1, edge):
+        for split in (1, top // 2):
+            for _ in range(8):
+                a = random_poly(rng, p, 3, 4, max_exp=top - split)
+                b = random_poly(rng, p, 3, 4, max_exp=split)
+                a[(top - split, 0, 0)] = 1
+                b[(split, 0, 0)] = 1
+                got = assert_matches_schoolbook(a, b, p)
+                assert (top, 0, 0) in got
+                assert max(max(k) for k in got) == top
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_poly_mul_huge_exponent_beside_small_ones(p):
+    big = 1 << 40
+    a = {(big, 1, 0): 1, (0, 2, 3): p - 1, (1, 0, 0): 1}
+    b = {(big - 1, 0, 2): 1, (0, 0, 1): 1, (3, 1, 0): p - 1}
+    got = assert_matches_schoolbook(a, b, p)
+    assert (2 * big - 1, 1, 2) in got
+
+
+def test_poly_mul_no_variables():
+    assert assert_matches_schoolbook({(): 2}, {(): 3}, 5) == {(): 1}
+    assert assert_matches_schoolbook({(): 1}, {(): 1}, 2) == {(): 1}
+    assert poly_mul({(): 2}, {(): 2}, 3) == {(): 1}
+    assert poly_mul({(): 1}, {}, 3) == {}
+
+
+def test_poly_mul_p2_cross_terms_all_cancel():
+    # over F_2, f * f = f(x^2): every cross term ka + kb (ka != kb) comes
+    # twice and cancels, so only the squares survive.  (No product of two
+    # nonzero polynomials over a field is zero, so this is as much
+    # cancellation as a product can show.)
+    rng = random.Random(2)
+    for nvars in (1, 2, 4):
+        f = random_poly(rng, 2, nvars, 12, max_exp=40)
+        got = assert_matches_schoolbook(f, dict(f), 2)
+        assert got == {tuple(2 * e for e in k): 1 for k in f}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("nvars", [1, 3, 6])
+def test_poly_mul_wide_exponents_match_schoolbook(p, nvars):
+    # exponents up to 300, so the field width changes from product to product
+    rng = random.Random(7000 + 10 * p + nvars)
+    for _ in range(30):
+        a = random_poly(rng, p, nvars, rng.randrange(1, 12), max_exp=rng.randrange(1, 301))
+        b = random_poly(rng, p, nvars, rng.randrange(1, 12), max_exp=rng.randrange(1, 301))
+        assert_matches_schoolbook(a, b, p)
+
+
+@pytest.mark.parametrize("nvars", [0, 1, 4])
+def test_packed_order_is_reverse_lex(nvars):
+    # ascending packed keys are the canonical reverse-lex order, which
+    # the Dickson expansion relies on when it unpacks once, sorted
+    rng = random.Random(nvars)
+    terms = random_poly(rng, 3, nvars, 40, max_exp=20)
+    width = kernels.field_width(max((max(k, default=0) for k in terms), default=0))
+    packed = kernels.pack(terms, nvars, width)
+    assert len(packed) == len(terms)
+    back = kernels.unpack(sorted(packed.items()), nvars, width)
+    assert list(back.items()) == sorted(terms.items(), key=lambda kv: kv[0][::-1])
+
+
 def test_poly_scale():
     p = 5
     a = {(1, 0): 2, (0, 3): 4}

@@ -1,5 +1,7 @@
 """Tests for parsing, rendering, and the JSON forms."""
 
+import random
+
 import pytest
 
 from dyerlashof.arith import Context, DomainError
@@ -135,6 +137,46 @@ def test_render_bpoly():
     assert render_bpoly(expand_dickson_monomial((0, 2), P3N2)) == "h1^6 + 2*h1^3*h2 + h2^2"
     assert render_bpoly(BPoly(P3N2, {(0, 0): 2})) == "2"
     assert render_bpoly(BPoly(P3N2)) == "0"
+
+
+def reference_render_bpoly(x):
+    """The two-pass printer render_bpoly replaced: every key rendered on
+    its own, then the terms joined by the shared sum rule."""
+
+    def render_key(exps):
+        parts = [
+            f"h{i}" + (f"^{e}" if e != 1 else "")
+            for i, e in enumerate(exps, start=1)
+            if e
+        ]
+        return "*".join(parts) if parts else "1"
+
+    out = []
+    for exps, c in x.sorted_terms():
+        body = render_key(exps)
+        if body == "1":
+            out.append(str(c))
+        elif c == 1:
+            out.append(body)
+        else:
+            out.append(f"{c}*{body}")
+    return " + ".join(out) if out else "0"
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_render_bpoly_matches_reference(p):
+    rng = random.Random(p)
+    for n in range(7):
+        ctx = Context(p, n)
+        assert render_bpoly(BPoly(ctx)) == reference_render_bpoly(BPoly(ctx)) == "0"
+        for _ in range(40):
+            x = BPoly(ctx)
+            for _ in range(rng.randrange(1, 12)):
+                exps = tuple(rng.choice((0, 0, 1, 2, 10, rng.randrange(300))) for _ in range(n))
+                x.add_term(exps, rng.randrange(1, p))
+            if rng.random() < 0.5:
+                x.add_term((0,) * n, rng.randrange(1, p))
+            assert render_bpoly(x) == reference_render_bpoly(x)
 
 
 def test_render_tensor():
