@@ -44,11 +44,8 @@ class InvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class Context:
-    """A prime p and a number of variables n (length of sequences).
-
-    n = 0 is tolerated so the empty sequence can act as the unit for
-    direct sums; the CLI requires 1 <= n <= 6.
-    """
+    """A prime p and a number of variables n (length of sequences),
+    1 <= n <= MAX_VARS."""
 
     p: int
     n: int
@@ -56,8 +53,8 @@ class Context:
     def __post_init__(self):
         if self.p not in PRIMES:
             raise DomainError(f"p must be one of {PRIMES}, got {self.p}")
-        if not 0 <= self.n <= MAX_VARS:
-            raise DomainError(f"n must be in 0..{MAX_VARS}, got {self.n}")
+        if not 1 <= self.n <= MAX_VARS:
+            raise DomainError(f"n must be in 1..{MAX_VARS}, got {self.n}")
 
 
 class Combination:

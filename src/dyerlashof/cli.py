@@ -125,31 +125,32 @@ def _lines(render):
     return lambda items: "\n".join(map(render, items)) if items else "0"
 
 
+def _suite_text(suite: str, res) -> str:
+    """The FAIL lines of a suite's result, then its status line."""
+    cases, failures = res
+    status = "ok" if not failures else f"{len(failures)} FAILED"
+    lines = [f"FAIL: {f}" for f in failures]
+    return "\n".join(lines + [f"{suite}: {cases} cases, {status}"])
+
+
 def run(args) -> int:
     cmd = args.command
-    # Context accepts n = 0 (the unit of direct sums); no command does
+    # checked for every command: verify reference-vectors builds no context
+    # from --n, so Context would never see it
     if args.n is not None and not 1 <= args.n <= MAX_VARS:
         raise DomainError(f"--n must be in 1..{MAX_VARS}, got {args.n}")
 
     if cmd == "verify":
-        n = args.n
         cases, failures = verify.run_suite(
-            args.suite, args.p, n, args.max_entry, args.max_degree
+            args.suite, args.p, args.n, args.max_entry, args.max_degree
         )
-        if args.format == "json":
-            doc = {
-                "p": args.p,
-                "n": n,
-                "command": "verify",
-                "input": {"suite": args.suite},
-                "result": {"cases": cases, "failures": failures},
-            }
-            print(json.dumps(doc))
-        else:
-            for f in failures:
-                print(f"FAIL: {f}")
-            status = "ok" if not failures else f"{len(failures)} FAILED"
-            print(f"{args.suite}: {cases} cases, {status}")
+        _emit(
+            args,
+            (cases, failures),
+            lambda r: {"cases": r[0], "failures": r[1]},
+            functools.partial(_suite_text, args.suite),
+            lambda: {"suite": args.suite},
+        )
         return 0 if not failures else 1
 
     ctx = _need_n(args)

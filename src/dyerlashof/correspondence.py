@@ -19,8 +19,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
-from .arith import Combination, Context, DomainError, InvariantError, binom_mod_p
+from .arith import Combination, Context, DomainError, InvariantError
 from .invariants import (
+    DPoly,
     _check_dickson_exponents,
     chi_min,
     coeff_in_expansion,
@@ -39,7 +40,6 @@ __all__ = [
     "dual_of_dickson",
     "dickson_of_dual",
     "adem_via_invariants",
-    "power_dual_check",
 ]
 
 
@@ -80,8 +80,6 @@ def _degree_monomials(D: int, ctx: Context) -> tuple[tuple[int, ...], ...]:
     if D < 0:
         raise DomainError("degree must be nonnegative")
     n = ctx.n
-    if n == 0:
-        return ((),) if D == 0 else ()
     weights = [dickson_degree(i, ctx) for i in range(n)]
     out: list[tuple[int, ...]] = []
 
@@ -117,8 +115,6 @@ def _degree_basis(D: int, ctx: Context) -> tuple[OpSeq, ...]:
     if D < 0:
         raise DomainError("degree must be nonnegative")
     p, n = ctx.p, ctx.n
-    if n == 0:
-        return (OpSeq(ctx, (), ()),) if D == 0 else ()
     # weight of entry value 1 at position t (0-based), and of all of t..n-1
     wt = [(1 << t) if p == 2 else 2 * (p - 1) * p**t for t in range(n)]
     tails = [sum(wt[t:]) for t in range(n)]
@@ -215,8 +211,9 @@ def dual_of_dickson(m, ctx: Context) -> DualExpansion:
     return out
 
 
-def dickson_of_dual(J: OpSeq) -> dict[tuple[int, ...], int]:
-    """The Dickson combination dual to (Q_J)^*.
+def dickson_of_dual(J: OpSeq) -> DPoly:
+    """The Dickson combination dual to (Q_J)^*, a polynomial in
+    d_{n,0}..d_{n,n-1}.
 
     With K_1 < ... < K_r the admissible basis of the degree and
     c_ij = <d^m(K_i), Q_(K_j)> (unitriangular), the combination
@@ -244,7 +241,7 @@ def dickson_of_dual(J: OpSeq) -> dict[tuple[int, ...], int]:
         acc %= p
         if acc:
             x[j] = acc
-    return {ms[j]: xj for j, xj in x.items()}
+    return DPoly(ctx, {ms[j]: xj for j, xj in x.items()})
 
 
 def adem_via_invariants(x: OpSeq) -> OpPoly:
@@ -280,44 +277,3 @@ def adem_via_invariants(x: OpSeq) -> OpPoly:
     for i in sorted(a):
         out.add_term(ks[i].twice, ks[i].eps, a[i])
     return out
-
-
-def power_dual_check(n: int, i: int, k: int, alpha_k: int, alpha_0: int, ctx: Context) -> bool:
-    """Check the single-step power identity for d_{n,n-i}^(alpha_k p^k + alpha_0).
-
-    With mu = min(alpha_k, alpha_0), the dual must contain
-    Psi(d_{n,n-i}^(alpha_k p^k+alpha_0)) with coefficient 1 and, when
-    mu > 0, the sequence of
-    d_{n,n-i-k}^(mu p^k) d_{n,n-i}^((alpha_k-mu)p^k+(alpha_0-mu)) d_{n,n-i+k}^mu
-    with coefficient C(alpha_k,mu) C(alpha_0,mu); the index-n factor
-    d_{n,n} = 1 is skipped.
-
-    The stated coefficient only matches the pairing when alpha_k <=
-    alpha_0 and n-i+k <= n (the extracted coefficient is C(alpha_0,mu),
-    which drops the C(alpha_k,mu) factor); outside that zone the check
-    honestly reports the mismatch by returning False.
-    """
-    p = ctx.p
-    if ctx.n != n:
-        raise DomainError("context width does not match n")
-    if not 1 <= i < n:
-        raise DomainError("need 1 <= i < n")
-    if not 1 <= k <= n - i:
-        raise DomainError("need 1 <= k <= n-i")
-    if alpha_k < 0 or alpha_0 < 0:
-        raise DomainError("negative alpha")
-    m = [0] * n
-    m[n - i] = alpha_k * p**k + alpha_0
-    full = dual_of_dickson(tuple(m), ctx)
-    if full.terms.get(chi_min(m, ctx), 0) != 1:
-        return False
-    mu = min(alpha_k, alpha_0)
-    if mu == 0:
-        return True
-    m2 = [0] * n
-    m2[n - i - k] += mu * p**k
-    m2[n - i] += (alpha_k - mu) * p**k + (alpha_0 - mu)
-    if n - i + k < n:
-        m2[n - i + k] += mu
-    want = binom_mod_p(alpha_k, mu, p) * binom_mod_p(alpha_0, mu, p) % p
-    return full.terms.get(chi_min(m2, ctx), 0) == want

@@ -26,7 +26,6 @@ from .arith import (
     Combination,
     Context,
     DomainError,
-    binom_mod_p,
     multinom_mod_p,
     padic_digits,
 )
@@ -35,6 +34,7 @@ from .sequences import OpSeq
 __all__ = [
     "SparsePoly",
     "BPoly",
+    "DPoly",
     "YPoly",
     "RowMatrixA",
     "h_monomial_degree",
@@ -119,6 +119,11 @@ class BPoly(SparsePoly):
 
 class YPoly(SparsePoly):
     """Polynomial in the underlying variables y_1..y_n."""
+
+
+class DPoly(SparsePoly):
+    """Polynomial in the Dickson generators d_{n,0}..d_{n,n-1}, keyed by
+    exponent vectors m."""
 
 
 def h_monomial_degree(exps, ctx: Context) -> int:

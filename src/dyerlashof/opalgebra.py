@@ -32,13 +32,10 @@ from .sequences import OpSeq, UpperSeq, first_defect, lower_to_upper, upper_to_l
 __all__ = [
     "OpPoly",
     "TensorPoly",
-    "concat_product",
-    "quotient_excess",
     "adem_straighten_classical",
     "pair_rewrite",
     "clear_rewrite_table",
     "coproduct",
-    "iterated_coproduct",
     "tensor_split_leg",
 ]
 
@@ -51,10 +48,6 @@ class OpPoly(Combination):
     (twice, eps)."""
 
     __slots__ = ()
-
-    @classmethod
-    def zero(cls, ctx: Context) -> "OpPoly":
-        return cls(ctx)
 
     @classmethod
     def from_seq(cls, s: OpSeq, coeff: int = 1) -> "OpPoly":
@@ -77,32 +70,6 @@ class OpPoly(Combination):
 
         for (twice, eps), coeff in sorted(self.terms.items(), key=sort_key):
             yield OpSeq(self.ctx, twice, eps), coeff
-
-
-def concat_product(a: OpPoly, b: OpPoly) -> OpPoly:
-    """Concatenation product (composition of operations, lower form)."""
-    if a.ctx.p != b.ctx.p:
-        raise DomainError("product needs matching primes")
-    out = OpPoly(Context(a.ctx.p, a.ctx.n + b.ctx.n))
-    for (ta, ea), ca in a.terms.items():
-        for (tb, eb), cb in b.terms.items():
-            out.add_term(ta + tb, ea + eb, ca * cb)
-    return out
-
-
-def quotient_excess(raw_terms, ctx: Context) -> OpPoly:
-    """Normalize a raw term list into the excess quotient.
-
-    raw_terms: iterable of (twice, eps, coeff) where entries may be
-    negative.  Negative-entry terms are dropped (these have negative
-    excess at some suffix), coefficients reduced mod p, zeros pruned.
-    """
-    out = OpPoly(ctx)
-    for twice, eps, coeff in raw_terms:
-        if any(t < 0 for t in twice):
-            continue
-        out.add_term(twice, eps, coeff)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +285,10 @@ def coproduct(x: OpPoly | OpSeq | UpperSeq, folds: int = 2) -> TensorPoly:
     Each factor f^i splits over all ways to distribute i across the
     legs; a Bockstein lands on exactly one leg (and beta f^0 = 0).
     Koszul signs arise when an odd piece passes legs to its right.
+    folds = 1 wraps x in one leg.
     """
+    if folds < 1:
+        raise DomainError(f"the coproduct needs folds >= 1, got {folds}")
     if isinstance(x, OpSeq):
         x = OpPoly.from_seq(x)
     if isinstance(x, UpperSeq):
@@ -372,13 +342,6 @@ def coproduct(x: OpPoly | OpSeq | UpperSeq, folds: int = 2) -> TensorPoly:
             )
             out.add_term(key, c)
     return out
-
-
-def iterated_coproduct(x: OpPoly | OpSeq | UpperSeq, r: int) -> TensorPoly:
-    """The r-fold coproduct (r >= 1); r = 1 wraps x in one leg."""
-    if r < 1:
-        raise DomainError("iterated coproduct needs r >= 1")
-    return coproduct(x, folds=r)
 
 
 def tensor_split_leg(t: TensorPoly, which: int) -> TensorPoly:

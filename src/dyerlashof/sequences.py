@@ -13,7 +13,7 @@ tuple ``eps``; eps_t = 1 means a Bockstein in front of the t-th factor.
 
     >>> ctx = Context(3, 2)
     >>> s = OpSeq.from_values(ctx, [0, 2])
-    >>> degree(s)
+    >>> degree_lower(s)
     24
     >>> lower_to_upper(s).twice
     (8, 4)
@@ -28,10 +28,8 @@ from .arith import Context, DomainError
 __all__ = [
     "OpSeq",
     "UpperSeq",
-    "degree",
     "degree_lower",
     "degree_upper",
-    "excess",
     "excess_lower",
     "excess_upper",
     "first_defect",
@@ -39,7 +37,6 @@ __all__ = [
     "compare",
     "lower_to_upper",
     "upper_to_lower",
-    "direct_sum",
     "family",
     "FAMILY_KINDS",
 ]
@@ -55,7 +52,7 @@ def _check_entries(ctx: Context, twice: tuple[int, ...], eps: tuple[int, ...]):
         raise DomainError(f"expected {ctx.n} eps flags, got {len(eps)}")
     if not _BITS.issuperset(eps):
         raise DomainError(f"eps flags must be 0 or 1, got {eps}")
-    if twice and min(twice) < 0:
+    if min(twice) < 0:
         raise DomainError(f"entries must be >= 0, got {_halves_str(twice)}")
     if ctx.p == 2:
         if 1 in eps:
@@ -156,24 +153,13 @@ def degree_upper(s: UpperSeq) -> int:
     return (p - 1) * sum(s.twice) - sum(s.eps)
 
 
-def degree(s: OpSeq | UpperSeq) -> int:
-    """Topological degree of the operation named by s (either notation)."""
-    if isinstance(s, UpperSeq):
-        return degree_upper(s)
-    return degree_lower(s)
-
-
 def excess_lower(s: OpSeq) -> int:
     """Excess 2 j_1 - eps_1, reported in doubled form (an integer)."""
-    if not s.twice:
-        raise DomainError("excess of the empty sequence is undefined")
     return s.twice[0] - s.eps[0]
 
 
 def excess_upper(s: UpperSeq) -> int:
     """Excess i_1 - eps_1 - 2(p-1) sum_{t>=2} i_t (p=2: i_1 - sum i_t)."""
-    if not s.twice:
-        raise DomainError("excess of the empty sequence is undefined")
     p = s.ctx.p
     tail_twice = sum(s.twice[1:])
     if p == 2:
@@ -182,13 +168,6 @@ def excess_upper(s: UpperSeq) -> int:
     if doubled % 2:
         raise DomainError("upper excess is half-integral for this sequence")
     return doubled // 2
-
-
-def excess(s: OpSeq | UpperSeq) -> int:
-    """Excess in the matching notation (lower result is doubled)."""
-    if isinstance(s, UpperSeq):
-        return excess_upper(s)
-    return excess_lower(s)
 
 
 def first_defect(twice, eps, start: int = 0) -> int | None:
@@ -225,63 +204,52 @@ def compare(a: OpSeq, b: OpSeq) -> int:
     return 0
 
 
+def _entry_degree(p: int, twice: int, eps: int) -> int:
+    """Degree of one factor standing first: (p-1) 2j - eps, or j at p = 2."""
+    return twice // 2 if p == 2 else twice * (p - 1) - eps
+
+
 def lower_to_upper(s: OpSeq) -> UpperSeq:
     """Convert lower to upper notation: i_t = j_t + |suffix|/2.
 
-    Raises DomainError if a negative upper entry would be produced.
+    One pass from the right keeps the degree D of the standalone suffix
+    after position t: D_t = deg(entry t+1) + p D_(t+1).  Raises
+    DomainError, naming the leftmost position, if a negative upper entry
+    would be produced.
     """
-    p = s.ctx.p
-    twice_up = []
-    for t in range(s.ctx.n):
-        suffix = _suffix_degree(s, t + 1)
-        if p == 2:
-            value = s.twice[t] + 2 * suffix
-        else:
-            value = s.twice[t] + suffix
-        if value < 0:
-            raise DomainError(f"upper entry {t + 1} is negative")
-        twice_up.append(value)
-    return UpperSeq(s.ctx, tuple(twice_up), s.eps)
+    p, twice, eps = s.ctx.p, s.twice, s.eps
+    scale = 2 if p == 2 else 1
+    twice_up = list(twice)
+    suffix = 0
+    bad = None
+    for t in range(s.ctx.n - 2, -1, -1):
+        suffix = _entry_degree(p, twice[t + 1], eps[t + 1]) + p * suffix
+        twice_up[t] += scale * suffix
+        if twice_up[t] < 0:
+            bad = t
+    if bad is not None:
+        raise DomainError(f"upper entry {bad + 1} is negative")
+    return UpperSeq(s.ctx, tuple(twice_up), eps)
 
 
 def upper_to_lower(u: UpperSeq) -> OpSeq:
     """Convert upper to lower notation (inverse of lower_to_upper).
 
-    Raises DomainError if a negative lower entry would be produced.
+    Peels from the right: once positions t+1..n are known in lower form,
+    the degree D_t of that standalone suffix (as in lower_to_upper) is
+    the shift at position t.  Raises DomainError if a negative lower
+    entry would be produced.
     """
-    p = u.ctx.p
-    n = u.ctx.n
+    p, eps = u.ctx.p, u.eps
+    scale = 2 if p == 2 else 1
     twice_low = list(u.twice)
-    # peel from the right: once positions t+1..n are known in lower
-    # form, their standalone degree gives the shift at position t.
-    for t in range(n - 2, -1, -1):
-        tail = OpSeq(
-            Context(p, n - t - 1), tuple(twice_low[t + 1 :]), u.eps[t + 1 :]
-        )
-        shift = degree_lower(tail)
-        if p == 2:
-            twice_low[t] = u.twice[t] - 2 * shift
-        else:
-            twice_low[t] = u.twice[t] - shift
+    suffix = 0
+    for t in range(u.ctx.n - 2, -1, -1):
+        suffix = _entry_degree(p, twice_low[t + 1], eps[t + 1]) + p * suffix
+        twice_low[t] -= scale * suffix
         if twice_low[t] < 0:
             raise DomainError(f"lower entry {t + 1} is negative")
-    return OpSeq(u.ctx, tuple(twice_low), u.eps)
-
-
-def _suffix_degree(s: OpSeq, start: int) -> int:
-    """Degree of the standalone suffix s[start:], 0-based start."""
-    if start >= s.ctx.n:
-        return 0
-    tail = OpSeq(Context(s.ctx.p, s.ctx.n - start), s.twice[start:], s.eps[start:])
-    return degree_lower(tail)
-
-
-def direct_sum(a: OpSeq, b: OpSeq) -> OpSeq:
-    """Concatenate two lower sequences (the length-additive product)."""
-    if a.ctx.p != b.ctx.p:
-        raise DomainError("direct sum needs matching primes")
-    ctx = Context(a.ctx.p, a.ctx.n + b.ctx.n)
-    return OpSeq(ctx, a.twice + b.twice, a.eps + b.eps)
+    return OpSeq(u.ctx, tuple(twice_low), eps)
 
 
 FAMILY_KINDS = ("I", "J", "K", "O", "J0", "K0")

@@ -1,9 +1,10 @@
 """Parsing and rendering of element expressions.
 
 Grammar: sequences `e[3,1]`, `Q[3/2,1;eps=01]` (entries are integers or
-halves `k/2`, the eps block is n concatenated bits), Dickson monomials
-`d1^3*d0` (indices 0..n-1), Borel monomials `h1^3*h2` (indices 1..n).
-Whitespace is insignificant; parse errors carry byte offsets.
+halves `k/2`, the eps block is n concatenated bits) and Dickson
+monomials `d1^3*d0` (indices 0..n-1).  Whitespace is insignificant;
+parse errors carry byte offsets.  Borel monomials `h1^3*h2` (indices
+1..n) are only rendered.
 
 Rendering is canonical: operation terms ascend under compare, monomials
 ascend in reverse-lex exponent order, coefficients sit in 1..p-1 and a
@@ -16,19 +17,16 @@ from operator import getitem
 
 from .arith import Context, DomainError
 from .correspondence import DualExpansion
-from .invariants import BPoly
+from .invariants import BPoly, DPoly
 from .opalgebra import OpPoly, TensorPoly
 from .sequences import OpSeq, UpperSeq, entry_from_str, entry_str
 
 __all__ = [
     "ParseError",
-    "parse",
     "parse_sequence",
     "parse_any_sequence",
     "parse_dickson",
-    "parse_borel",
     "render_seq",
-    "render_upper_seq",
     "render_op_poly",
     "render_dual",
     "render_bpoly",
@@ -37,15 +35,11 @@ __all__ = [
     "seq_to_json",
     "seq_from_json",
     "op_poly_to_json",
-    "op_poly_from_json",
     "dual_to_json",
-    "dual_from_json",
     "bpoly_to_json",
-    "bpoly_from_json",
     "dickson_combo_to_json",
     "dickson_combo_from_json",
     "tensor_to_json",
-    "tensor_from_json",
 ]
 
 
@@ -177,65 +171,36 @@ def parse_any_sequence(text: str, ctx: Context) -> OpSeq | UpperSeq:
     return OpSeq(ctx, twice, eps)
 
 
-def _parse_indexed_product(text: str, head: str, lo: int, hi: int) -> dict[int, int]:
-    """Product of `<head><index>^<exp>` factors; returns index -> exponent."""
-    cur = _Cursor(text)
-    out: dict[int, int] = {}
-    while True:
-        off = cur.i
-        if cur.peek() != head:
-            raise ParseError(f"expected {head!r}", cur.i)
-        cur.take()
-        idx = cur.integer()
-        if not lo <= idx <= hi:
-            raise ParseError(f"index {idx} out of range {lo}..{hi}", off)
-        e = 1
-        if cur.peek() == "^":
-            cur.take()
-            e = cur.integer()
-        out[idx] = out.get(idx, 0) + e
-        if cur.peek() != "*":
-            break
-        cur.take()
-    cur.done()
-    return out
-
-
 def parse_dickson(text: str, ctx: Context) -> tuple[int, ...]:
-    """`d1^3*d0` -> exponent vector over d_{n,0}..d_{n,n-1}; `1` -> 0^n."""
+    """`d1^3*d0` -> exponent vector over d_{n,0}..d_{n,n-1}; `1` -> 0^n.
+
+    Repeated factors accumulate.
+    """
     cur = _Cursor(text)
     if cur.peek() == "1":
         cur.take()
         cur.done()
         return (0,) * ctx.n
-    got = _parse_indexed_product(text, "d", 0, ctx.n - 1)
-    return tuple(got.get(i, 0) for i in range(ctx.n))
-
-
-def parse_borel(text: str, ctx: Context) -> BPoly:
-    """`h1^3*h2` -> the corresponding Borel monomial; `1` -> the unit."""
-    cur = _Cursor(text)
-    if cur.peek() == "1":
+    cur.i = 0  # a factor's error offset includes the blanks before it
+    m = [0] * ctx.n
+    while True:
+        off = cur.i
+        if cur.peek() != "d":
+            raise ParseError("expected 'd'", cur.i)
         cur.take()
-        cur.done()
-        return BPoly.one(ctx)
-    got = _parse_indexed_product(text, "h", 1, ctx.n)
-    exps = tuple(got.get(k, 0) for k in range(1, ctx.n + 1))
-    return BPoly(ctx, {exps: 1})
-
-
-def parse(text: str, ctx: Context):
-    """Dispatch on the leading token: e/Q -> OpSeq, d -> DicksonMono,
-    h -> BPoly."""
-    cur = _Cursor(text)
-    head = cur.peek()
-    if head in ("e", "Q"):
-        return parse_sequence(text, ctx)
-    if head == "d":
-        return parse_dickson(text, ctx)
-    if head == "h":
-        return parse_borel(text, ctx)
-    raise ParseError("expected one of e[, Q[, d<i>, h<i>", cur.i)
+        idx = cur.integer()
+        if not 0 <= idx <= ctx.n - 1:
+            raise ParseError(f"index {idx} out of range 0..{ctx.n - 1}", off)
+        e = 1
+        if cur.peek() == "^":
+            cur.take()
+            e = cur.integer()
+        m[idx] += e
+        if cur.peek() != "*":
+            break
+        cur.take()
+    cur.done()
+    return tuple(m)
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +215,8 @@ def _render_entries(twice, eps, head: str) -> str:
     return f"{head}[{body}]"
 
 
-def render_seq(s: OpSeq, head: str = "Q") -> str:
-    return _render_entries(s.twice, s.eps, head)
-
-
-def render_upper_seq(u: UpperSeq, head: str = "E") -> str:
-    return _render_entries(u.twice, u.eps, head)
+def render_seq(s: OpSeq) -> str:
+    return _render_entries(s.twice, s.eps, "Q")
 
 
 def _render_sum(items, render_key) -> str:
@@ -275,8 +236,8 @@ def _render_sum(items, render_key) -> str:
     return " + ".join(out) if out else "0"
 
 
-def render_op_poly(x: OpPoly, head: str = "Q") -> str:
-    return _render_sum(x.seq_terms(), lambda s: render_seq(s, head))
+def render_op_poly(x: OpPoly) -> str:
+    return _render_sum(x.seq_terms(), render_seq)
 
 
 def render_dual(d: DualExpansion) -> str:
@@ -314,14 +275,9 @@ def render_bpoly(x: BPoly) -> str:
     return " + ".join(out)
 
 
-def _reverse_lex(item) -> tuple[int, ...]:
-    return item[0][::-1]
-
-
-def render_dickson_combo(x: dict[tuple[int, ...], int]) -> str:
+def render_dickson_combo(x: DPoly) -> str:
     return _render_sum(
-        sorted(x.items(), key=_reverse_lex),
-        lambda m: _render_indexed_monomial("d", enumerate(m)),
+        x.sorted_terms(), lambda m: _render_indexed_monomial("d", enumerate(m))
     )
 
 
@@ -357,38 +313,16 @@ def op_poly_to_json(x: OpPoly) -> list:
     ]
 
 
-def op_poly_from_json(items: list, ctx: Context) -> OpPoly:
-    out = OpPoly(ctx)
-    for obj in items:
-        s = seq_from_json(obj, ctx)
-        out.add_term(s.twice, s.eps, int(obj["coeff"]))
-    return out
-
-
 def dual_to_json(d: DualExpansion) -> list:
     return [{"coeff": c, **seq_to_json(s)} for s, c in d.sorted_terms()]
-
-
-def dual_from_json(items: list, ctx: Context) -> DualExpansion:
-    out = DualExpansion(ctx)
-    for obj in items:
-        out.add_term(seq_from_json(obj, ctx), int(obj["coeff"]))
-    return out
 
 
 def bpoly_to_json(x: BPoly) -> list:
     return [{"coeff": c, "exps": list(exps)} for exps, c in x.sorted_terms()]
 
 
-def bpoly_from_json(items: list, ctx: Context) -> BPoly:
-    out = BPoly(ctx)
-    for obj in items:
-        out.add_term(tuple(obj["exps"]), int(obj["coeff"]))
-    return out
-
-
-def dickson_combo_to_json(x: dict[tuple[int, ...], int]) -> list:
-    return [{"coeff": c, "m": list(m)} for m, c in sorted(x.items(), key=_reverse_lex)]
+def dickson_combo_to_json(x: DPoly) -> list:
+    return [{"coeff": c, "m": list(m)} for m, c in x.sorted_terms()]
 
 
 def dickson_combo_from_json(items: list) -> dict[tuple[int, ...], int]:
@@ -406,17 +340,3 @@ def tensor_to_json(t: TensorPoly) -> list:
         }
         for legs, c in sorted(t.terms.items())
     ]
-
-
-def tensor_from_json(items: list, ctx: Context, folds: int, lower: bool = True) -> TensorPoly:
-    out = TensorPoly(ctx, folds, lower=lower)
-    for obj in items:
-        legs = tuple(
-            (
-                tuple(entry_from_str(v) for v in leg["seq"]),
-                tuple(int(b) for b in leg["eps"]),
-            )
-            for leg in obj["legs"]
-        )
-        out.add_term(legs, int(obj["coeff"]))
-    return out

@@ -37,7 +37,6 @@ from dyerlashof.opalgebra import (
     TensorPoly,
     adem_straighten_classical,
     coproduct,
-    iterated_coproduct,
     tensor_split_leg,
 )
 from dyerlashof.sequences import (
@@ -312,7 +311,7 @@ def check_coassociativity():
         for e in (0, 1):
             u = UpperSeq(ctx, (2 * i,), (e,))
             t = coproduct(u)
-            want = iterated_coproduct(u, 3)
+            want = coproduct(u, folds=3)
             assert tensor_split_leg(t, 0) == want
             assert tensor_split_leg(t, 1) == want
 

@@ -32,6 +32,8 @@ def test_context_guards():
         Context(11, 2)
     with pytest.raises(DomainError):
         Context(3, 7)
+    with pytest.raises(DomainError, match=r"1\.\.6"):
+        Context(3, 0)
 
 
 def test_padic_digits_examples():

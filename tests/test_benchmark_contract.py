@@ -7,7 +7,9 @@ One smoke run of the traced fresh-degree workload touches all of them;
 one of classical-long checks that the classical engine still reaches
 ``pair_rewrite`` through the module attribute the tracer patches, and
 one of cli-session that the CLI still reaches the renderers, the
-Dickson expansion and the kernel through theirs.
+Dickson expansion and the kernel through theirs.  The untraced pass of
+oracle-sweep hooks ``verify.adem_via_invariants``, which no other test
+reaches.
 """
 
 import json
@@ -50,3 +52,10 @@ def test_traced_cli_session_smoke_run():
     metrics = result["metrics"]
     for name in ("textio.render_calls", "invariants.expand_calls", "kernels.poly_mul_calls"):
         assert metrics[name]["value"] > 0, name
+
+
+def test_traced_oracle_sweep_smoke_run():
+    report, result = traced_smoke_run("oracle-sweep")
+    # an untraced pass installs the hook on verify.adem_via_invariants
+    assert report["passes"] >= 1 and report["traced_passes"] >= 1
+    assert result["metrics"]["correspondence.adem_calls"]["value"] > 0

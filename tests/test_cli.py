@@ -141,6 +141,19 @@ def test_verify_json(capsys):
     assert doc["result"] == {"cases": 20, "failures": []}
 
 
+def test_verify_failures_then_status(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "run_suite", lambda *args: (3, ["x y", "z"]))
+    argv = ["verify", "roundtrip", "--p", "2", "--n", "2"]
+    out = "FAIL: x y\nFAIL: z\nroundtrip: 3 cases, 2 FAILED\n"
+    assert run_cli(capsys, *argv) == (1, out, "")
+    rc, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert rc == 1
+    assert json.loads(out) == {
+        "p": 2, "n": 2, "command": "verify", "input": {"suite": "roundtrip"},
+        "result": {"cases": 3, "failures": ["x y", "z"]},
+    }
+
+
 def test_parse_error_exit_code(capsys):
     rc, out, err = run_cli(capsys, "adem", "--p", "3", "--n", "2", "e[3,1")
     assert rc == 1
@@ -155,6 +168,9 @@ def test_parse_error_exit_code(capsys):
         ["expand", "--p", "2", "--n", "1", "d0^\u00b2"],
         ["adem", "--p", "2", "--n", "1", "e[\u0661]"],  # Arabic-Indic one
         ["adem", "--p", "2", "--n", "1", "e[" + "1" * 5000 + "]"],
+        # numbers that read fine but bound nothing
+        ["verify", "oracle-equivalence", "--p", "2", "--n", "2", "--max-entry", "-1"],
+        ["verify", "roundtrip", "--p", "2", "--n", "2", "--max-degree", "-3"],
     ],
 )
 def test_number_reader_accepts_ascii_digits_only(capsys, argv):

@@ -1,5 +1,5 @@
-"""Tests for the free algebra layer: product, excess quotient, classical
-Adem straightening, and the coproduct."""
+"""Tests for the free algebra layer: classical Adem straightening and
+the coproduct."""
 
 import itertools
 
@@ -12,11 +12,8 @@ from dyerlashof.opalgebra import (
     TensorPoly,
     adem_straighten_classical,
     clear_rewrite_table,
-    concat_product,
     coproduct,
-    iterated_coproduct,
     pair_rewrite,
-    quotient_excess,
     tensor_split_leg,
 )
 from dyerlashof.sequences import (
@@ -36,33 +33,6 @@ def poly(ctx, values, eps=None, coeff=1):
 
 def terms_of(x):
     return {(s.twice, s.eps): c for s, c in x.seq_terms()}
-
-
-def test_concat_product_examples():
-    one = Context(3, 1)
-    a = poly(one, (1,))
-    b = poly(one, (0,))
-    assert terms_of(concat_product(a, b)) == {((2, 0), (0, 0)): 1}
-    assert terms_of(concat_product(a.scaled(2), poly(one, (2,)).scaled(2))) == {
-        ((2, 4), (0, 0)): 1
-    }  # 4 = 1 mod 3
-    both = a + poly(one, (2,))
-    assert terms_of(concat_product(both, b)) == {
-        ((2, 0), (0, 0)): 1,
-        ((4, 0), (0, 0)): 1,
-    }
-    with pytest.raises(DomainError):
-        concat_product(a, poly(Context(5, 1), (1,)))
-
-
-def test_quotient_excess_examples():
-    assert quotient_excess([((-2, 4), (0, 0), 1)], P3N2).is_zero()
-    out = quotient_excess([((0, 4), (0, 0), 1)], P3N2)
-    assert terms_of(out) == {((0, 4), (0, 0)): 1}
-    out = quotient_excess(
-        [((0, 4), (0, 0), 1), ((2, 2), (0, 0), 3)], P3N2
-    )
-    assert terms_of(out) == {((0, 4), (0, 0)): 1}
 
 
 def test_classical_examples():
@@ -241,8 +211,8 @@ def one_parity(s):
     if s.ctx.p == 2:
         return True
     p, n = s.ctx.p, s.ctx.n
-    parities = set()
-    for t in range(n):
+    parities = {s.twice[-1] % 2}  # the empty suffix has degree 0
+    for t in range(n - 1):
         suffix = OpSeq(Context(p, n - t - 1), s.twice[t + 1 :], s.eps[t + 1 :])
         parities.add((s.twice[t] + degree_lower(suffix)) % 2)
     return len(parities) == 1
@@ -428,12 +398,15 @@ def test_coassociativity():
                 left = tensor_split_leg(t, 0)
                 right = tensor_split_leg(t, 1)
                 assert left == right
-                assert left == iterated_coproduct(u, 3)
+                assert left == coproduct(u, folds=3)
 
 
-def test_iterated_coproduct_guard():
-    with pytest.raises(DomainError):
-        iterated_coproduct(upper(Context(3, 1), (1,)), 0)
+def test_coproduct_folds_guard():
+    u = upper(Context(3, 1), (1,))
+    for folds in (0, -1):
+        with pytest.raises(DomainError, match="folds >= 1"):
+            coproduct(u, folds=folds)
+    assert coproduct(u, folds=1).terms == {((u.twice, u.eps),): 1}
 
 
 def rho_tensor(t):
@@ -469,5 +442,5 @@ def test_straighten_kills_negative_excess():
     s = OpSeq(P3N2, (2, 0), (0, 0))
     assert adem_straighten_classical(OpPoly.from_seq(s)).is_zero()
     assert rho_tensor(coproduct(s).to_lower()) == rho_tensor(
-        coproduct(OpPoly.zero(P3N2)).to_lower()
+        coproduct(OpPoly(P3N2)).to_lower()
     )

@@ -9,13 +9,10 @@ from dyerlashof.sequences import (
     OpSeq,
     UpperSeq,
     compare,
-    degree,
     degree_lower,
     degree_upper,
-    direct_sum,
     entry_from_str,
     entry_str,
-    excess,
     excess_lower,
     excess_upper,
     family,
@@ -76,7 +73,6 @@ def test_degree_upper_examples():
     assert degree_upper(UpperSeq.from_values(P3N2, (4, 2))) == 24
     assert degree_upper(UpperSeq.from_values(Context(5, 3), (0, 0, 0))) == 0
     assert degree_upper(UpperSeq.from_values(P2N2, (2, 1))) == 3
-    assert degree(UpperSeq.from_values(P3N2, (4, 2))) == 24
 
 
 def test_excess_lower_examples():
@@ -84,7 +80,6 @@ def test_excess_lower_examples():
     assert excess_lower(seq(P3N2, (0, 2))) == 0
     assert excess_lower(seq(P3N2, (3, 1))) == 6
     assert excess_lower(family("J", (1,), P3N2)) == 1
-    assert excess(seq(P3N2, (3, 1))) == 6
 
 
 def test_excess_upper_examples():
@@ -202,21 +197,6 @@ def test_compare_total_preorder():
         for b in fixed:
             if compare(a, b) == 0 and compare(b, a) == 0:
                 assert a == b
-
-
-def test_direct_sum_examples():
-    one = Context(3, 1)
-    s = direct_sum(seq(one, (1,)), seq(one, (2,)))
-    assert (s.twice, s.eps) == ((2, 4), (0, 0))
-    assert s.ctx.n == 2
-    zero2 = seq(Context(3, 2), (0, 0))
-    s2 = direct_sum(zero2, seq(Context(3, 2), (1, 1)))
-    assert s2.twice == (0, 0, 2, 2)
-    empty = OpSeq(Context(3, 0), (), ())
-    s3 = direct_sum(seq(P3N2, (3, 1)), empty)
-    assert s3 == seq(P3N2, (3, 1))
-    with pytest.raises(DomainError):
-        direct_sum(seq(one, (1,)), seq(Context(5, 1), (1,)))
 
 
 def test_family_examples():
