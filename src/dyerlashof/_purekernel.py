@@ -13,7 +13,7 @@ the reverse-lex order of the vectors (last exponent most significant).
 
 from operator import lshift
 
-__all__ = ["field_width", "pack", "unpack", "mul_packed", "poly_mul", "poly_scale"]
+__all__ = ["field_width", "pack", "unpack", "mul_packed", "poly_mul"]
 
 
 def field_width(top: int) -> int:
@@ -71,13 +71,3 @@ def poly_mul(a: dict, b: dict, p: int) -> dict:
     width = field_width(max(map(max, a)) + max(map(max, b)) if n else 0)
     product = mul_packed(pack(a, n, width), pack(b, n, width), p)
     return unpack(product.items(), n, width)
-
-
-def poly_scale(a: dict, c: int, p: int) -> dict:
-    """Multiply a sparse polynomial by the scalar c."""
-    c %= p
-    if c == 0:
-        return {}
-    if c == 1:
-        return dict(a)
-    return {k: v * c % p for k, v in a.items()}

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from . import kernels
-
 __all__ = [
     "Combination",
     "Context",
@@ -115,8 +113,11 @@ class Combination:
         return self._combine(other, -1)
 
     def scaled(self, c: int):
+        """c times this combination, as a new one of the same kind."""
         out = type(self)(*self._shape())
-        out.terms = kernels.poly_scale(self.terms, c, self.ctx.p)
+        p = self.ctx.p
+        if c % p:
+            out.terms = {key: v * c % p for key, v in self.terms.items()}
         return out
 
     def is_zero(self) -> bool:

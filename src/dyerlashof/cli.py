@@ -28,7 +28,7 @@ from .correspondence import (
     solve_degree_diophantine,
 )
 from .invariants import expand_dickson_monomial
-from .opalgebra import OpPoly, adem_straighten_classical, coproduct
+from .opalgebra import adem_straighten_classical, coproduct
 from .sequences import UpperSeq
 
 __all__ = ["main", "build_parser"]
@@ -48,40 +48,42 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default="text", help="output format"
     )
 
+    def command(name, handler, doc):
+        q = sub.add_parser(name, parents=[common], help=doc)
+        q.set_defaults(handler=handler)
+        return q
+
     for name, doc in (
         ("adem", "straighten e[...] via the invariant-theoretic algorithm"),
         ("adem-classical", "straighten e[...] via Adem-relation rewriting"),
     ):
-        q = sub.add_parser(name, parents=[common], help=doc)
+        q = command(name, _adem, doc)
         q.add_argument("expr", help="sequence, e.g. e[3,1] or e[3/2,1;eps=01]")
 
-    q = sub.add_parser("dual", parents=[common], help="dual basis expansion of d^m")
+    q = command("dual", _dual, "dual basis expansion of d^m")
     q.add_argument("expr", help="Dickson monomial, e.g. d1^3*d0")
 
-    q = sub.add_parser(
-        "invert-dual", parents=[common], help="Dickson combination dual to (Q_J)*"
-    )
+    q = command("invert-dual", _invert_dual, "Dickson combination dual to (Q_J)*")
     q.add_argument("expr", help="admissible sequence, e.g. Q[0,3]")
 
-    q = sub.add_parser("expand", parents=[common], help="expand d^m in h variables")
+    q = command("expand", _expand, "expand d^m in h variables")
     q.add_argument("expr", help="Dickson monomial, e.g. d1^2")
 
-    q = sub.add_parser("basis", parents=[common], help="admissible basis of a degree")
+    q = command("basis", _basis, "admissible basis of a degree")
     q.add_argument("degree", type=int)
 
-    q = sub.add_parser(
-        "solve-degree", parents=[common], help="Dickson monomials of a degree"
-    )
+    q = command("solve-degree", _solve_degree, "Dickson monomials of a degree")
     q.add_argument("degree", type=int)
 
-    q = sub.add_parser("pair", parents=[common], help="Kronecker pairing <d^m, Q_J>")
+    q = command("pair", _pair, "Kronecker pairing <d^m, Q_J>")
     q.add_argument("mono", help="Dickson monomial, e.g. d1^2")
     q.add_argument("seq", help="sequence, e.g. Q[3,1]")
 
-    q = sub.add_parser("coprod", parents=[common], help="two-fold coproduct")
+    q = command("coprod", _coprod, "two-fold coproduct")
     q.add_argument("expr", help="sequence, e.g. e[1] at n=1")
 
-    q = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    # run() calls the suite itself: its exit code depends on the result
+    q = command("verify", None, "run a verification suite")
     q.add_argument("suite", choices=verify.SUITES)
     q.add_argument("--max-entry", type=int, help="entry bound for oracle-equivalence")
     q.add_argument(
@@ -89,12 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     return parser
-
-
-def _need_n(args) -> Context:
-    if args.n is None:
-        raise DomainError("this command needs --n")
-    return Context(args.p, args.n)
 
 
 def _emit(args, result, to_json, to_text, input_json) -> None:
@@ -120,9 +116,19 @@ def _mono_json(m) -> dict:
     return {"m": list(m)}
 
 
+def _seq_input(s):
+    """The envelope's input field for a sequence argument, built on call."""
+    return lambda: textio.seq_to_json(s)
+
+
 def _lines(render):
     """Text form of a list: one rendered item per line, `0` when empty."""
     return lambda items: "\n".join(map(render, items)) if items else "0"
+
+
+def _json_list(to_json):
+    """JSON form of a list: one JSON value per item."""
+    return lambda items: [to_json(item) for item in items]
 
 
 def _suite_text(suite: str, res) -> str:
@@ -133,14 +139,79 @@ def _suite_text(suite: str, res) -> str:
     return "\n".join(lines + [f"{suite}: {cases} cases, {status}"])
 
 
+# Command handlers.  Each returns the arguments of _emit after args:
+# (result, to_json, to_text, input_json).  They look up the engines and
+# textio's functions when they run, where a tracer may have patched them.
+
+
+def _adem(args, ctx):
+    s = textio.parse_sequence(args.expr, ctx)
+    if args.command == "adem":
+        res = adem_via_invariants(s)
+    else:
+        res = adem_straighten_classical(s)
+    return res, textio.op_poly_to_json, textio.render_op_poly, _seq_input(s)
+
+
+def _dual(args, ctx):
+    m = textio.parse_dickson(args.expr, ctx)
+    res = dual_of_dickson(m, ctx)
+    return res, textio.dual_to_json, textio.render_dual, lambda: _mono_json(m)
+
+
+def _invert_dual(args, ctx):
+    s = textio.parse_sequence(args.expr, ctx)
+    res = dickson_of_dual(s)
+    to_json, to_text = textio.dickson_combo_to_json, textio.render_dickson_combo
+    return res, to_json, to_text, _seq_input(s)
+
+
+def _expand(args, ctx):
+    m = textio.parse_dickson(args.expr, ctx)
+    res = expand_dickson_monomial(m, ctx)
+    return res, textio.bpoly_to_json, textio.render_bpoly, lambda: _mono_json(m)
+
+
+def _basis(args, ctx):
+    seqs = admissible_basis(args.degree, ctx)
+    to_json, to_text = _json_list(textio.seq_to_json), _lines(textio.render_seq)
+    return seqs, to_json, to_text, lambda: {"degree": args.degree}
+
+
+def _solve_degree(args, ctx):
+    monos = solve_degree_diophantine(args.degree, ctx)
+    to_json = _json_list(_mono_json)
+    to_text = _lines(textio.render_dickson_monomial)
+    return monos, to_json, to_text, lambda: {"degree": args.degree}
+
+
+def _pair(args, ctx):
+    m = textio.parse_dickson(args.mono, ctx)
+    s = textio.parse_sequence(args.seq, ctx)
+    v = kronecker_pair(m, s, ctx)
+    return v, lambda v: {"value": v}, str, lambda: _mono_json(m) | textio.seq_to_json(s)
+
+
+def _coprod(args, ctx):
+    s = textio.parse_any_sequence(args.expr, ctx)
+
+    def input_json():
+        payload = textio.seq_to_json(s)
+        if isinstance(s, UpperSeq):
+            payload["notation"] = "upper"
+        return payload
+
+    res = coproduct(s).to_lower()
+    return res, textio.tensor_to_json, textio.render_tensor, input_json
+
+
 def run(args) -> int:
-    cmd = args.command
     # checked for every command: verify reference-vectors builds no context
     # from --n, so Context would never see it
     if args.n is not None and not 1 <= args.n <= MAX_VARS:
         raise DomainError(f"--n must be in 1..{MAX_VARS}, got {args.n}")
 
-    if cmd == "verify":
+    if args.command == "verify":
         cases, failures = verify.run_suite(
             args.suite, args.p, args.n, args.max_entry, args.max_degree
         )
@@ -153,100 +224,10 @@ def run(args) -> int:
         )
         return 0 if not failures else 1
 
-    ctx = _need_n(args)
-
-    if cmd in ("adem", "adem-classical"):
-        s = textio.parse_sequence(args.expr, ctx)
-        if cmd == "adem":
-            res = adem_via_invariants(s)
-        else:
-            res = adem_straighten_classical(OpPoly.from_seq(s))
-        _emit(
-            args,
-            res,
-            textio.op_poly_to_json,
-            textio.render_op_poly,
-            lambda: textio.seq_to_json(s),
-        )
-        return 0
-
-    if cmd == "dual":
-        m = textio.parse_dickson(args.expr, ctx)
-        res = dual_of_dickson(m, ctx)
-        _emit(
-            args, res, textio.dual_to_json, textio.render_dual, lambda: _mono_json(m)
-        )
-        return 0
-
-    if cmd == "invert-dual":
-        s = textio.parse_sequence(args.expr, ctx)
-        res = dickson_of_dual(s)
-        _emit(
-            args,
-            res,
-            textio.dickson_combo_to_json,
-            textio.render_dickson_combo,
-            lambda: textio.seq_to_json(s),
-        )
-        return 0
-
-    if cmd == "expand":
-        m = textio.parse_dickson(args.expr, ctx)
-        res = expand_dickson_monomial(m, ctx)
-        _emit(
-            args, res, textio.bpoly_to_json, textio.render_bpoly, lambda: _mono_json(m)
-        )
-        return 0
-
-    if cmd == "basis":
-        seqs = admissible_basis(args.degree, ctx)
-        _emit(
-            args,
-            seqs,
-            lambda items: [textio.seq_to_json(s) for s in items],
-            _lines(textio.render_seq),
-            lambda: {"degree": args.degree},
-        )
-        return 0
-
-    if cmd == "solve-degree":
-        monos = solve_degree_diophantine(args.degree, ctx)
-        _emit(
-            args,
-            monos,
-            lambda items: [_mono_json(m) for m in items],
-            _lines(textio.render_dickson_monomial),
-            lambda: {"degree": args.degree},
-        )
-        return 0
-
-    if cmd == "pair":
-        m = textio.parse_dickson(args.mono, ctx)
-        s = textio.parse_sequence(args.seq, ctx)
-        v = kronecker_pair(m, s, ctx)
-        _emit(
-            args,
-            v,
-            lambda v: {"value": v},
-            str,
-            lambda: {**_mono_json(m), **textio.seq_to_json(s)},
-        )
-        return 0
-
-    if cmd == "coprod":
-        s = textio.parse_any_sequence(args.expr, ctx)
-        res = coproduct(s).to_lower()
-
-        def input_json():
-            payload = textio.seq_to_json(s)
-            if isinstance(s, UpperSeq):
-                payload["notation"] = "upper"
-            return payload
-
-        _emit(args, res, textio.tensor_to_json, textio.render_tensor, input_json)
-        return 0
-
-    raise DomainError(f"unhandled command {cmd!r}")
+    if args.n is None:
+        raise DomainError("this command needs --n")
+    _emit(args, *args.handler(args, Context(args.p, args.n)))
+    return 0
 
 
 @functools.cache

@@ -49,7 +49,6 @@ __all__ = [
     "coeff_by_multinomial",
     "chi_min",
     "chi_max",
-    "psi_inverse",
     "psi_T",
     "identity_checks",
     "realize_in_y",
@@ -460,20 +459,6 @@ def chi_max(m, ctx: Context) -> OpSeq:
     return OpSeq(ctx, entries, (0,) * n)
 
 
-def psi_inverse(s: OpSeq) -> tuple[int, ...]:
-    """The Dickson monomial with chi_min equal to s (s admissible,
-    eps = 0, integral): consecutive differences of the entries."""
-    if any(s.eps):
-        raise DomainError("psi_inverse needs eps = 0")
-    if any(t % 2 for t in s.twice):
-        raise DomainError("psi_inverse needs integral entries")
-    values = [t // 2 for t in s.twice]
-    m = [values[0]] + [values[t] - values[t - 1] for t in range(1, len(values))]
-    if any(x < 0 for x in m):
-        raise DomainError("sequence is not weakly increasing")
-    return tuple(m)
-
-
 def psi_T(J, ctx: Context) -> OpSeq:
     """Psi_T(h^J) = e_J: identify an exponent vector with a sequence."""
     return OpSeq(ctx, tuple(2 * e for e in J), (0,) * ctx.n)
@@ -483,8 +468,13 @@ def psi_T(J, ctx: Context) -> OpSeq:
 # Identity checks
 
 
-def identity_checks(kind: str, params: tuple[int, ...], ctx: Context) -> bool:
-    """Verify one of the Dickson-generator identities at given indices.
+def identity_checks(
+    kind: str, params: tuple[int, ...], ctx: Context
+) -> tuple[bool, str]:
+    """Check one of the Dickson-generator identities at given indices.
+
+    Returns (ok, why), where why names an offending monomial when ok
+    is False and is empty otherwise.
 
     kind "decomposition", params (k, s), 0 <= s < k < n:
         d_{k,s} d_{k+1,k} - d_{k+1,s}
@@ -502,12 +492,6 @@ def identity_checks(kind: str, params: tuple[int, ...], ctx: Context) -> bool:
         d_{k+q,s} d_{k+t,k}, and no monomial of the difference is
         divisible by h_{k+q+1}...h_{k+t}.
     """
-    ok, _ = identity_checks_detail(kind, params, ctx)
-    return ok
-
-
-def identity_checks_detail(kind, params, ctx) -> tuple[bool, str]:
-    """As identity_checks, but also returns an offending monomial."""
 
     def d(width, s):
         return dickson_to_borel_recursive(width, s, ctx)
@@ -608,15 +592,10 @@ def _evaluate(x: SparsePoly, images) -> YPoly:
     return out
 
 
-def realize_in_y(x, ctx: Context) -> YPoly:
-    """Realize a BPoly or a Dickson exponent tuple in the y-variables
-    (small n only).  h-monomials enter as single-term BPoly values."""
+def realize_in_y(x: BPoly, ctx: Context) -> YPoly:
+    """Realize a BPoly in the y-variables (small n only)."""
     _guard_realize(ctx)
-    if isinstance(x, tuple):
-        x = expand_dickson_monomial(tuple(x), ctx)
-    if isinstance(x, BPoly):
-        return _evaluate(x, [_h_realized(k, ctx) for k in range(1, ctx.n + 1)])
-    raise DomainError(f"cannot realize {type(x).__name__}")
+    return _evaluate(x, [_h_realized(k, ctx) for k in range(1, ctx.n + 1)])
 
 
 def _substitute(x: YPoly, mat) -> YPoly:

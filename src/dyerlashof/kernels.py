@@ -8,7 +8,7 @@ the packed-exponent form that ``poly_mul`` runs on, for callers that
 multiply a whole chain before unpacking once.
 """
 
-from ._purekernel import field_width, mul_packed, pack, poly_mul, poly_scale, unpack
+from ._purekernel import field_width, mul_packed, pack, poly_mul, unpack
 
 __all__ = [
     "IMPL_NAME",
@@ -16,7 +16,6 @@ __all__ = [
     "mul_packed",
     "pack",
     "poly_mul",
-    "poly_scale",
     "unpack",
 ]
 

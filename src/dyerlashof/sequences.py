@@ -29,9 +29,6 @@ __all__ = [
     "OpSeq",
     "UpperSeq",
     "degree_lower",
-    "degree_upper",
-    "excess_lower",
-    "excess_upper",
     "first_defect",
     "is_admissible",
     "compare",
@@ -142,32 +139,6 @@ def degree_lower(s: OpSeq) -> int:
     for pos, (t, e) in enumerate(zip(s.twice, s.eps)):
         total += (t * (p - 1) - e) * p**pos
     return total
-
-
-def degree_upper(s: UpperSeq) -> int:
-    """Topological degree of f^{I,eps}: each factor f^i contributes
-    2 i (p-1) (just i for p = 2), a Bockstein subtracts 1."""
-    p = s.ctx.p
-    if p == 2:
-        return sum(t // 2 for t in s.twice)
-    return (p - 1) * sum(s.twice) - sum(s.eps)
-
-
-def excess_lower(s: OpSeq) -> int:
-    """Excess 2 j_1 - eps_1, reported in doubled form (an integer)."""
-    return s.twice[0] - s.eps[0]
-
-
-def excess_upper(s: UpperSeq) -> int:
-    """Excess i_1 - eps_1 - 2(p-1) sum_{t>=2} i_t (p=2: i_1 - sum i_t)."""
-    p = s.ctx.p
-    tail_twice = sum(s.twice[1:])
-    if p == 2:
-        return (s.twice[0] - tail_twice) // 2
-    doubled = s.twice[0] - 2 * s.eps[0] - 2 * (p - 1) * tail_twice
-    if doubled % 2:
-        raise DomainError("upper excess is half-integral for this sequence")
-    return doubled // 2
 
 
 def first_defect(twice, eps, start: int = 0) -> int | None:

@@ -136,39 +136,36 @@ def _parse_seq_body(cur: _Cursor, ctx: Context):
     return tuple(twice), tuple(eps)
 
 
+def _parse_head(cur: _Cursor, lower_only: bool) -> bool:
+    """Read a sequence head and its `[`: False for lower notation `e[`
+    or `Q[`, True for upper notation `E[` or `Qu[`, which lower_only
+    refuses."""
+    head = cur.take()
+    start = cur.i - len(head)
+    if head == "Q" and cur.peek() == "u":
+        head += cur.take()
+    if head not in ("e", "Q", "E", "Qu"):
+        expected = "'e[' or 'Q['" if lower_only else "e[, Q[, E[ or Qu["
+        raise ParseError(f"expected {expected}", start)
+    upper = head in ("E", "Qu")
+    if upper and lower_only:
+        raise ParseError(f"upper-notation {head}[...] is not a lower sequence", start)
+    cur.expect("[")
+    return upper
+
+
 def parse_sequence(text: str, ctx: Context) -> OpSeq:
     """A lower-notation sequence `e[...]` or `Q[...]`."""
     cur = _Cursor(text)
-    head = cur.peek()
-    if head not in ("e", "Q"):
-        raise ParseError("expected 'e[' or 'Q['", cur.i)
-    cur.take()
-    if head == "Q" and cur.peek() == "u":
-        raise ParseError("upper-notation Qu[...] is not a lower sequence", cur.i)
-    cur.expect("[")
-    twice, eps = _parse_seq_body(cur, ctx)
-    return OpSeq(ctx, twice, eps)
+    _parse_head(cur, lower_only=True)
+    return OpSeq(ctx, *_parse_seq_body(cur, ctx))
 
 
 def parse_any_sequence(text: str, ctx: Context) -> OpSeq | UpperSeq:
     """Lower `e[...]`/`Q[...]` or upper `E[...]`/`Qu[...]`."""
     cur = _Cursor(text)
-    head = cur.peek()
-    if head in ("e", "E"):
-        upper = head == "E"
-        cur.take()
-    elif head == "Q":
-        cur.take()
-        upper = cur.peek() == "u"
-        if upper:
-            cur.take()
-    else:
-        raise ParseError("expected e[, Q[, E[ or Qu[", cur.i)
-    cur.expect("[")
-    twice, eps = _parse_seq_body(cur, ctx)
-    if upper:
-        return UpperSeq(ctx, twice, eps)
-    return OpSeq(ctx, twice, eps)
+    kind = UpperSeq if _parse_head(cur, lower_only=False) else OpSeq
+    return kind(ctx, *_parse_seq_body(cur, ctx))
 
 
 def parse_dickson(text: str, ctx: Context) -> tuple[int, ...]:

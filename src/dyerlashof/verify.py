@@ -2,8 +2,9 @@
 
 Each suite returns (cases, failures): the number of cases checked and a
 list of human-readable failure descriptions (empty on success).  Ranges
-default to the documented acceptance ranges but can be narrowed through
---max-entry / --max-degree.
+default to the documented acceptance ranges; oracle-equivalence reads
+--max-entry, roundtrip and triangularity read --max-degree, and the
+other suites read no bound.
 """
 
 from __future__ import annotations
@@ -27,23 +28,13 @@ from .invariants import (
     dickson_to_borel,
     dickson_to_borel_recursive,
     enumerate_A,
-    identity_checks_detail,
+    identity_checks,
     matrix_to_monomial,
     realize_in_y,
 )
 from .opalgebra import OpPoly, adem_straighten_classical
 from .sequences import OpSeq, compare
 from .textio import render_op_poly
-
-SUITES = (
-    "oracle-equivalence",
-    "dickson-oracles",
-    "roundtrip",
-    "triangularity",
-    "identities",
-    "invariance",
-    "reference-vectors",
-)
 
 __all__ = ["SUITES", "run_suite"]
 
@@ -132,28 +123,20 @@ def suite_triangularity(ctx: Context, max_sum: int = 6):
 def suite_identities(ctx: Context):
     """Decomposition/inclusion/exchange identities at every index tuple
     that fits inside width n."""
-    failures = []
-    cases = 0
     n = ctx.n
-    for k in range(1, n):
-        for s in range(k):
-            cases += 1
-            ok, why = identity_checks_detail("decomposition", (k, s), ctx)
-            if not ok:
-                failures.append(f"decomposition k={k} s={s}: {why}")
+    cases = [("decomposition", "ks", (k, s)) for k in range(1, n) for s in range(k)]
     for k in range(1, n):
         for t in range(1, n - k + 1):
             for s in range(k):
-                cases += 1
-                ok, why = identity_checks_detail("inclusion", (k, t, s), ctx)
-                if not ok:
-                    failures.append(f"inclusion k={k} t={t} s={s}: {why}")
-                for q in range(t):
-                    cases += 1
-                    ok, why = identity_checks_detail("exchange", (k, t, s, q), ctx)
-                    if not ok:
-                        failures.append(f"exchange k={k} t={t} s={s} q={q}: {why}")
-    return cases, failures
+                cases.append(("inclusion", "kts", (k, t, s)))
+                cases += [("exchange", "ktsq", (k, t, s, q)) for q in range(t)]
+    failures = []
+    for kind, names, params in cases:
+        ok, why = identity_checks(kind, params, ctx)
+        if not ok:
+            at = " ".join(f"{a}={v}" for a, v in zip(names, params))
+            failures.append(f"{kind} {at}: {why}")
+    return len(cases), failures
 
 
 def suite_invariance(ctx: Context):
@@ -272,6 +255,18 @@ def suite_reference_vectors(p: int):
     return len(cases), failures
 
 
+# each suite's function and the one bound it reads, or None
+SUITES = {
+    "oracle-equivalence": (suite_oracle_equivalence, "--max-entry"),
+    "dickson-oracles": (suite_dickson_oracles, None),
+    "roundtrip": (suite_roundtrip, "--max-degree"),
+    "triangularity": (suite_triangularity, "--max-degree"),
+    "identities": (suite_identities, None),
+    "invariance": (suite_invariance, None),
+    "reference-vectors": (suite_reference_vectors, None),
+}
+
+
 def run_suite(
     name: str,
     p: int,
@@ -279,25 +274,21 @@ def run_suite(
     max_entry: int | None = None,
     max_degree: int | None = None,
 ):
-    """Dispatch one named suite; returns (cases, failures)."""
+    """Dispatch one named suite; returns (cases, failures).  A bound the
+    suite does not read is refused; reference-vectors ignores n."""
     if name not in SUITES:
         raise DomainError(f"unknown suite {name!r} (choose from {', '.join(SUITES)})")
+    suite, reads = SUITES[name]
     for flag, bound in (("--max-entry", max_entry), ("--max-degree", max_degree)):
+        if bound is not None and flag != reads:
+            raise DomainError(f"suite {name!r} reads no {flag}")
         if bound is not None and bound < 0:
             raise DomainError(f"{flag} must be >= 0, got {bound}")
     if name == "reference-vectors":
-        return suite_reference_vectors(p)
+        return suite(p)
     if n is None:
         raise DomainError(f"suite {name!r} needs --n")
     ctx = Context(p, n)
-    if name == "oracle-equivalence":
-        return suite_oracle_equivalence(ctx, max_entry if max_entry is not None else 8)
-    if name == "dickson-oracles":
-        return suite_dickson_oracles(ctx)
-    if name == "roundtrip":
-        return suite_roundtrip(ctx, max_degree if max_degree is not None else 6)
-    if name == "triangularity":
-        return suite_triangularity(ctx, max_degree if max_degree is not None else 6)
-    if name == "identities":
-        return suite_identities(ctx)
-    return suite_invariance(ctx)
+    # at most one bound is left: the one the suite reads
+    bound = max_entry if max_entry is not None else max_degree
+    return suite(ctx) if bound is None else suite(ctx, bound)

@@ -228,6 +228,21 @@ def test_combination_contract(name, empty, add, ka, kb):
         {x}
 
 
+def test_scaled():
+    p = 5
+    a = BPoly(Context(p, 2), {(1, 0): 2, (0, 3): 4})
+    a0 = dict(a.terms)
+    assert a.scaled(0).terms == {}
+    assert a.scaled(2 * p).terms == {}
+    one = a.scaled(1)
+    assert one.terms == a.terms and one.terms is not a.terms
+    assert a.scaled(p + 1).terms == a.terms
+    assert a.scaled(p - 1).terms == {(1, 0): 3, (0, 3): 1}
+    assert a.scaled(-1).terms == {(1, 0): 3, (0, 3): 1}
+    assert a.scaled(-3).terms == {(1, 0): 4, (0, 3): 3}
+    assert a.terms == a0
+
+
 def test_combination_kinds():
     b = BPoly(P3N2, {(1, 0): 1})
     y = YPoly(P3N2, {(1, 0): 1})

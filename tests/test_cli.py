@@ -446,6 +446,41 @@ def test_run_suite_n_out_of_range(suite):
             verify.run_suite(suite, 2, n)
 
 
+@pytest.mark.parametrize("suite", verify.SUITES)
+def test_run_suite_refuses_unread_bounds(suite):
+    _, reads = verify.SUITES[suite]
+    assert reads in (None, "--max-entry", "--max-degree")
+    n = None if suite == "reference-vectors" else 2
+    for flag, bound in (
+        ("--max-entry", {"max_entry": 1}),
+        ("--max-degree", {"max_degree": 1}),
+    ):
+        if flag == reads:
+            # the bound it reads narrows the run
+            cases, failures = verify.run_suite(suite, 2, n, **bound)
+            assert failures == [] and 0 < cases < verify.run_suite(suite, 2, n)[0]
+        else:
+            with pytest.raises(DomainError, match=f"suite '{suite}' reads no {flag}"):
+                verify.run_suite(suite, 2, n, **bound)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "identities", "--p", "3", "--n", "2"]
+        + ["--max-entry", "5", "--max-degree", "2"],
+        ["verify", "reference-vectors", "--p", "3", "--max-degree", "9"],
+        ["verify", "oracle-equivalence", "--p", "2", "--n", "2", "--max-degree", "1"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_verify_refuses_unread_bound(capsys, argv):
+    for fmt in ("text", "json"):
+        rc, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: suite ") and "reads no --max-" in err
+
+
 @pytest.mark.parametrize(
     "fmt,size,sha256",
     [

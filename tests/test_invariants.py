@@ -21,9 +21,9 @@ from dyerlashof.invariants import (
     enumerate_A,
     expand_dickson_monomial,
     h_monomial_degree,
+    identity_checks,
     matrix_to_monomial,
     psi_T,
-    psi_inverse,
     realize_in_y,
 )
 from dyerlashof.sequences import OpSeq, compare
@@ -341,31 +341,20 @@ def test_psi_identifications():
     s = chi_min((0, 2), P3N2)
     assert isinstance(s, OpSeq) and s.twice == (0, 4)
     assert psi_T((3, 1), P3N2).twice == (6, 2)
-    assert psi_inverse(chi_min((2, 1, 3), Context(3, 3))) == (2, 1, 3)
+    assert chi_min((2, 1, 3), Context(3, 3)).twice == (4, 6, 12)
     for m in monomials_up_to(3, 5):
-        assert psi_inverse(chi_min(m, Context(2, 3))) == m
-
-
-def test_psi_inverse_guards():
-    with pytest.raises(DomainError):
-        psi_inverse(OpSeq(P3N2, (2, 0), (0, 0)))  # decreasing
-    with pytest.raises(DomainError):
-        psi_inverse(OpSeq(P3N2, (1, 2), (0, 0)))  # half entry
-    with pytest.raises(DomainError):
-        psi_inverse(OpSeq(P3N2, (0, 2), (0, 1)))  # Bockstein
+        # entry t of chi_min(m) is the partial sum m_1 + ... + m_t, doubled
+        partial_sums = tuple(2 * sum(m[: t + 1]) for t in range(3))
+        assert chi_min(m, Context(2, 3)).twice == partial_sums
 
 
 def test_identity_examples():
-    from dyerlashof.invariants import identity_checks
-
-    assert identity_checks("inclusion", (2, 1, 0), P2N3)
-    assert identity_checks("decomposition", (1, 0), P3N2)
-    assert identity_checks("exchange", (2, 1, 0, 0), P2N3)
+    assert identity_checks("inclusion", (2, 1, 0), P2N3) == (True, "")
+    assert identity_checks("decomposition", (1, 0), P3N2) == (True, "")
+    assert identity_checks("exchange", (2, 1, 0, 0), P2N3) == (True, "")
 
 
 def test_identity_guards():
-    from dyerlashof.invariants import identity_checks
-
     with pytest.raises(DomainError):
         identity_checks("decomposition", (1, 1), P3N2)  # needs s < k
     with pytest.raises(DomainError):
@@ -376,23 +365,26 @@ def test_identity_guards():
 
 def test_realize_examples():
     c31 = Context(3, 1)
-    assert realize_in_y((1,), c31).terms == {(2,): 1}
-    assert check_invariance(realize_in_y((1,), c31), "gl", c31)
+    d0 = realize_in_y(expand_dickson_monomial((1,), c31), c31)
+    assert d0.terms == {(2,): 1}
+    assert check_invariance(d0, "gl", c31)
     h2 = realize_in_y(BPoly.variable(2, P2N2), P2N2)
     assert h2.terms == {(0, 2): 1, (1, 1): 1}
     assert check_invariance(h2, "borel", P2N2)
     assert not check_invariance(h2, "gl", P2N2)
-    d21 = realize_in_y((0, 1), P2N2)
+    d21 = realize_in_y(expand_dickson_monomial((0, 1), P2N2), P2N2)
     assert check_invariance(d21, "gl", P2N2)
 
 
 def test_realize_guards():
+    for ctx in (Context(2, 4), Context(5, 3)):
+        d0 = expand_dickson_monomial((1,) + (0,) * (ctx.n - 1), ctx)
+        with pytest.raises(DomainError):
+            realize_in_y(d0, ctx)
+    c31 = Context(3, 1)
+    d0 = realize_in_y(expand_dickson_monomial((1,), c31), c31)
     with pytest.raises(DomainError):
-        realize_in_y((1, 0, 0, 0), Context(2, 4))
-    with pytest.raises(DomainError):
-        realize_in_y((1, 0, 0), Context(5, 3))
-    with pytest.raises(DomainError):
-        check_invariance(realize_in_y((1,), Context(3, 1)), "parabolic", Context(3, 1))
+        check_invariance(d0, "parabolic", c31)
 
 
 def test_realized_dicksons_are_gl_invariant():

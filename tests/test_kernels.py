@@ -5,7 +5,7 @@ import random
 import pytest
 
 from dyerlashof import _purekernel, kernels
-from dyerlashof.kernels import poly_mul, poly_scale
+from dyerlashof.kernels import poly_mul
 
 
 def schoolbook_mul(a, b, p):
@@ -148,24 +148,8 @@ def test_packed_order_is_reverse_lex(nvars):
     assert list(back.items()) == sorted(terms.items(), key=lambda kv: kv[0][::-1])
 
 
-def test_poly_scale():
-    p = 5
-    a = {(1, 0): 2, (0, 3): 4}
-    a0 = dict(a)
-    assert poly_scale(a, 0, p) == {}
-    assert poly_scale(a, 2 * p, p) == {}
-    one = poly_scale(a, 1, p)
-    assert one == a and one is not a
-    assert poly_scale(a, p + 1, p) == a
-    assert poly_scale(a, p - 1, p) == {(1, 0): 3, (0, 3): 1}
-    assert poly_scale(a, -1, p) == {(1, 0): 3, (0, 3): 1}
-    assert poly_scale(a, -3, p) == {(1, 0): 4, (0, 3): 3}
-    assert a == a0
-
-
 def test_kernel_names_pinned():
     # The benchmark records IMPL_NAME and traces the product by patching
     # kernels.poly_mul; both names must keep pointing at this kernel.
     assert kernels.poly_mul is _purekernel.poly_mul
-    assert kernels.poly_scale is _purekernel.poly_scale
     assert kernels.IMPL_NAME == "_purekernel"

@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from dyerlashof import opalgebra
 from dyerlashof.arith import Context, DomainError, binom_mod_p
 from dyerlashof.invariants import SparsePoly
 from dyerlashof.opalgebra import (
@@ -331,6 +332,27 @@ def test_classical_merges_only_equal_monomials():
             for (tw, ep), d in one.terms.items():
                 total.add_term(tw, ep, d)
         assert adem_straighten_classical(x) == total
+
+
+def test_max_steps_caps_distinct_rewrites(monkeypatch):
+    # each distinct monomial rewritten is one step and one pair_rewrite call
+    x = poly(Context(2, 4), (24, 16, 8, 4))
+    calls = []
+    real = opalgebra.pair_rewrite
+    monkeypatch.setattr(
+        opalgebra, "pair_rewrite", lambda *args: calls.append(args) or real(*args)
+    )
+    want = adem_straighten_classical(x)
+    monkeypatch.undo()
+    steps = len(calls)
+    assert steps > 10 and not want.is_zero()
+    assert adem_straighten_classical(x, max_steps=steps) == want
+    for cap in (0, 1, steps // 2, steps - 1):
+        with pytest.raises(RuntimeError, match=f"exceeded {cap} rewrite steps"):
+            adem_straighten_classical(x, max_steps=cap)
+    # an admissible input needs no rewrite at all
+    admissible = poly(P3N2, (0, 2))
+    assert adem_straighten_classical(admissible, max_steps=0) == admissible
 
 
 def test_domain_errors_replace_asserts():
