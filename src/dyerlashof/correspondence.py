@@ -67,7 +67,8 @@ ENUMERATION_CACHE_SIZE = 256
 
 
 def solve_degree_diophantine(D: int, ctx: Context) -> list[tuple[int, ...]]:
-    """All m with sum m_i deg(d_{n,i}) = D, by bounded lexicographic search.
+    """All m with sum m_i deg(d_{n,i}) = D, ascending, by bounded
+    lexicographic search.
 
     Each (D, ctx) is searched once while it stays in the cache, which the
     solves' per-degree data share; every call returns a fresh list.
@@ -129,11 +130,11 @@ def _degree_basis(D: int, ctx: Context) -> tuple[OpSeq, ...]:
             if not r:
                 out.append(OpSeq(ctx, acc + (2 * v,), zeros))
             return
+        # every position counts up, so the rows come out ascending
         for v in range(lo, rem // tails[t] + 1):
             rec(t + 1, v, rem - v * wt[t], acc + (2 * v,))
 
     rec(0, 0, D, ())
-    out.sort(key=lambda s: s.key())
     return tuple(out)
 
 
@@ -152,35 +153,36 @@ def _exps(s: OpSeq) -> tuple[int, ...]:
     return tuple(t // 2 for t in s.twice)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ENUMERATION_CACHE_SIZE)
 def _degree_data(D: int, ctx: Context):
     """Per-degree duality data, one row per admissible sequence K of
-    lower degree D, ascending under compare: the rows K, the Dickson
-    monomials m(K) with chi_min(d^m(K)) = K, the column exponents of K
-    and the keys K.key() (for bisection).
+    lower degree D, in the order both enumerations emit: the rows K, the
+    Dickson monomials m(K) with chi_min(d^m(K)) = K and the column
+    exponents of K.  chi_min takes m to its partial sums, which turns
+    the lex order of the monomials into the order of the basis.
 
-    Checks once per degree that chi_min is a bijection onto the
-    admissible basis and that every diagonal entry <d^m(K), Q_K> is 1;
-    the solves then read the pairing memo directly.
+    Checks once per degree that chi_min maps the monomials onto the
+    basis row by row, that the columns strictly ascend (the solves
+    bisect them, and the monomials with them) and that every diagonal
+    entry <d^m(K), Q_K> is 1; the solves then read the pairing memo
+    directly.
     """
-    monos = solve_degree_diophantine(D, ctx)
-    pairs = sorted(
-        ((chi_min(m, ctx), m) for m in monos), key=lambda km: km[0].key()
-    )
-    basis = admissible_basis(D, ctx)
-    if [s.twice for s in basis] != [k.twice for k, _ in pairs]:
+    ms = _degree_monomials(D, ctx)
+    ks = _degree_basis(D, ctx)
+    if len(ms) != len(ks) or any(
+        chi_min(m, ctx).twice != k.twice for m, k in zip(ms, ks)
+    ):
         raise InvariantError("chi_min is not a bijection onto the admissible basis")
-    # the rows are the enumerated basis itself, equal to the chi_min images
-    ks = tuple(basis)
-    ms = tuple(m for _, m in pairs)
     cols = tuple(_exps(k) for k in ks)
+    if any(a >= b for a, b in zip(cols, cols[1:])):
+        raise InvariantError("the admissible basis is not strictly ascending")
     for m, k, col in zip(ms, ks, cols):
         c = coeff_in_expansion(m, col, ctx)
         if c != 1:
             raise InvariantError(
                 f"pairing matrix is not unitriangular: <d^{m}, Q_{k.twice}> = {c}"
             )
-    return ks, ms, cols, tuple(k.key() for k in ks)
+    return ks, ms, cols
 
 
 def dual_of_dickson(m, ctx: Context) -> DualExpansion:
@@ -193,10 +195,9 @@ def dual_of_dickson(m, ctx: Context) -> DualExpansion:
     """
     m = tuple(m)
     _check_dickson_exponents(m, ctx)
-    ks, ms, cols, keys = _degree_data(dickson_monomial_degree(m, ctx), ctx)
+    ks, ms, cols = _degree_data(dickson_monomial_degree(m, ctx), ctx)
     coeff = coeff_memo(ctx).coeff
-    lead = chi_min(m, ctx)
-    at_lead = bisect_left(keys, lead.key())
+    at_lead = bisect_left(ms, m)
     out = DualExpansion(ctx)
     for i, (J, col) in enumerate(zip(ks, cols)):
         c = coeff(m, col)
@@ -226,10 +227,11 @@ def dickson_of_dual(J: OpSeq) -> DPoly:
         raise DomainError("dickson_of_dual needs an integral eps = 0 sequence")
     if not is_admissible(J):
         raise DomainError("dickson_of_dual needs an admissible sequence")
-    ks, ms, cols, keys = _degree_data(degree_lower(J), ctx)
+    ks, ms, cols = _degree_data(degree_lower(J), ctx)
     coeff = coeff_memo(ctx).coeff
-    target = bisect_left(keys, J.key())
-    if target == len(ks) or ks[target].twice != J.twice:
+    exps = _exps(J)
+    target = bisect_left(cols, exps)
+    if target == len(ks) or cols[target] != exps:
         raise DomainError("sequence not in the admissible basis of its degree")
     p = ctx.p
     x: dict[int, int] = {}
@@ -260,12 +262,12 @@ def adem_via_invariants(x: OpSeq) -> OpPoly:
         raise DomainError("invariant-theoretic straightening needs eps = 0")
     if any(t % 2 for t in x.twice):
         raise DomainError("invariant-theoretic straightening needs integral entries")
-    ks, ms, cols, keys = _degree_data(degree_lower(x), ctx)
+    ks, ms, cols = _degree_data(degree_lower(x), ctx)
     coeff = coeff_memo(ctx).coeff
     p = ctx.p
     exps = _exps(x)
     a: dict[int, int] = {}
-    for i in range(bisect_right(keys, x.key()) - 1, -1, -1):
+    for i in range(bisect_right(cols, exps) - 1, -1, -1):
         m = ms[i]
         acc = coeff(m, exps)
         for j, aj in a.items():

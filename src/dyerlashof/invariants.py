@@ -284,29 +284,25 @@ expand_dickson_monomial.cache_clear = _expansion_terms.cache_clear
 
 
 @lru_cache(maxsize=None)
-def _digit_product(r: tuple[int, ...], ctx: Context) -> dict:
-    """The terms of d^r for a digit vector r (0 <= r_i < p), built as
+def _digit_terms(r: tuple[int, ...], ctx: Context) -> tuple[dict, dict]:
+    """d^r for a digit vector r (0 <= r_i < p): its terms, and the same
+    terms (s, c) grouped by s mod p.  The terms are built as
     d^(r - e_k) d_{n,k} with k the last nonzero digit (one product per
     vector, on top of the cached smaller one).  Callers must not modify
-    the returned dict."""
+    the result."""
+    p = ctx.p
     k = next((i for i in range(len(r) - 1, -1, -1) if r[i]), None)
     if k is None:
-        return BPoly.one(ctx).terms
-    smaller = r[:k] + (r[k] - 1,) + r[k + 1 :]
-    return kernels.poly_mul(
-        _digit_product(smaller, ctx), dickson_to_borel(k, ctx).terms, ctx.p
-    )
-
-
-@lru_cache(maxsize=None)
-def _digit_terms(r: tuple[int, ...], ctx: Context) -> dict:
-    """The terms (s, c) of d^r for a digit vector r (0 <= r_i < p),
-    grouped by s mod p."""
-    p = ctx.p
+        terms = BPoly.one(ctx).terms
+    else:
+        smaller = r[:k] + (r[k] - 1,) + r[k + 1 :]
+        terms = kernels.poly_mul(
+            _digit_terms(smaller, ctx)[0], dickson_to_borel(k, ctx).terms, p
+        )
     groups: dict = {}
-    for s, c in _digit_product(r, ctx).items():
+    for s, c in terms.items():
         groups.setdefault(tuple(si % p for si in s), []).append((s, c))
-    return groups
+    return terms, groups
 
 
 class CoeffMemo:
@@ -340,7 +336,7 @@ class CoeffMemo:
                 return total
             split = self.splits[m] = (
                 tuple([mi // p for mi in m]),
-                _digit_terms(tuple([mi % p for mi in m]), self.ctx),
+                _digit_terms(tuple([mi % p for mi in m]), self.ctx)[1],
             )
         high, groups = split
         total = 0

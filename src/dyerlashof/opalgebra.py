@@ -292,55 +292,37 @@ def coproduct(x: OpPoly | OpSeq | UpperSeq, folds: int = 2) -> TensorPoly:
     if isinstance(x, OpSeq):
         x = OpPoly.from_seq(x)
     if isinstance(x, UpperSeq):
-        terms = {(x.twice, x.eps): 1}
-        ctx = x.ctx
-        upper_input = True
+        ups = [(x, 1)]
     else:
-        terms = x.terms
-        ctx = x.ctx
-        upper_input = False
-    n = ctx.n
-    out = TensorPoly(ctx, folds)
-    for (twice, eps), coeff in terms.items():
-        if upper_input:
-            up = UpperSeq(ctx, twice, eps)
-        else:
-            up = lower_to_upper(OpSeq(ctx, twice, eps))
+        ups = [(lower_to_upper(OpSeq(x.ctx, *key)), c) for key, c in x.terms.items()]
+    out = TensorPoly(x.ctx, folds)
+    for up, coeff in ups:
         if any(t % 2 for t in up.twice):
             raise DomainError("coproduct needs integral upper entries")
-        # state: (legs as tuples of (entry, eps) pairs, leg parities)
-        acc = Combination(ctx, {(((),) * folds, (0,) * folds): coeff})
-        for t in range(n):
-            total, e = up.twice[t], up.eps[t]
-            nxt = Combination(ctx)
-            for (legs, parities), c in acc.terms.items():
+        # each leg is a (twice, eps) pair, odd when its eps sum is odd
+        acc = Combination(x.ctx, {(((), ()),) * folds: coeff})
+        for total, e in zip(up.twice, up.eps):
+            nxt = Combination(x.ctx)
+            for legs, c in acc.terms.items():
                 for split in _compositions(total, folds):
                     if e == 0:
                         new_legs = tuple(
-                            legs[u] + ((split[u], 0),) for u in range(folds)
+                            (tw + (s,), ep + (0,)) for (tw, ep), s in zip(legs, split)
                         )
-                        nxt.add_term((new_legs, parities), c)
+                        nxt.add_term(new_legs, c)
                         continue
                     for u in range(folds):
                         if split[u] == 0:
                             continue  # beta f^0 = 0
                         new_legs = tuple(
-                            legs[v] + ((split[v], 1 if v == u else 0),)
-                            for v in range(folds)
+                            (tw + (s,), ep + (int(v == u),))
+                            for v, ((tw, ep), s) in enumerate(zip(legs, split))
                         )
-                        sign = sum(parities[v] for v in range(u + 1, folds)) % 2
-                        new_par = tuple(
-                            parities[v] ^ (1 if v == u else 0)
-                            for v in range(folds)
-                        )
-                        nxt.add_term((new_legs, new_par), c if not sign else -c)
+                        sign = sum(sum(ep) for _, ep in legs[u + 1 :]) % 2
+                        nxt.add_term(new_legs, -c if sign else c)
             acc = nxt
-        for (legs, _parities), c in acc.terms.items():
-            key = tuple(
-                (tuple(e for e, _ in leg), tuple(b for _, b in leg))
-                for leg in legs
-            )
-            out.add_term(key, c)
+        for legs, c in acc.terms.items():
+            out.add_term(legs, c)
     return out
 
 

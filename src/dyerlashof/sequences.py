@@ -42,22 +42,6 @@ __all__ = [
 _BITS = frozenset((0, 1))
 
 
-def _check_entries(ctx: Context, twice: tuple[int, ...], eps: tuple[int, ...]):
-    if len(twice) != ctx.n:
-        raise DomainError(f"expected {ctx.n} entries, got {len(twice)}")
-    if len(eps) != ctx.n:
-        raise DomainError(f"expected {ctx.n} eps flags, got {len(eps)}")
-    if not _BITS.issuperset(eps):
-        raise DomainError(f"eps flags must be 0 or 1, got {eps}")
-    if min(twice) < 0:
-        raise DomainError(f"entries must be >= 0, got {_halves_str(twice)}")
-    if ctx.p == 2:
-        if 1 in eps:
-            raise DomainError("p = 2 sequences cannot carry Bocksteins")
-        if any(t % 2 for t in twice):
-            raise DomainError("p = 2 entries must be integers")
-
-
 def _halves_str(twice) -> str:
     return "(" + ",".join(entry_str(t) for t in twice) + ")"
 
@@ -78,52 +62,50 @@ def entry_from_str(text: str) -> int:
 
 
 @dataclass(frozen=True)
-class OpSeq:
-    """Lower-notation index sequence with doubled entries."""
+class _Seq:
+    """An index sequence with doubled entries and its eps flags, checked
+    on construction.  Equality tells the notations apart."""
 
     ctx: Context
     twice: tuple[int, ...]
     eps: tuple[int, ...]
 
     def __post_init__(self):
-        _check_entries(self.ctx, self.twice, self.eps)
+        ctx, twice, eps = self.ctx, self.twice, self.eps
+        if len(twice) != ctx.n:
+            raise DomainError(f"expected {ctx.n} entries, got {len(twice)}")
+        if len(eps) != ctx.n:
+            raise DomainError(f"expected {ctx.n} eps flags, got {len(eps)}")
+        if not _BITS.issuperset(eps):
+            raise DomainError(f"eps flags must be 0 or 1, got {eps}")
+        if min(twice) < 0:
+            raise DomainError(f"entries must be >= 0, got {_halves_str(twice)}")
+        if ctx.p == 2:
+            if 1 in eps:
+                raise DomainError("p = 2 sequences cannot carry Bocksteins")
+            if any(t % 2 for t in twice):
+                raise DomainError("p = 2 entries must be integers")
 
     @classmethod
-    def from_values(cls, ctx: Context, values, eps=None) -> "OpSeq":
+    def from_values(cls, ctx: Context, values, eps=None):
         """Build from plain values: ints, or strings like '3/2'."""
         twice = tuple(
             entry_from_str(v) if isinstance(v, str) else 2 * v for v in values
         )
-        return cls(ctx, twice, _normalize_eps(ctx, eps))
+        eps = (0,) * ctx.n if eps is None else tuple(int(e) for e in eps)
+        return cls(ctx, twice, eps)
+
+
+class OpSeq(_Seq):
+    """Lower-notation index sequence with doubled entries."""
 
     def key(self) -> tuple[int, ...]:
         """Per-position tail excess vector (2 j_t - eps_t); see compare()."""
         return tuple(t - e for t, e in zip(self.twice, self.eps))
 
 
-@dataclass(frozen=True)
-class UpperSeq:
+class UpperSeq(_Seq):
     """Upper-notation index sequence with doubled entries."""
-
-    ctx: Context
-    twice: tuple[int, ...]
-    eps: tuple[int, ...]
-
-    def __post_init__(self):
-        _check_entries(self.ctx, self.twice, self.eps)
-
-    @classmethod
-    def from_values(cls, ctx: Context, values, eps=None) -> "UpperSeq":
-        twice = tuple(
-            entry_from_str(v) if isinstance(v, str) else 2 * v for v in values
-        )
-        return cls(ctx, twice, _normalize_eps(ctx, eps))
-
-
-def _normalize_eps(ctx: Context, eps) -> tuple[int, ...]:
-    if eps is None:
-        return (0,) * ctx.n
-    return tuple(int(e) for e in eps)
 
 
 def degree_lower(s: OpSeq) -> int:

@@ -219,8 +219,7 @@ def render_seq(s: OpSeq) -> str:
 def _render_sum(items, render_key) -> str:
     """Every printed sum: `c*key + ...` over (key, c) items in order, `0`
     when there are none.  A coefficient 1 is left out, and a key that
-    renders as `1` (the unit monomial) prints as its coefficient alone.
-    render_bpoly applies the same rule in its own single pass."""
+    renders as `1` (the unit monomial) prints as its coefficient alone."""
     out = []
     for key, c in items:
         body = render_key(key)
@@ -249,27 +248,18 @@ def _render_indexed_monomial(head: str, indices_exps) -> str:
 
 
 def render_bpoly(x: BPoly) -> str:
-    """As _render_sum over the sorted terms, in one pass.  Each piece
-    `h{t}^{e}` is formatted once per call, into a table per position t
-    that maps every exponent met there to its piece (0 to nothing)."""
+    """Each piece `h{t}^{e}` is formatted once per call, into a table per
+    position t that maps every exponent met there to its piece (0 to
+    nothing)."""
     items = x.sorted_terms()
-    if not items:
-        return "0"
     columns = zip(*[exps for exps, _ in items])
     pieces = [
         {e: f"h{t}^{e}" if e != 1 else f"h{t}" for e in set(col) if e} | {0: ""}
         for t, col in enumerate(columns, start=1)
     ]
-    out = []
-    for exps, c in items:
-        body = "*".join(filter(None, map(getitem, pieces, exps)))
-        if not body:
-            out.append(str(c))
-        elif c == 1:
-            out.append(body)
-        else:
-            out.append(f"{c}*{body}")
-    return " + ".join(out)
+    return _render_sum(
+        items, lambda exps: "*".join(filter(None, map(getitem, pieces, exps))) or "1"
+    )
 
 
 def render_dickson_combo(x: DPoly) -> str:

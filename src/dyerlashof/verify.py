@@ -107,7 +107,7 @@ def suite_triangularity(ctx: Context, max_sum: int = 6):
         {dickson_monomial_degree(m, ctx) for m in _monomials_up_to(ctx, max_sum)}
     )
     for D in degrees:
-        ks, ms, _, _ = _degree_data(D, ctx)
+        ks, ms, _ = _degree_data(D, ctx)
         for i in range(len(ks)):
             c = [kronecker_pair(ms[i], K, ctx) for K in ks]
             if c[i] != 1:
@@ -275,7 +275,8 @@ def run_suite(
     max_degree: int | None = None,
 ):
     """Dispatch one named suite; returns (cases, failures).  A bound the
-    suite does not read is refused; reference-vectors ignores n."""
+    suite does not read is refused, and so is an n other than 2 for
+    reference-vectors, whose cases are length-2 relations."""
     if name not in SUITES:
         raise DomainError(f"unknown suite {name!r} (choose from {', '.join(SUITES)})")
     suite, reads = SUITES[name]
@@ -285,6 +286,8 @@ def run_suite(
         if bound is not None and bound < 0:
             raise DomainError(f"{flag} must be >= 0, got {bound}")
     if name == "reference-vectors":
+        if n not in (None, 2):
+            raise DomainError(f"suite {name!r} runs at n = 2 only, got --n {n}")
         return suite(p)
     if n is None:
         raise DomainError(f"suite {name!r} needs --n")

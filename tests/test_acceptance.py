@@ -12,11 +12,7 @@ import time
 
 from dyerlashof import verify
 from dyerlashof.arith import Context, DomainError, binom_mod_p
-from dyerlashof.correspondence import (
-    adem_via_invariants,
-    dickson_of_dual,
-    dual_of_dickson,
-)
+from dyerlashof.correspondence import adem_via_invariants
 from dyerlashof.invariants import (
     BPoly,
     chi_max,

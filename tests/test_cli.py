@@ -438,12 +438,25 @@ def test_n_out_of_range_is_a_domain_error(capsys, argv):
 @pytest.mark.parametrize("suite", verify.SUITES)
 def test_run_suite_n_out_of_range(suite):
     if suite == "reference-vectors":
-        # fixed at n = 2: it reads no n
-        assert verify.run_suite(suite, 3, 0) == verify.run_suite(suite, 3) == (20, [])
+        # fixed at n = 2: any other n is refused
+        assert verify.run_suite(suite, 3, 2) == verify.run_suite(suite, 3) == (20, [])
+        for n in (0, -1, 1, 5, 7):
+            with pytest.raises(DomainError, match=f"runs at n = 2 only, got --n {n}"):
+                verify.run_suite(suite, 3, n)
         return
     for n in (0, -1, 7):
         with pytest.raises(DomainError, match=r"1\.\.6"):
             verify.run_suite(suite, 2, n)
+
+
+def test_reference_vectors_refuses_other_n(capsys):
+    for fmt in ("text", "json"):
+        argv = ["verify", "reference-vectors", "--p", "3", "--n", "5", "--format", fmt]
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (1, "")
+        assert err == "error: suite 'reference-vectors' runs at n = 2 only, got --n 5\n"
+    argv = ["verify", "reference-vectors", "--p", "3", "--n", "2"]
+    assert run_cli(capsys, *argv) == (0, "reference-vectors: 20 cases, ok\n", "")
 
 
 @pytest.mark.parametrize("suite", verify.SUITES)

@@ -126,15 +126,58 @@ def test_degree_is_enumerated_once(capsys):
 def test_enumeration_caches_are_bounded():
     ctx = Context(2, 1)
     bound = correspondence.ENUMERATION_CACHE_SIZE
-    caches = (correspondence._degree_basis, correspondence._degree_monomials)
+    caches = (
+        correspondence._degree_basis,
+        correspondence._degree_monomials,
+        correspondence._degree_data,
+    )
     for cache in caches:
         assert cache.cache_info().maxsize == bound
     for D in range(bound + 20):
         assert len(admissible_basis(D, ctx)) == len(solve_degree_diophantine(D, ctx)) == 1
+        assert len(correspondence._degree_data(D, ctx)[0]) == 1
         for cache in caches:
             assert cache.cache_info().currsize <= bound
     for cache in caches:
         assert cache.cache_info().currsize == bound
+
+
+def test_enumerations_ascend_and_chi_min_maps_row_by_row():
+    # the per-degree record reads both enumerations as emitted: each
+    # ascends, and chi_min takes the i-th monomial to the i-th basis row
+    for p in (2, 3, 5):
+        for n in (1, 2, 3):
+            ctx = Context(p, n)
+            for D in range(3 * dickson_degree(0, ctx) + 1):
+                basis = admissible_basis(D, ctx)
+                monos = solve_degree_diophantine(D, ctx)
+                assert all(compare(a, b) < 0 for a, b in zip(basis, basis[1:])), D
+                assert monos == sorted(set(monos)), (p, n, D)
+                assert [chi_min(m, ctx) for m in monos] == basis, (p, n, D)
+
+
+@pytest.mark.parametrize(
+    "reverse,match",
+    [
+        (("_degree_basis",), "not a bijection"),
+        (("_degree_basis", "_degree_monomials"), "not strictly ascending"),
+    ],
+)
+def test_misordered_enumeration_raises(monkeypatch, reverse, match):
+    # rows out of order are refused, not sorted away: reversing the basis
+    # alone breaks the row-by-row chi_min match, and reversing both
+    # enumerations keeps the match but breaks the ascent the solves bisect
+    for name in reverse:
+        original = getattr(correspondence, name)
+        monkeypatch.setattr(
+            correspondence, name, lambda D, ctx, f=original: f(D, ctx)[::-1]
+        )
+    correspondence._degree_data.cache_clear()
+    x = OpSeq.from_values(P2N2, (0, 3))  # degree 6 has two rows
+    with pytest.raises(InvariantError, match=match):
+        adem_via_invariants(x)
+    monkeypatch.undo()
+    assert adem_via_invariants(x) == adem_straighten_classical(OpPoly.from_seq(x))
 
 
 def test_kronecker_examples():

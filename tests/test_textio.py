@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from dyerlashof.arith import Context, DomainError
+from dyerlashof.arith import Context
 from dyerlashof.correspondence import DualExpansion, dual_of_dickson
 from dyerlashof.invariants import BPoly, DPoly, expand_dickson_monomial
 from dyerlashof.opalgebra import OpPoly, TensorPoly, adem_straighten_classical, coproduct
