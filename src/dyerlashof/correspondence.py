@@ -9,6 +9,9 @@ substitution, and the straightening map rho(e_I) by back-substitution
 over the K <= I.  Both substitutions read only the entries they need;
 no matrix is built.
 
+A degree's record is two tuples of exponent rows, the Dickson monomials
+and the halved admissible basis, from one cached bounded search.
+
     >>> ctx = Context(2, 2)
     >>> [s.twice for s in admissible_basis(6, ctx)]
     [(0, 6), (4, 4)]
@@ -18,16 +21,17 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
+from itertools import accumulate
 
 from .arith import Combination, Context, DomainError, InvariantError
 from .invariants import (
     DPoly,
     _check_dickson_exponents,
-    chi_min,
     coeff_in_expansion,
     coeff_memo,
     dickson_degree,
     dickson_monomial_degree,
+    psi_T,
 )
 from .opalgebra import OpPoly
 from .sequences import OpSeq, degree_lower, is_admissible
@@ -63,40 +67,42 @@ class DualExpansion(Combination):
 
 
 ENUMERATION_CACHE_SIZE = 256
-"""How many (degree, context) pairs each enumeration cache keeps."""
+"""How many degrees each enumeration, and the per-degree record, keeps."""
+
+
+@lru_cache(maxsize=2 * ENUMERATION_CACHE_SIZE)
+def _solutions(weights, D: int, increasing: bool) -> tuple[tuple[int, ...], ...]:
+    """All v >= 0 with sum v_t weights[t] = D, weakly increasing ones only
+    if asked, in lex order, by bounded search.  The cache holds both
+    enumerations: it is keyed on the weights, not on a context."""
+    if D < 0:
+        raise DomainError("degree must be nonnegative")
+    last = len(weights) - 1
+    # the loop bound leaves room for the entries still to come
+    bounds = [sum(weights[t:]) if increasing else weights[t] for t in range(last)]
+    out: list[tuple[int, ...]] = []
+
+    def rec(t: int, lo: int, rem: int, acc: tuple[int, ...]):
+        if t == last:
+            # the last entry is forced
+            v, r = divmod(rem, weights[t])
+            if not r and v >= lo:
+                out.append(acc + (v,))
+            return
+        for v in range(lo, rem // bounds[t] + 1):
+            rec(t + 1, v if increasing else 0, rem - v * weights[t], acc + (v,))
+
+    rec(0, 0, D, ())
+    return tuple(out)
 
 
 def solve_degree_diophantine(D: int, ctx: Context) -> list[tuple[int, ...]]:
-    """All m with sum m_i deg(d_{n,i}) = D, ascending, by bounded
-    lexicographic search.
-
-    Each (D, ctx) is searched once while it stays in the cache, which the
-    solves' per-degree data share; every call returns a fresh list.
-    """
+    """All m with sum m_i deg(d_{n,i}) = D, ascending, as a fresh list."""
     return list(_degree_monomials(D, ctx))
 
 
-@lru_cache(maxsize=ENUMERATION_CACHE_SIZE)
 def _degree_monomials(D: int, ctx: Context) -> tuple[tuple[int, ...], ...]:
-    if D < 0:
-        raise DomainError("degree must be nonnegative")
-    n = ctx.n
-    weights = [dickson_degree(i, ctx) for i in range(n)]
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, rem: int, acc: tuple[int, ...]):
-        w = weights[i]
-        if i == n - 1:
-            # the last exponent is forced
-            mi, r = divmod(rem, w)
-            if not r:
-                out.append(acc + (mi,))
-            return
-        for mi in range(rem // w + 1):
-            rec(i + 1, rem - mi * w, acc + (mi,))
-
-    rec(0, D, ())
-    return tuple(out)
+    return _solutions(tuple(dickson_degree(i, ctx) for i in range(ctx.n)), D, False)
 
 
 def admissible_basis(D: int, ctx: Context) -> list[OpSeq]:
@@ -104,49 +110,31 @@ def admissible_basis(D: int, ctx: Context) -> list[OpSeq]:
     lower degree D, ascending under compare.
 
     Enumerated directly (not through the Dickson side) so that the
-    bijection with solve_degree_diophantine stays a real check.  Each
-    (D, ctx) is enumerated once while it stays in the cache, which the
-    solves' per-degree data share; every call returns a fresh list.
+    bijection with solve_degree_diophantine stays a real check; every
+    call returns fresh sequences.
     """
-    return list(_degree_basis(D, ctx))
+    return [psi_T(k, ctx) for k in _degree_basis(D, ctx)]
 
 
-@lru_cache(maxsize=ENUMERATION_CACHE_SIZE)
-def _degree_basis(D: int, ctx: Context) -> tuple[OpSeq, ...]:
-    if D < 0:
-        raise DomainError("degree must be nonnegative")
-    p, n = ctx.p, ctx.n
-    # weight of entry value 1 at position t (0-based), and of all of t..n-1
-    wt = [(1 << t) if p == 2 else 2 * (p - 1) * p**t for t in range(n)]
-    tails = [sum(wt[t:]) for t in range(n)]
-    zeros = (0,) * n
-    out: list[OpSeq] = []
-
-    def rec(t: int, lo: int, rem: int, acc: tuple[int, ...]):
-        if t == n - 1:
-            # the last entry is forced; it is >= lo because the loop
-            # below left rem >= lo * wt[t]
-            v, r = divmod(rem, wt[t])
-            if not r:
-                out.append(OpSeq(ctx, acc + (2 * v,), zeros))
-            return
-        # every position counts up, so the rows come out ascending
-        for v in range(lo, rem // tails[t] + 1):
-            rec(t + 1, v, rem - v * wt[t], acc + (2 * v,))
-
-    rec(0, 0, D, ())
-    return tuple(out)
+def _degree_basis(D: int, ctx: Context) -> tuple[tuple[int, ...], ...]:
+    """The exponent vectors (entries halved) of admissible_basis(D, ctx)."""
+    p = ctx.p
+    # the lower degree of entry value 1 at position t (0-based)
+    weights = tuple((1 << t) if p == 2 else 2 * (p - 1) * p**t for t in range(ctx.n))
+    return _solutions(weights, D, True)
 
 
 def kronecker_pair(m, J: OpSeq, ctx: Context) -> int:
     """<d^m, Q_J>: the coefficient of h^J in the expansion of d^m."""
+    if J.ctx != ctx:
+        raise DomainError("pairing with a sequence from another context")
     if any(J.eps):
         raise DomainError("the pairing is implemented for eps = 0 only")
     if any(t % 2 for t in J.twice):
         return 0
     if dickson_monomial_degree(m, ctx) != degree_lower(J):
         return 0
-    return coeff_in_expansion(m, tuple(t // 2 for t in J.twice), ctx)
+    return coeff_in_expansion(m, _exps(J), ctx)
 
 
 def _exps(s: OpSeq) -> tuple[int, ...]:
@@ -156,10 +144,10 @@ def _exps(s: OpSeq) -> tuple[int, ...]:
 @lru_cache(maxsize=ENUMERATION_CACHE_SIZE)
 def _degree_data(D: int, ctx: Context):
     """Per-degree duality data, one row per admissible sequence K of
-    lower degree D, in the order both enumerations emit: the rows K, the
-    Dickson monomials m(K) with chi_min(d^m(K)) = K and the column
-    exponents of K.  chi_min takes m to its partial sums, which turns
-    the lex order of the monomials into the order of the basis.
+    lower degree D, in the order both enumerations emit: the Dickson
+    monomials m(K) with chi_min(d^m(K)) = K and the exponents of K, the
+    columns.  chi_min takes m to its partial sums, which turns the lex
+    order of the monomials into the order of the basis.
 
     Checks once per degree that chi_min maps the monomials onto the
     basis row by row, that the columns strictly ascend (the solves
@@ -168,21 +156,19 @@ def _degree_data(D: int, ctx: Context):
     directly.
     """
     ms = _degree_monomials(D, ctx)
-    ks = _degree_basis(D, ctx)
-    if len(ms) != len(ks) or any(
-        chi_min(m, ctx).twice != k.twice for m, k in zip(ms, ks)
-    ):
+    cols = _degree_basis(D, ctx)
+    if [tuple(accumulate(m)) for m in ms] != list(cols):
         raise InvariantError("chi_min is not a bijection onto the admissible basis")
-    cols = tuple(_exps(k) for k in ks)
     if any(a >= b for a, b in zip(cols, cols[1:])):
         raise InvariantError("the admissible basis is not strictly ascending")
-    for m, k, col in zip(ms, ks, cols):
+    for m, col in zip(ms, cols):
         c = coeff_in_expansion(m, col, ctx)
         if c != 1:
             raise InvariantError(
-                f"pairing matrix is not unitriangular: <d^{m}, Q_{k.twice}> = {c}"
+                "pairing matrix is not unitriangular: "
+                f"<d^{m}, Q_{psi_T(col, ctx).twice}> = {c}"
             )
-    return ks, ms, cols
+    return ms, cols
 
 
 def dual_of_dickson(m, ctx: Context) -> DualExpansion:
@@ -195,20 +181,21 @@ def dual_of_dickson(m, ctx: Context) -> DualExpansion:
     """
     m = tuple(m)
     _check_dickson_exponents(m, ctx)
-    ks, ms, cols = _degree_data(dickson_monomial_degree(m, ctx), ctx)
+    ms, cols = _degree_data(dickson_monomial_degree(m, ctx), ctx)
     coeff = coeff_memo(ctx).coeff
     at_lead = bisect_left(ms, m)
     out = DualExpansion(ctx)
-    for i, (J, col) in enumerate(zip(ks, cols)):
+    for i, col in enumerate(cols):
         c = coeff(m, col)
         if i < at_lead and c:
             raise InvariantError(
-                f"pairing <d^{m}, Q_{J.twice}> below chi_min is {c}, not 0"
+                f"pairing <d^{m}, Q_{psi_T(col, ctx).twice}> "
+                f"below chi_min is {c}, not 0"
             )
         if i == at_lead and c != 1:
             raise InvariantError(f"chi_min coefficient of d^{m} is {c}, not 1")
         if c:
-            out.add_term(J, c)
+            out.add_term(psi_T(col, ctx), c)
     return out
 
 
@@ -227,15 +214,15 @@ def dickson_of_dual(J: OpSeq) -> DPoly:
         raise DomainError("dickson_of_dual needs an integral eps = 0 sequence")
     if not is_admissible(J):
         raise DomainError("dickson_of_dual needs an admissible sequence")
-    ks, ms, cols = _degree_data(degree_lower(J), ctx)
+    ms, cols = _degree_data(degree_lower(J), ctx)
     coeff = coeff_memo(ctx).coeff
     exps = _exps(J)
     target = bisect_left(cols, exps)
-    if target == len(ks) or cols[target] != exps:
+    if target == len(cols) or cols[target] != exps:
         raise DomainError("sequence not in the admissible basis of its degree")
     p = ctx.p
     x: dict[int, int] = {}
-    for j in range(target, len(ks)):
+    for j in range(target, len(cols)):
         col = cols[j]
         acc = 1 if j == target else 0
         for i, xi in x.items():
@@ -262,7 +249,7 @@ def adem_via_invariants(x: OpSeq) -> OpPoly:
         raise DomainError("invariant-theoretic straightening needs eps = 0")
     if any(t % 2 for t in x.twice):
         raise DomainError("invariant-theoretic straightening needs integral entries")
-    ks, ms, cols = _degree_data(degree_lower(x), ctx)
+    ms, cols = _degree_data(degree_lower(x), ctx)
     coeff = coeff_memo(ctx).coeff
     p = ctx.p
     exps = _exps(x)
@@ -277,5 +264,5 @@ def adem_via_invariants(x: OpSeq) -> OpPoly:
             a[i] = acc
     out = OpPoly(ctx)
     for i in sorted(a):
-        out.add_term(ks[i].twice, ks[i].eps, a[i])
+        out.add_term([2 * v for v in cols[i]], (0,) * ctx.n, a[i])
     return out

@@ -55,10 +55,11 @@ def entry_str(twice_value: int) -> str:
 
 def entry_from_str(text: str) -> int:
     """Parse '3' or '3/2' into a doubled entry."""
-    text = text.strip()
-    if text.endswith("/2"):
-        return int(text[:-2])
-    return 2 * int(text)
+    body = text.strip()
+    try:
+        return int(body[:-2]) if body.endswith("/2") else 2 * int(body)
+    except ValueError:
+        raise DomainError(f"entry must be like 3 or 3/2, got {text!r}") from None
 
 
 @dataclass(frozen=True)

@@ -231,7 +231,7 @@ def test_A7_coefficient_formula_random():
     print(f"A7: 500 random (m, J) pairs, {nonzero} nonzero, formula = recursion = expansion")
 
 
-# --- A8: frozen Bockstein vectors at p = 3 (up to a unit) ------------------
+# --- A8: frozen Bockstein vectors at p = 3, matched exactly ----------------
 
 
 def test_A8_bockstein_vectors():
@@ -246,12 +246,8 @@ def test_A8_bockstein_vectors():
         cases.append(((2 * q + 2, 1), (0, 1), {((1, 2 * q1 + 1), (1, 0)): 1}))
     for twice, eps, expected in cases:
         got = terms_of(adem_straighten_classical(OpPoly.from_seq(OpSeq(ctx, twice, eps))))
-        ok = any(
-            got == {k: (u * c) % p for k, c in expected.items()}
-            for u in range(1, p)
-        ) if expected else got == {}
-        assert ok, (twice, eps, got)
-    print(f"A8: {len(cases)} Bockstein vectors match up to a unit")
+        assert got == expected, (twice, eps, got)
+    print(f"A8: {len(cases)} Bockstein vectors match exactly")
 
 
 # --- A9: property bundle ----------------------------------------------------

@@ -28,6 +28,7 @@ from dyerlashof.invariants import (
     dickson_degree,
     dickson_monomial_degree,
     expand_dickson_monomial,
+    psi_T,
 )
 from dyerlashof.opalgebra import OpPoly, adem_straighten_classical, coproduct
 from dyerlashof.sequences import OpSeq, compare, degree_lower, is_admissible
@@ -80,16 +81,18 @@ def test_enumerations_hand_out_fresh_lists():
 
 
 def count_searches(fn):
-    """Run fn and count, per enumeration, the top-level calls of its
-    inner recursion ``rec``: one per search of a degree."""
+    """Run fn and count, per enumeration (keyed by the ``increasing``
+    flag of ``_solutions``), the top-level calls of its inner recursion
+    ``rec``: one per search of a degree."""
     searches = {}
 
     def profile(frame, event, arg):
         if event != "call" or frame.f_code.co_name != "rec":
             return
-        outer = frame.f_back.f_code
-        if outer.co_name != "rec" and outer.co_filename == correspondence.__file__:
-            searches[outer.co_name] = searches.get(outer.co_name, 0) + 1
+        outer = frame.f_back
+        if outer.f_code is correspondence._solutions.__wrapped__.__code__:
+            key = outer.f_locals["increasing"]
+            searches[key] = searches.get(key, 0) + 1
 
     sys.setprofile(profile)
     try:
@@ -105,8 +108,7 @@ def test_degree_is_enumerated_once(capsys):
     ctx = Context(2, 3)
     D = degree_lower(OpSeq.from_values(ctx, (4, 0, 4)))
     common = ["--p", "2", "--n", "3"]
-    correspondence._degree_basis.cache_clear()
-    correspondence._degree_monomials.cache_clear()
+    correspondence._solutions.cache_clear()
     correspondence._degree_data.cache_clear()
 
     def session():
@@ -118,7 +120,9 @@ def test_degree_is_enumerated_once(capsys):
         ):
             assert cli.main(argv) == 0
 
-    assert count_searches(session) == {"_degree_basis": 1, "_degree_monomials": 1}
+    # one search of the admissible basis, one of the Dickson monomials
+    assert count_searches(session) == {True: 1, False: 1}
+    assert correspondence._solutions.cache_info().misses == 2
     out = capsys.readouterr().out.splitlines()
     assert out[:6] == ["Q[0,0,5]", "Q[0,2,4]", "Q[2,3,3]", "d2^5", "d1^2*d2^2", "d0^2*d1"]
 
@@ -126,20 +130,20 @@ def test_degree_is_enumerated_once(capsys):
 def test_enumeration_caches_are_bounded():
     ctx = Context(2, 1)
     bound = correspondence.ENUMERATION_CACHE_SIZE
+    # _solutions holds both enumerations, so each keeps its last `bound` degrees
     caches = (
-        correspondence._degree_basis,
-        correspondence._degree_monomials,
-        correspondence._degree_data,
+        (correspondence._solutions, 2 * bound),
+        (correspondence._degree_data, bound),
     )
-    for cache in caches:
-        assert cache.cache_info().maxsize == bound
+    for cache, size in caches:
+        assert cache.cache_info().maxsize == size
     for D in range(bound + 20):
         assert len(admissible_basis(D, ctx)) == len(solve_degree_diophantine(D, ctx)) == 1
         assert len(correspondence._degree_data(D, ctx)[0]) == 1
-        for cache in caches:
-            assert cache.cache_info().currsize <= bound
-    for cache in caches:
-        assert cache.cache_info().currsize == bound
+        for cache, size in caches:
+            assert cache.cache_info().currsize <= size
+    for cache, size in caches:
+        assert cache.cache_info().currsize == size
 
 
 def test_enumerations_ascend_and_chi_min_maps_row_by_row():
@@ -154,6 +158,31 @@ def test_enumerations_ascend_and_chi_min_maps_row_by_row():
                 assert all(compare(a, b) < 0 for a, b in zip(basis, basis[1:])), D
                 assert monos == sorted(set(monos)), (p, n, D)
                 assert [chi_min(m, ctx) for m in monos] == basis, (p, n, D)
+
+
+def test_one_enumerator_matches_brute_force():
+    # both enumerations share _solutions, so a bug there could drop a row
+    # on both sides and still pass the row-by-row chi_min check
+    side = 10
+    for p in (2, 3, 5, 7):
+        for n in (1, 2, 3):
+            ctx = Context(p, n)
+            units = [tuple(int(i == t) for i in range(n)) for t in range(n)]
+            lower = tuple(degree_lower(psi_T(u, ctx)) for u in units)
+            dickson = tuple(dickson_degree(i, ctx) for i in range(n))
+            for weights, increasing in itertools.product((lower, dickson), (True, False)):
+                brute = {}
+                for v in itertools.product(range(side), repeat=n):
+                    if not increasing or list(v) == sorted(v):
+                        D = sum(a * w for a, w in zip(v, weights))
+                        brute.setdefault(D, []).append(v)
+                # the box holds every solution of a degree below this
+                for D in range(side * min(weights)):
+                    got = correspondence._solutions(weights, D, increasing)
+                    assert got == tuple(brute.get(D, ())), (weights, D, increasing)
+                assert correspondence._solutions(weights, 0, increasing) == ((0,) * n,)
+                with pytest.raises(DomainError, match="nonnegative"):
+                    correspondence._solutions(weights, -1, increasing)
 
 
 @pytest.mark.parametrize(
@@ -178,6 +207,15 @@ def test_misordered_enumeration_raises(monkeypatch, reverse, match):
         adem_via_invariants(x)
     monkeypatch.undo()
     assert adem_via_invariants(x) == adem_straighten_classical(OpPoly.from_seq(x))
+
+
+def test_kronecker_refuses_a_foreign_sequence():
+    # before, a p = 5 sequence paired in a p = 3 context answered 0
+    with pytest.raises(DomainError, match="another context"):
+        kronecker_pair((0, 1), OpSeq(Context(5, 2), (0, 4), (0, 0)), P3N2)
+    with pytest.raises(DomainError, match="another context"):
+        kronecker_pair((0, 1, 0), OpSeq(P2N2, (0, 2), (0, 0)), Context(2, 3))
+    assert kronecker_pair((0, 3), OpSeq(P2N2, (4, 4), (0, 0)), Context(2, 2)) == 1
 
 
 def test_kronecker_examples():

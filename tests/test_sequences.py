@@ -73,6 +73,15 @@ def test_entry_strings():
         assert entry_from_str(entry_str(twice)) == twice
 
 
+def test_bad_entry_string_is_named():
+    # a malformed entry raises DomainError naming it, not int()'s ValueError
+    for bad in ("3/4", "5/2/2", "x", "", "/2"):
+        with pytest.raises(DomainError, match=f"got {bad!r}"):
+            entry_from_str(bad)
+        with pytest.raises(DomainError, match=f"got {bad!r}"):
+            OpSeq.from_values(P3N2, (bad, "1"))
+
+
 def test_degree_lower_examples():
     assert degree_lower(seq(P3N2, (0, 2))) == 24
     assert degree_lower(seq(P2N2, (1, 1))) == 3

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from dyerlashof.arith import Context
+from dyerlashof.arith import Context, DomainError
 from dyerlashof.correspondence import DualExpansion, dual_of_dickson
 from dyerlashof.invariants import BPoly, DPoly, expand_dickson_monomial
 from dyerlashof.opalgebra import OpPoly, TensorPoly, adem_straighten_classical, coproduct
@@ -166,6 +166,9 @@ def test_seq_json_roundtrip():
     obj = seq_to_json(s)
     assert obj == {"seq": ["3/2", "1"], "eps": [0, 1]}
     assert seq_from_json(obj, P3N2) == s
+    # a malformed entry is a DomainError naming it
+    with pytest.raises(DomainError, match="got '3/4'"):
+        seq_from_json({"seq": ["3/4", "1"]}, P3N2)
 
 
 def test_op_poly_json_roundtrip():
