@@ -62,8 +62,10 @@ class Combination:
     Equality, sums and differences need the same kind: the same class
     and ``_shape`` (the constructor arguments before ``terms``).  A sum
     of two kinds raises DomainError.  Combinations are mutable, so they
-    are not hashable.  A subclass's ``add_term`` checks or normalises
-    its key, then calls ``Combination.add_term``.
+    are not hashable.  Every kind takes whole keys through
+    ``add_term(key, coeff)`` (a subclass's ``add_term`` checks its key,
+    then calls ``Combination.add_term``) and lists its terms through
+    ``sorted_terms()`` in its canonical order.
     """
 
     __slots__ = ("ctx", "terms")
@@ -73,10 +75,7 @@ class Combination:
         self.ctx = ctx
         self.terms: dict = {}
         for key, coeff in (terms or {}).items():
-            self._add_key(key, coeff)
-
-    def _add_key(self, key, coeff: int):
-        self.add_term(key, coeff)
+            self.add_term(key, coeff)
 
     def _shape(self) -> tuple:
         return (self.ctx,)
@@ -92,6 +91,11 @@ class Combination:
                 terms[key] = coeff
             else:
                 terms.pop(key)
+
+    def sorted_terms(self) -> list:
+        """(key, coeff) pairs by ascending key, unless the kind orders
+        them otherwise."""
+        return sorted(self.terms.items())
 
     def _combine(self, other: "Combination", sign: int):
         if not isinstance(other, Combination):

@@ -34,7 +34,7 @@ from .invariants import (
     psi_T,
 )
 from .opalgebra import OpPoly
-from .sequences import OpSeq, degree_lower, is_admissible
+from .sequences import OpSeq, degree_lower, is_admissible, term_order
 
 __all__ = [
     "DualExpansion",
@@ -60,9 +60,10 @@ class DualExpansion(Combination):
             raise DomainError("dual expansions are indexed by admissibles")
         Combination.add_term(self, seq, coeff)
 
-    def sorted_terms(self):
+    def sorted_terms(self) -> list:
+        """(J, coeff) pairs in canonical order (term_order)."""
         return sorted(
-            self.terms.items(), key=lambda kv: (kv[0].key(), kv[0].twice, kv[0].eps)
+            self.terms.items(), key=lambda kv: term_order(kv[0].twice, kv[0].eps)
         )
 
 
@@ -126,6 +127,7 @@ def _degree_basis(D: int, ctx: Context) -> tuple[tuple[int, ...], ...]:
 
 def kronecker_pair(m, J: OpSeq, ctx: Context) -> int:
     """<d^m, Q_J>: the coefficient of h^J in the expansion of d^m."""
+    _check_dickson_exponents(m, ctx)
     if J.ctx != ctx:
         raise DomainError("pairing with a sequence from another context")
     if any(J.eps):
@@ -264,5 +266,5 @@ def adem_via_invariants(x: OpSeq) -> OpPoly:
             a[i] = acc
     out = OpPoly(ctx)
     for i in sorted(a):
-        out.add_term([2 * v for v in cols[i]], (0,) * ctx.n, a[i])
+        out.add_term((tuple(2 * v for v in cols[i]), (0,) * ctx.n), a[i])
     return out

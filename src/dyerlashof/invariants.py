@@ -17,7 +17,7 @@ invariance by brute substitution.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from operator import sub
 from typing import NamedTuple
 
@@ -77,6 +77,8 @@ class SparsePoly(Combination):
 
     def add_term(self, exps, coeff: int):
         exps = tuple(exps)
+        if len(exps) != self.ctx.n:
+            raise DomainError(f"expected {self.ctx.n} exponents, got {len(exps)}")
         if any(e < 0 for e in exps):
             raise DomainError("negative exponent in polynomial")
         Combination.add_term(self, exps, coeff)
@@ -436,23 +438,16 @@ def coeff_by_multinomial(m, J, ctx: Context) -> int:
 def chi_min(m, ctx: Context) -> OpSeq:
     """The lex-least support monomial of d^m, as an eps = 0 sequence:
     entry t is m_0 + ... + m_(t-1)."""
-    entries = []
-    run = 0
-    for t in range(ctx.n):
-        run += m[t] if t < len(m) else 0
-        entries.append(2 * run)
-    return OpSeq(ctx, tuple(entries), (0,) * ctx.n)
+    _check_dickson_exponents(m, ctx)
+    return psi_T(tuple(accumulate(m)), ctx)
 
 
 def chi_max(m, ctx: Context) -> OpSeq:
     """The lex-greatest support monomial of d^m: entry t is
     sum_{i <= n-t} m_i p^i."""
+    _check_dickson_exponents(m, ctx)
     p, n = ctx.p, ctx.n
-    entries = tuple(
-        2 * sum(m[i] * p**i for i in range(0, n - t + 1) if i < len(m))
-        for t in range(1, n + 1)
-    )
-    return OpSeq(ctx, entries, (0,) * n)
+    return psi_T([sum(m[i] * p**i for i in range(n - t)) for t in range(n)], ctx)
 
 
 def psi_T(J, ctx: Context) -> OpSeq:

@@ -28,6 +28,7 @@ from operator import sub
 
 from .arith import Combination, Context, DomainError, binom_mod_p
 from .sequences import OpSeq, UpperSeq, first_defect, lower_to_upper, upper_to_lower
+from .sequences import term_order
 
 __all__ = [
     "OpPoly",
@@ -39,37 +40,19 @@ __all__ = [
     "tensor_split_leg",
 ]
 
-# (twice tuple, eps tuple): one monomial of the free algebra.
-Key = tuple[tuple[int, ...], tuple[int, ...]]
-
-
 class OpPoly(Combination):
     """Sparse mod-p combination of lower-notation sequences, keyed by
-    (twice, eps)."""
+    (twice, eps) tuple pairs."""
 
     __slots__ = ()
 
     @classmethod
     def from_seq(cls, s: OpSeq, coeff: int = 1) -> "OpPoly":
-        poly = cls(s.ctx)
-        poly.add_term(s.twice, s.eps, coeff)
-        return poly
+        return cls(s.ctx, {(s.twice, s.eps): coeff})
 
-    def add_term(self, twice, eps, coeff: int):
-        """Add coeff * e_{twice/2, eps}, dropping cancelled terms."""
-        Combination.add_term(self, (tuple(twice), tuple(eps)), coeff)
-
-    def _add_key(self, key: Key, coeff: int):
-        self.add_term(*key, coeff)
-
-    def seq_terms(self):
-        """Yield (OpSeq, coeff) pairs in canonical (ascending) order."""
-        def sort_key(item):
-            (twice, eps), _ = item
-            return (tuple(t - e for t, e in zip(twice, eps)), twice, eps)
-
-        for (twice, eps), coeff in sorted(self.terms.items(), key=sort_key):
-            yield OpSeq(self.ctx, twice, eps), coeff
+    def sorted_terms(self) -> list:
+        """((twice, eps), coeff) pairs in canonical order (term_order)."""
+        return sorted(self.terms.items(), key=lambda kv: term_order(*kv[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +168,7 @@ def adem_straighten_classical(x: OpPoly | OpSeq, max_steps: int = 10**7) -> OpPo
     for (twice, eps), coeff in x.terms.items():
         pos = first_defect(twice, eps)
         if pos is None:
-            result.add_term(twice, eps, coeff)
+            result.add_term((twice, eps), coeff)
         else:
             heap.append((_rewrite_order(twice, eps), coeff, twice, eps, pos))
     heapq.heapify(heap)
@@ -217,7 +200,7 @@ def adem_straighten_classical(x: OpPoly | OpSeq, max_steps: int = 10**7) -> OpPo
             # pairs left of pos - 1 are untouched and admissible
             new_pos = first_defect(new_twice, new_eps, max(pos - 1, 0))
             if new_pos is None:
-                result.add_term(new_twice, new_eps, c)
+                result.add_term((new_twice, new_eps), c)
             else:
                 heapq.heappush(
                     heap,

@@ -22,6 +22,7 @@ tuple ``eps``; eps_t = 1 means a Bockstein in front of the t-th factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 
 from .arith import Context, DomainError
 
@@ -32,6 +33,7 @@ __all__ = [
     "first_defect",
     "is_admissible",
     "compare",
+    "term_order",
     "lower_to_upper",
     "upper_to_lower",
     "family",
@@ -141,6 +143,12 @@ def is_admissible(s: OpSeq) -> bool:
     says the entries are weakly increasing.
     """
     return first_defect(s.twice, s.eps) is None
+
+
+def term_order(twice, eps) -> tuple:
+    """Sort key of the canonical order of a sum's terms: the tail-excess
+    vector (see compare), then the entries, then eps."""
+    return tuple(map(sub, twice, eps)), twice, eps
 
 
 def compare(a: OpSeq, b: OpSeq) -> int:

@@ -204,16 +204,16 @@ def parse_dickson(text: str, ctx: Context) -> tuple[int, ...]:
 # Text rendering
 
 
-def _render_entries(twice, eps, head: str) -> str:
-    """`head[entries]`, with `;eps=bits` when some eps bit is set."""
+def _render_entries(twice, eps) -> str:
+    """`Q[entries]`, with `;eps=bits` when some eps bit is set."""
     body = ",".join(entry_str(t) for t in twice)
     if any(eps):
         body += ";eps=" + "".join(str(b) for b in eps)
-    return f"{head}[{body}]"
+    return f"Q[{body}]"
 
 
 def render_seq(s: OpSeq) -> str:
-    return _render_entries(s.twice, s.eps, "Q")
+    return _render_entries(s.twice, s.eps)
 
 
 def _render_sum(items, render_key) -> str:
@@ -233,7 +233,7 @@ def _render_sum(items, render_key) -> str:
 
 
 def render_op_poly(x: OpPoly) -> str:
-    return _render_sum(x.seq_terms(), render_seq)
+    return _render_sum(x.sorted_terms(), lambda key: _render_entries(*key))
 
 
 def render_dual(d: DualExpansion) -> str:
@@ -275,8 +275,8 @@ def render_dickson_monomial(m) -> str:
 def render_tensor(t: TensorPoly) -> str:
     """Render a lower-notation tensor; legs are (twice, eps) pairs."""
     return _render_sum(
-        sorted(t.terms.items()),
-        lambda legs: " (x) ".join(_render_entries(tw, ep, "Q") for tw, ep in legs),
+        t.sorted_terms(),
+        lambda legs: " (x) ".join(_render_entries(*leg) for leg in legs),
     )
 
 
@@ -284,8 +284,12 @@ def render_tensor(t: TensorPoly) -> str:
 # JSON forms (entries as decimal strings, halves as "3/2")
 
 
+def _seq_json(twice, eps) -> dict:
+    return {"seq": [entry_str(t) for t in twice], "eps": list(eps)}
+
+
 def seq_to_json(s: OpSeq) -> dict:
-    return {"seq": [entry_str(t) for t in s.twice], "eps": list(s.eps)}
+    return _seq_json(s.twice, s.eps)
 
 
 def seq_from_json(obj: dict, ctx: Context) -> OpSeq:
@@ -295,9 +299,7 @@ def seq_from_json(obj: dict, ctx: Context) -> OpSeq:
 
 
 def op_poly_to_json(x: OpPoly) -> list:
-    return [
-        {"coeff": c, **seq_to_json(s)} for s, c in x.seq_terms()
-    ]
+    return [{"coeff": c, **_seq_json(*key)} for key, c in x.sorted_terms()]
 
 
 def dual_to_json(d: DualExpansion) -> list:
@@ -318,12 +320,6 @@ def dickson_combo_from_json(items: list) -> dict[tuple[int, ...], int]:
 
 def tensor_to_json(t: TensorPoly) -> list:
     return [
-        {
-            "coeff": c,
-            "legs": [
-                {"seq": [entry_str(v) for v in tw], "eps": list(ep)}
-                for tw, ep in legs
-            ],
-        }
-        for legs, c in sorted(t.terms.items())
+        {"coeff": c, "legs": [_seq_json(*leg) for leg in legs]}
+        for legs, c in t.sorted_terms()
     ]

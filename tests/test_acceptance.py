@@ -51,7 +51,10 @@ def both_engines(s):
 
 
 def terms_of(x):
-    return {(s.twice, s.eps): c for s, c in x.seq_terms()}
+    """x's terms, after checking that every key is a valid sequence."""
+    for key in x.terms:
+        OpSeq(x.ctx, *key)
+    return dict(x.terms)
 
 
 def monomials_up_to(n, max_sum):
@@ -315,12 +318,12 @@ def rho_tensor(t):
             adem_straighten_classical(OpPoly.from_seq(OpSeq(t.ctx, tw, ep)))
             for tw, ep in legs
         ]
-        pools = [list(f.seq_terms()) for f in factors]
+        pools = [f.sorted_terms() for f in factors]
         for picks in itertools.product(*pools):
             c = coeff
             for _, ci in picks:
                 c *= ci
-            out.add_term(tuple((k.twice, k.eps) for k, _ in picks), c)
+            out.add_term(tuple(k for k, _ in picks), c)
     return out
 
 

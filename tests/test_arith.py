@@ -153,17 +153,26 @@ def test_multinom_permutation_invariant(p, parts):
     assert multinom_mod_p(parts, p) == multinom_mod_p(sorted(parts), p)
 
 
-# Every term container: (name, empty(ctx), add(x, key, c), two keys at ctx).
+# Every term container: (name, empty(ctx), add(x, key, c), two keys at ctx,
+# keys in the kind's canonical order of sorted_terms).
 P3N2 = Context(3, 2)
 CONTAINERS = [
-    ("BPoly", BPoly, BPoly.add_term, (1, 0), (0, 2)),
-    ("YPoly", YPoly, YPoly.add_term, (1, 0), (0, 2)),
+    ("BPoly", BPoly, BPoly.add_term, (1, 0), (0, 2), [(3, 0), (1, 1), (2, 1), (0, 2)]),
+    ("YPoly", YPoly, YPoly.add_term, (1, 0), (0, 2), [(3, 0), (1, 1), (2, 1), (0, 2)]),
     (
         "OpPoly",
         OpPoly,
-        lambda x, key, c: x.add_term(*key, c),
+        OpPoly.add_term,
         ((0, 4), (0, 0)),
         ((1, 3), (1, 0)),
+        # tail excesses (0,3), (0,4), (0,4), (1,3), (2,2); then entries
+        [
+            ((1, 3), (1, 0)),
+            ((0, 4), (0, 0)),
+            ((1, 4), (1, 0)),
+            ((1, 3), (0, 0)),
+            ((2, 2), (0, 0)),
+        ],
     ),
     (
         "DualExpansion",
@@ -171,6 +180,12 @@ CONTAINERS = [
         DualExpansion.add_term,
         OpSeq(P3N2, (0, 4), (0, 0)),
         OpSeq(P3N2, (2, 2), (0, 0)),
+        [
+            OpSeq(P3N2, (1, 3), (1, 0)),
+            OpSeq(P3N2, (0, 4), (0, 0)),
+            OpSeq(P3N2, (1, 4), (1, 0)),
+            OpSeq(P3N2, (2, 2), (0, 0)),
+        ],
     ),
     (
         "TensorPoly",
@@ -178,13 +193,19 @@ CONTAINERS = [
         TensorPoly.add_term,
         (((0, 0), (0, 0)), ((2, 2), (0, 1))),
         (((2, 2), (0, 1)), ((0, 0), (0, 0))),
+        [
+            (((0, 0), (0, 0)), ((2, 2), (0, 1))),
+            (((0, 0), (0, 0)), ((2, 2), (1, 0))),
+            (((2, 2), (0, 1)), ((0, 0), (0, 0))),
+        ],
     ),
 ]
 CONTAINER_IDS = [name for name, *_ in CONTAINERS]
+CONTAINER_ARGS = "name,empty,add,ka,kb,ordered"
 
 
-@pytest.mark.parametrize("name,empty,add,ka,kb", CONTAINERS, ids=CONTAINER_IDS)
-def test_combination_contract(name, empty, add, ka, kb):
+@pytest.mark.parametrize(CONTAINER_ARGS, CONTAINERS, ids=CONTAINER_IDS)
+def test_combination_contract(name, empty, add, ka, kb, ordered):
     p = P3N2.p
     x = empty(P3N2)
     assert isinstance(x, Combination)
@@ -228,6 +249,15 @@ def test_combination_contract(name, empty, add, ka, kb):
         {x}
 
 
+@pytest.mark.parametrize(CONTAINER_ARGS, CONTAINERS, ids=CONTAINER_IDS)
+def test_sorted_terms_in_canonical_order(name, empty, add, ka, kb, ordered):
+    # added in reverse, listed in the kind's order, each with its coefficient
+    x = empty(P3N2)
+    for i in reversed(range(len(ordered))):
+        add(x, ordered[i], 1 + i % 2)
+    assert x.sorted_terms() == [(key, 1 + i % 2) for i, key in enumerate(ordered)]
+
+
 def test_scaled():
     p = 5
     a = BPoly(Context(p, 2), {(1, 0): 2, (0, 3): 4})
@@ -266,8 +296,8 @@ def test_combination_kinds():
     assert (lower + lower).lower
 
 
-@pytest.mark.parametrize("name,empty,add,ka,kb", CONTAINERS, ids=CONTAINER_IDS)
-def test_sums_across_contexts_raise(name, empty, add, ka, kb):
+@pytest.mark.parametrize(CONTAINER_ARGS, CONTAINERS, ids=CONTAINER_IDS)
+def test_sums_across_contexts_raise(name, empty, add, ka, kb, ordered):
     x = empty(P3N2)
     add(x, ka, 1)
     z = empty(Context(5, 2))

@@ -9,6 +9,8 @@ from dyerlashof import invariants
 from dyerlashof.arith import Context, DomainError, padic_digits
 from dyerlashof.invariants import (
     BPoly,
+    DPoly,
+    YPoly,
     check_invariance,
     chi_max,
     chi_min,
@@ -316,6 +318,27 @@ def test_chi_examples():
     assert chi_max((0, 1), P3N2).twice == (6, 0)
     assert chi_max((0, 1), P2N2).twice == (4, 0)
     assert chi_min((0, 0), P3N2).twice == (0, 0)
+
+
+def test_chi_refuses_bad_exponents():
+    # before, chi_min((1, 2, 3)) dropped the 3 and chi_min((1,)) padded
+    for chi in (chi_min, chi_max):
+        for m in ((1, 2, 3), (1,)):
+            with pytest.raises(DomainError, match=f"2 exponents, got {len(m)}"):
+                chi(m, P2N2)
+        with pytest.raises(DomainError, match="negative Dickson exponent"):
+            chi((2, -1), P2N2)
+
+
+def test_polynomials_refuse_a_wrong_length():
+    # before, BPoly(Context(2, 2), {(1, 2, 3): 1}) rendered as h1*h2^2*h3^3
+    for kind in (BPoly, DPoly, YPoly):
+        for exps in ((1, 2, 3), (1,), ()):
+            with pytest.raises(DomainError, match=f"2 exponents, got {len(exps)}"):
+                kind(P2N2, {exps: 1})
+            with pytest.raises(DomainError, match="expected 2 exponents"):
+                kind(P2N2).add_term(exps, 1)
+    assert BPoly(P2N2, {(1, 2): 1}).terms == {(1, 2): 1}
 
 
 def test_chi_extremality():

@@ -178,7 +178,7 @@ def test_op_poly_json_roundtrip():
     back = OpPoly(P3N2)
     for obj in items:
         s = seq_from_json(obj, P3N2)
-        back.add_term(s.twice, s.eps, obj["coeff"])
+        back.add_term((s.twice, s.eps), obj["coeff"])
     assert back == out
 
 
