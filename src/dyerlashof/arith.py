@@ -59,10 +59,10 @@ class Combination:
     """A finite F_p-linear combination: ``terms`` maps keys to coefficients
     in 1..p-1, and a key whose coefficient cancels is removed.
 
-    Equality, sums and differences need the same kind: the same class
-    and ``_shape`` (the constructor arguments before ``terms``).  A sum
-    of two kinds raises DomainError.  Combinations are mutable, so they
-    are not hashable.  Every kind takes whole keys through
+    Equality, sums, differences and products need the same kind: the same
+    class and ``_shape`` (the constructor arguments before ``terms``).  A
+    sum or product of two kinds raises DomainError.  Combinations are
+    mutable, so they are not hashable.  Every kind takes whole keys through
     ``add_term(key, coeff)`` (a subclass's ``add_term`` checks its key,
     then calls ``Combination.add_term``) and lists its terms through
     ``sorted_terms()`` in its canonical order.
@@ -97,14 +97,18 @@ class Combination:
         them otherwise."""
         return sorted(self.terms.items())
 
-    def _combine(self, other: "Combination", sign: int):
-        if not isinstance(other, Combination):
-            return NotImplemented
+    def _check_kind(self, other: "Combination") -> None:
+        """Raise DomainError unless other is a combination of the same kind."""
         if type(other) is not type(self) or other._shape() != self._shape():
             raise DomainError(
                 f"cannot combine {type(self).__name__}{self._shape()} "
                 f"with {type(other).__name__}{other._shape()}"
             )
+
+    def _combine(self, other: "Combination", sign: int):
+        if not isinstance(other, Combination):
+            return NotImplemented
+        self._check_kind(other)
         out = self.scaled(1)
         for key, coeff in other.terms.items():
             Combination.add_term(out, key, sign * coeff)

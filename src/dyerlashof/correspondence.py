@@ -184,7 +184,7 @@ def dual_of_dickson(m, ctx: Context) -> DualExpansion:
     m = tuple(m)
     _check_dickson_exponents(m, ctx)
     ms, cols = _degree_data(dickson_monomial_degree(m, ctx), ctx)
-    coeff = coeff_memo(ctx).coeff
+    coeff = coeff_memo(ctx)
     at_lead = bisect_left(ms, m)
     out = DualExpansion(ctx)
     for i, col in enumerate(cols):
@@ -217,7 +217,7 @@ def dickson_of_dual(J: OpSeq) -> DPoly:
     if not is_admissible(J):
         raise DomainError("dickson_of_dual needs an admissible sequence")
     ms, cols = _degree_data(degree_lower(J), ctx)
-    coeff = coeff_memo(ctx).coeff
+    coeff = coeff_memo(ctx)
     exps = _exps(J)
     target = bisect_left(cols, exps)
     if target == len(cols) or cols[target] != exps:
@@ -246,13 +246,15 @@ def adem_via_invariants(x: OpSeq) -> OpPoly:
     so a_i = 0 there too.  Back-substitution runs over the K_i <= I only
     and reads c_ij only for the j with a_j != 0.
     """
+    if not isinstance(x, OpSeq):
+        raise DomainError(f"straightening needs lower notation, got {type(x).__name__}")
     ctx = x.ctx
     if any(x.eps):
         raise DomainError("invariant-theoretic straightening needs eps = 0")
     if any(t % 2 for t in x.twice):
         raise DomainError("invariant-theoretic straightening needs integral entries")
     ms, cols = _degree_data(degree_lower(x), ctx)
-    coeff = coeff_memo(ctx).coeff
+    coeff = coeff_memo(ctx)
     p = ctx.p
     exps = _exps(x)
     a: dict[int, int] = {}

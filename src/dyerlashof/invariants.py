@@ -84,6 +84,7 @@ class SparsePoly(Combination):
         Combination.add_term(self, exps, coeff)
 
     def __mul__(self, other):
+        self._check_kind(other)
         out = type(self)(self.ctx)
         out.terms = kernels.poly_mul(self.terms, other.terms, self.ctx.p)
         return out
@@ -286,74 +287,50 @@ expand_dickson_monomial.cache_clear = _expansion_terms.cache_clear
 
 
 @lru_cache(maxsize=None)
-def _digit_terms(r: tuple[int, ...], ctx: Context) -> tuple[dict, dict]:
-    """d^r for a digit vector r (0 <= r_i < p): its terms, and the same
-    terms (s, c) grouped by s mod p.  The terms are built as
-    d^(r - e_k) d_{n,k} with k the last nonzero digit (one product per
-    vector, on top of the cached smaller one).  Callers must not modify
-    the result."""
+def coeff_memo(ctx: Context):
+    """The reader of ctx: ``coeff_memo(ctx)(m, J)`` is [h^J] d^m by the
+    digit recursion of coeff_in_expansion, which checks m and J first.
+    The reader and its helpers are unbounded ``lru_cache`` functions, so
+    its ``cache_info`` counts the reads (``cache_clear`` here drops every
+    reader)."""
     p = ctx.p
-    k = next((i for i in range(len(r) - 1, -1, -1) if r[i]), None)
-    if k is None:
-        terms = BPoly.one(ctx).terms
-    else:
-        smaller = r[:k] + (r[k] - 1,) + r[k + 1 :]
-        terms = kernels.poly_mul(
-            _digit_terms(smaller, ctx)[0], dickson_to_borel(k, ctx).terms, p
-        )
-    groups: dict = {}
-    for s, c in terms.items():
-        groups.setdefault(tuple(si % p for si in s), []).append((s, c))
-    return terms, groups
 
-
-class CoeffMemo:
-    """The coefficient memo of one context.
-
-    ``coeffs`` maps (m, J) to [h^J] d^m; ``splits`` maps m to its split
-    (m // p, the digit-product groups of d^(m % p)).  Neither is bounded.
-    ``coeff`` trusts its arguments: m and J are exponent tuples of
-    length n with nonnegative entries (coeff_in_expansion checks them).
-    """
-
-    __slots__ = ("ctx", "p", "coeffs", "splits")
-
-    def __init__(self, ctx: Context):
-        self.ctx = ctx
-        self.p = ctx.p
-        self.coeffs: dict = {}
-        self.splits: dict = {}
-
-    def coeff(self, m: tuple[int, ...], J: tuple[int, ...]) -> int:
-        """[h^J] d^m by the digit recursion of coeff_in_expansion."""
-        key = (m, J)
-        total = self.coeffs.get(key)
-        if total is not None:
-            return total
-        p = self.p
-        split = self.splits.get(m)
-        if split is None:
-            if not any(m):
-                total = self.coeffs[key] = 0 if any(J) else 1
-                return total
-            split = self.splits[m] = (
-                tuple([mi // p for mi in m]),
-                _digit_terms(tuple([mi % p for mi in m]), self.ctx)[1],
+    @lru_cache(maxsize=None)
+    def digits(r: tuple[int, ...]) -> tuple[dict, dict]:
+        """d^r for a digit vector r (0 <= r_i < p): its terms, and them
+        grouped by s mod p.  Built as d^(r - e_k) d_{n,k}, with k the last
+        nonzero digit, on top of the cached smaller product."""
+        k = next((i for i in range(len(r) - 1, -1, -1) if r[i]), None)
+        if k is None:
+            terms = BPoly.one(ctx).terms
+        else:
+            smaller = r[:k] + (r[k] - 1,) + r[k + 1 :]
+            terms = kernels.poly_mul(
+                digits(smaller)[0], dickson_to_borel(k, ctx).terms, p
             )
-        high, groups = split
+        groups: dict = {}
+        for s, c in terms.items():
+            groups.setdefault(tuple(si % p for si in s), []).append((s, c))
+        return terms, groups
+
+    @lru_cache(maxsize=None)
+    def split(m: tuple[int, ...]) -> tuple[tuple[int, ...], dict]:
+        """m // p, and the grouped terms of d^(m % p)."""
+        return tuple([mi // p for mi in m]), digits(tuple([mi % p for mi in m]))[1]
+
+    @lru_cache(maxsize=None)
+    def coeff(m: tuple[int, ...], J: tuple[int, ...]) -> int:
+        if not any(m):
+            return 0 if any(J) else 1
+        high, groups = split(m)
         total = 0
         for s, c in groups.get(tuple([j % p for j in J]), ()):
             rest = tuple(map(sub, J, s))
             if min(rest) >= 0:
-                total += c * self.coeff(high, tuple([r // p for r in rest]))
-        total = self.coeffs[key] = total % p
-        return total
+                total += c * coeff(high, tuple([r // p for r in rest]))
+        return total % p
 
-
-@lru_cache(maxsize=None)
-def coeff_memo(ctx: Context) -> CoeffMemo:
-    """The one coefficient memo of ctx (``cache_clear`` drops every memo)."""
-    return CoeffMemo(ctx)
+    return coeff
 
 
 def coeff_in_expansion(m, J, ctx: Context) -> int:
@@ -368,14 +345,14 @@ def coeff_in_expansion(m, J, ctx: Context) -> int:
     summed over the s with J - s >= 0 and divisible by p in every
     coordinate.  The recursion is log_p(max m) deep and each step scans
     one cached product of generators with exponents below p; no full
-    expansion of d^m is built.  Results are memoised per context
-    (coeff_memo), keyed on (m, J).
+    expansion of d^m is built.  Results are memoised in the context's
+    reader (coeff_memo), keyed on (m, J).
     """
     m, J = tuple(m), tuple(J)
     _check_dickson_exponents(m, ctx)
     if len(J) != ctx.n or any(j < 0 for j in J):
         return 0
-    return coeff_memo(ctx).coeff(m, J)
+    return coeff_memo(ctx)(m, J)
 
 
 def _plain_compositions(total: int, parts: int):
@@ -583,8 +560,9 @@ def _evaluate(x: SparsePoly, images) -> YPoly:
     return out
 
 
-def realize_in_y(x: BPoly, ctx: Context) -> YPoly:
+def realize_in_y(x: BPoly) -> YPoly:
     """Realize a BPoly in the y-variables (small n only)."""
+    ctx = x.ctx
     _guard_realize(ctx)
     return _evaluate(x, [_h_realized(k, ctx) for k in range(1, ctx.n + 1)])
 
@@ -642,12 +620,12 @@ def gl_generators(ctx: Context) -> list:
     return gens
 
 
-def check_invariance(x: YPoly, group: str, ctx: Context) -> bool:
+def check_invariance(x: YPoly, group: str) -> bool:
     """True when x is fixed by every generator of the chosen group."""
     if group == "borel":
-        gens = borel_generators(ctx)
+        gens = borel_generators(x.ctx)
     elif group == "gl":
-        gens = gl_generators(ctx)
+        gens = gl_generators(x.ctx)
     else:
         raise DomainError(f"unknown group {group!r} (use 'borel' or 'gl')")
     return all(_substitute(x, mat) == x for mat in gens)

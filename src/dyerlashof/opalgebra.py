@@ -162,6 +162,8 @@ def adem_straighten_classical(x: OpPoly | OpSeq, max_steps: int = 10**7) -> OpPo
     """
     if isinstance(x, OpSeq):
         x = OpPoly.from_seq(x)
+    elif not isinstance(x, OpPoly):
+        raise DomainError(f"straightening needs lower notation, got {type(x).__name__}")
     p = x.ctx.p
     result = OpPoly(x.ctx)
     heap = []

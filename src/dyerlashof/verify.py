@@ -150,13 +150,13 @@ def suite_invariance(ctx: Context):
     cases = 0
     for i in range(ctx.n):
         cases += 1
-        y = realize_in_y(dickson_to_borel(i, ctx), ctx)
-        if not check_invariance(y, "gl", ctx):
+        y = realize_in_y(dickson_to_borel(i, ctx))
+        if not check_invariance(y, "gl"):
             failures.append(f"d_{{{ctx.n},{i}}} not GL-invariant")
     for exps in itertools.product(range(3), repeat=ctx.n):
         cases += 1
-        y = realize_in_y(BPoly(ctx, {exps: 1}), ctx)
-        if not check_invariance(y, "borel", ctx):
+        y = realize_in_y(BPoly(ctx, {exps: 1}))
+        if not check_invariance(y, "borel"):
             failures.append(f"h^{exps} not Borel-invariant")
     return cases, failures
 

@@ -322,3 +322,17 @@ def test_sums_across_kinds_raise():
         OpPoly(P3N2) + TensorPoly(P3N2, 1)
     with pytest.raises(TypeError):
         b + 1
+
+
+def test_products_across_kinds_and_contexts_raise():
+    # each product once returned an answer: a BPoly, a zip-truncated
+    # {(2, 0): 1}, and one reduced mod 3
+    cases = [
+        (BPoly(P3N2, {(1, 0): 1}), YPoly(P3N2, {(0, 1): 1})),
+        (BPoly(Context(2, 2), {(1, 0): 1}), BPoly(Context(2, 3), {(1, 0, 0): 1})),
+        (BPoly(P3N2, {(1, 0): 1}), BPoly(Context(2, 2), {(1, 0): 1})),
+    ]
+    for a, b in cases:
+        with pytest.raises(DomainError, match="cannot combine"):
+            a * b
+    assert (BPoly(P3N2, {(1, 0): 1}) * BPoly(P3N2, {(1, 0): 2})).terms == {(2, 0): 2}

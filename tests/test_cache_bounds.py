@@ -5,10 +5,12 @@ import importlib
 import pkgutil
 
 import dyerlashof
+from dyerlashof import invariants
+from dyerlashof.arith import Context
 
 UNBOUNDED = {
-    "invariants._digit_terms": "one entry per digit vector; its bound is an open ROADMAP item",
-    "invariants.coeff_memo": "one memo per context; its bound is an open ROADMAP item",
+    "invariants.coeff_memo": "one reader per context, and each reader's memo is "
+    "unbounded; their bound is ROADMAP item 2",
     "invariants._h_realized": "_guard_realize caps it at n <= 3",
     "cli._parser": "takes no arguments, so it holds one entry",
 }
@@ -31,3 +33,11 @@ def test_every_cache_is_bounded_or_listed():
     # a new unbounded cache, or a listed one bounded or removed, fails here
     assert unbounded == set(UNBOUNDED)
     assert all(size is None or size > 0 for size in caches.values())
+
+
+def test_the_readers_coeff_memo_makes_are_listed():
+    # the module scan sees coeff_memo but not the caches it builds per
+    # context; the reader, unbounded, is covered by coeff_memo's entry
+    reader = invariants.coeff_memo(Context(2, 2))
+    assert reader.cache_info().maxsize is None
+    assert "invariants.coeff_memo" in UNBOUNDED

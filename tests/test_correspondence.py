@@ -31,7 +31,8 @@ from dyerlashof.invariants import (
     psi_T,
 )
 from dyerlashof.opalgebra import OpPoly, adem_straighten_classical, coproduct
-from dyerlashof.sequences import OpSeq, compare, degree_lower, is_admissible
+from dyerlashof.sequences import OpSeq, UpperSeq, compare, degree_lower, is_admissible
+from dyerlashof.textio import parse_any_sequence
 
 P3N2 = Context(3, 2)
 P2N2 = Context(2, 2)
@@ -311,23 +312,44 @@ def test_dual_on_cold_degree():
     assert got.sorted_terms()[0] == (chi_min(m, ctx), 1)
 
 
-def test_dual_checks_the_pairings_it_reads():
+def test_dual_checks_the_pairings_it_reads(monkeypatch):
     # at p = 2, n = 2, degree 6: Q_(0,3) < chi_min(d^(2,0)) = Q_(2,2), and
     # <d^(2,0), Q_(0,3)> = 0
     m = (2, 0)
     assert dual_of_dickson(m, P2N2) == dual_by_pairing(m, P2N2)
-    memo = coeff_memo(P2N2)
-    try:
-        memo.coeffs[(m, (0, 3))] = 1
-        with pytest.raises(InvariantError, match="below chi_min is 1, not 0"):
-            dual_of_dickson(m, P2N2)
-        memo.coeffs[(m, (0, 3))] = 0
-        memo.coeffs[(m, (2, 2))] = 0
-        with pytest.raises(InvariantError, match="chi_min coefficient of d"):
-            dual_of_dickson(m, P2N2)
-    finally:
-        coeff_memo.cache_clear()
+    true = coeff_memo(P2N2)
+
+    def misread(J, wrong):
+        # a reader that is wrong at (m, J) alone
+        def reader(mm, JJ):
+            return wrong if (mm, JJ) == (m, J) else true(mm, JJ)
+
+        monkeypatch.setattr(correspondence, "coeff_memo", lambda ctx: reader)
+
+    misread((0, 3), 1)
+    with pytest.raises(InvariantError, match="below chi_min is 1, not 0"):
+        dual_of_dickson(m, P2N2)
+    misread((2, 2), 0)
+    with pytest.raises(InvariantError, match="chi_min coefficient of d"):
+        dual_of_dickson(m, P2N2)
+    monkeypatch.undo()
     assert dual_of_dickson(m, P2N2) == dual_by_pairing(m, P2N2)
+
+
+def test_reader_reuses_reads_across_calls():
+    # straightening the same input again only hits the context's reader;
+    # cache_clear hands out a fresh reader with an empty cache
+    x = OpSeq(P3N2, (6, 2), (0, 0))
+    adem_via_invariants(x)
+    reader = coeff_memo(P3N2)
+    before = reader.cache_info()
+    adem_via_invariants(x)
+    after = reader.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
+    coeff_memo.cache_clear()
+    fresh = coeff_memo(P3N2)
+    assert fresh is not reader
+    assert fresh.cache_info() == (0, 0, None, 0)
 
 
 def test_dual_rejects_bad_exponents():
@@ -386,6 +408,16 @@ def test_adem_via_invariants_guards():
         adem_via_invariants(OpSeq(P3N2, (6, 2), (1, 0)))
     with pytest.raises(DomainError):
         adem_via_invariants(OpSeq(P3N2, (5, 3), (0, 0)))
+
+
+def test_engines_refuse_upper_notation():
+    # E[4,2] is e[0,2] in upper notation; read as lower it straightened
+    # to 2*Q[1,3] in one engine and raised AttributeError in the other
+    up = parse_any_sequence("E[4,2]", P3N2)
+    assert isinstance(up, UpperSeq) and up.twice == (8, 4)
+    for engine in (adem_via_invariants, adem_straighten_classical):
+        with pytest.raises(DomainError, match="needs lower notation, got UpperSeq"):
+            engine(up)
 
 
 def test_invariant_engine_matches_classical():

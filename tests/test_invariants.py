@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from dyerlashof import invariants
+from dyerlashof import correspondence, invariants
 from dyerlashof.arith import Context, DomainError, padic_digits
 from dyerlashof.invariants import (
     BPoly,
@@ -222,14 +222,27 @@ def test_coeff_memo_per_context():
 
 
 def test_digit_product_matches_direct_product():
-    # d^r built from the next smaller digit vector equals the product of
-    # the generators' powers, for every digit vector
+    # the reader's d^r, built from the next smaller digit vector, equals
+    # the product of the generators' powers at every h^J of its degree
+    # (zeros outside the support included), for every digit vector r
     shapes = [(p, n) for p in (2, 3, 5, 7) for n in (1, 2, 3)] + [(2, 4), (3, 4)]
     for p, n in shapes:
         ctx = Context(p, n)
+        coeff = invariants.coeff_memo(ctx)
+        # the weights of h_n..h_1: searched from the largest, the last
+        # entry, of the smallest weight, is forced without dead branches
+        weights = tuple(
+            h_monomial_degree(tuple(int(t == i) for t in range(n)), ctx)
+            for i in reversed(range(n))
+        )
         for r in itertools.product(range(p), repeat=n):
             want = invariants._dickson_product(r, ctx).terms
-            assert invariants._digit_terms(r, ctx)[0] == want, (p, n, r)
+            D = dickson_monomial_degree(r, ctx)
+            Js = [v[::-1] for v in correspondence._solutions(weights, D, False)]
+            assert set(want) <= set(Js), (p, n, r)
+            for J in Js:
+                assert coeff(r, J) == want.get(J, 0), (p, n, r, J)
+    invariants.coeff_memo.cache_clear()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -388,26 +401,30 @@ def test_identity_guards():
 
 def test_realize_examples():
     c31 = Context(3, 1)
-    d0 = realize_in_y(expand_dickson_monomial((1,), c31), c31)
+    d0 = realize_in_y(expand_dickson_monomial((1,), c31))
     assert d0.terms == {(2,): 1}
-    assert check_invariance(d0, "gl", c31)
-    h2 = realize_in_y(BPoly.variable(2, P2N2), P2N2)
+    assert check_invariance(d0, "gl")
+    h2 = realize_in_y(BPoly.variable(2, P2N2))
     assert h2.terms == {(0, 2): 1, (1, 1): 1}
-    assert check_invariance(h2, "borel", P2N2)
-    assert not check_invariance(h2, "gl", P2N2)
-    d21 = realize_in_y(expand_dickson_monomial((0, 1), P2N2), P2N2)
-    assert check_invariance(d21, "gl", P2N2)
+    assert check_invariance(h2, "borel")
+    assert not check_invariance(h2, "gl")
+    d21 = realize_in_y(expand_dickson_monomial((0, 1), P2N2))
+    assert check_invariance(d21, "gl")
+    # both read the context of their argument: y_1 at p = 3 is not
+    # Borel-invariant, and h_1 = y_1^2 there
+    assert not check_invariance(YPoly(P3N2, {(1, 0): 1}), "borel")
+    assert realize_in_y(BPoly(P3N2, {(1, 0): 1})).terms == {(2, 0): 1}
 
 
 def test_realize_guards():
     for ctx in (Context(2, 4), Context(5, 3)):
         d0 = expand_dickson_monomial((1,) + (0,) * (ctx.n - 1), ctx)
         with pytest.raises(DomainError):
-            realize_in_y(d0, ctx)
+            realize_in_y(d0)
     c31 = Context(3, 1)
-    d0 = realize_in_y(expand_dickson_monomial((1,), c31), c31)
+    d0 = realize_in_y(expand_dickson_monomial((1,), c31))
     with pytest.raises(DomainError):
-        check_invariance(d0, "parabolic", c31)
+        check_invariance(d0, "parabolic")
 
 
 def test_realized_dicksons_are_gl_invariant():
@@ -416,8 +433,8 @@ def test_realized_dicksons_are_gl_invariant():
             ctx = Context(p, n)
             for i in range(n):
                 m = tuple(1 if t == i else 0 for t in range(n))
-                y = realize_in_y(expand_dickson_monomial(m, ctx), ctx)
-                assert check_invariance(y, "gl", ctx), (p, n, i)
+                y = realize_in_y(expand_dickson_monomial(m, ctx))
+                assert check_invariance(y, "gl"), (p, n, i)
 
 
 def test_realized_h_monomials_are_borel_invariant():
@@ -425,5 +442,5 @@ def test_realized_h_monomials_are_borel_invariant():
         for n in range(1, n_max + 1):
             ctx = Context(p, n)
             for exps in itertools.product(range(2), repeat=n):
-                y = realize_in_y(BPoly(ctx, {exps: 1}), ctx)
-                assert check_invariance(y, "borel", ctx), (p, n, exps)
+                y = realize_in_y(BPoly(ctx, {exps: 1}))
+                assert check_invariance(y, "borel"), (p, n, exps)
