@@ -14,6 +14,7 @@ coefficient formulas rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 __all__ = [
@@ -53,6 +54,13 @@ class Context:
             raise DomainError(f"p must be one of {PRIMES}, got {self.p}")
         if not 1 <= self.n <= MAX_VARS:
             raise DomainError(f"n must be in 1..{MAX_VARS}, got {self.n}")
+
+    @cached_property
+    def weights(self) -> tuple[int, ...]:
+        """The grading: weights[t] = |h_(t+1)|, the degree of lower entry 1
+        at position t: 2(p-1) p^t, halved to 2^t at p = 2 here only."""
+        unit = 1 if self.p == 2 else 2 * (self.p - 1)
+        return tuple(unit * self.p**t for t in range(self.n))
 
 
 class Combination:

@@ -188,7 +188,7 @@ def _solve_degree(args, ctx):
 def _pair(args, ctx):
     m = textio.parse_dickson(args.mono, ctx)
     s = textio.parse_sequence(args.seq, ctx)
-    v = kronecker_pair(m, s, ctx)
+    v = kronecker_pair(m, s)
     return v, lambda v: {"value": v}, str, lambda: _mono_json(m) | textio.seq_to_json(s)
 
 

@@ -119,17 +119,14 @@ def admissible_basis(D: int, ctx: Context) -> list[OpSeq]:
 
 def _degree_basis(D: int, ctx: Context) -> tuple[tuple[int, ...], ...]:
     """The exponent vectors (entries halved) of admissible_basis(D, ctx)."""
-    p = ctx.p
-    # the lower degree of entry value 1 at position t (0-based)
-    weights = tuple((1 << t) if p == 2 else 2 * (p - 1) * p**t for t in range(ctx.n))
-    return _solutions(weights, D, True)
+    return _solutions(ctx.weights, D, True)
 
 
-def kronecker_pair(m, J: OpSeq, ctx: Context) -> int:
-    """<d^m, Q_J>: the coefficient of h^J in the expansion of d^m."""
+def kronecker_pair(m, J: OpSeq) -> int:
+    """<d^m, Q_J>, in J's context: the coefficient of h^J in d^m."""
+    _require_lower(J, "the pairing")
+    ctx = J.ctx
     _check_dickson_exponents(m, ctx)
-    if J.ctx != ctx:
-        raise DomainError("pairing with a sequence from another context")
     if any(J.eps):
         raise DomainError("the pairing is implemented for eps = 0 only")
     if any(t % 2 for t in J.twice):
@@ -137,6 +134,12 @@ def kronecker_pair(m, J: OpSeq, ctx: Context) -> int:
     if dickson_monomial_degree(m, ctx) != degree_lower(J):
         return 0
     return coeff_in_expansion(m, _exps(J), ctx)
+
+
+def _require_lower(x, what: str) -> None:
+    """Refuse an UpperSeq: read as lower notation it names another sequence."""
+    if not isinstance(x, OpSeq):
+        raise DomainError(f"{what} needs lower notation, got {type(x).__name__}")
 
 
 def _exps(s: OpSeq) -> tuple[int, ...]:
@@ -211,6 +214,7 @@ def dickson_of_dual(J: OpSeq) -> DPoly:
     Forward substitution gives x_i = 0 below the target; from the target
     upwards each c_ij is read only for the i with x_i != 0.
     """
+    _require_lower(J, "dickson_of_dual")
     ctx = J.ctx
     if any(J.eps) or any(t % 2 for t in J.twice):
         raise DomainError("dickson_of_dual needs an integral eps = 0 sequence")
@@ -246,8 +250,7 @@ def adem_via_invariants(x: OpSeq) -> OpPoly:
     so a_i = 0 there too.  Back-substitution runs over the K_i <= I only
     and reads c_ij only for the j with a_j != 0.
     """
-    if not isinstance(x, OpSeq):
-        raise DomainError(f"straightening needs lower notation, got {type(x).__name__}")
+    _require_lower(x, "straightening")
     ctx = x.ctx
     if any(x.eps):
         raise DomainError("invariant-theoretic straightening needs eps = 0")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, combinations, product
-from operator import sub
+from operator import mul, sub
 from typing import NamedTuple
 
 from . import kernels
@@ -129,21 +129,15 @@ class DPoly(SparsePoly):
 
 
 def h_monomial_degree(exps, ctx: Context) -> int:
-    """Topological degree of h^exps: |h_t| = 2 p^(t-1) (p-1), or 2^(t-1)."""
-    p = ctx.p
-    if p == 2:
-        return sum(e << t for t, e in enumerate(exps))
-    return sum(2 * e * p**t * (p - 1) for t, e in enumerate(exps))
+    """Topological degree of h^exps: sum e_t |h_t|, from ctx.weights."""
+    return sum(map(mul, exps, ctx.weights))
 
 
 def dickson_degree(i: int, ctx: Context) -> int:
-    """Topological degree of d_{n,i}: 2(p^n - p^i), or 2^n - 2^i."""
-    p, n = ctx.p, ctx.n
-    if not 0 <= i <= n - 1:
-        raise DomainError(f"Dickson index must be in 0..{n - 1}, got {i}")
-    if p == 2:
-        return (1 << n) - (1 << i)
-    return 2 * (p**n - p**i)
+    """Topological degree of d_{n,i}: the sum of |h_t| over t > i."""
+    if not 0 <= i <= ctx.n - 1:
+        raise DomainError(f"Dickson index must be in 0..{ctx.n - 1}, got {i}")
+    return sum(ctx.weights[i:])
 
 
 def dickson_monomial_degree(m, ctx: Context) -> int:
@@ -526,9 +520,10 @@ def _guard_realize(ctx: Context):
         raise DomainError("realization limited to n <= 3 (p <= 3 when n = 3)")
 
 
-@lru_cache(maxsize=None)
-def _h_realized(k: int, ctx: Context) -> YPoly:
-    """h_k as a y-polynomial: the span-orbit product raised to p-1.
+@lru_cache(maxsize=18)  # the (k, ctx) pairs that _guard_realize admits
+def _h_realized(k: int, ctx: Context) -> tuple:
+    """The terms of h_k as a y-polynomial, frozen so the cache can share
+    them: the span-orbit product raised to p-1.
 
     h_k = (prod over u in the F_p-span of y_1..y_{k-1} of (y_k - u))^(p-1)
     with the exponent dropping to 1 at p = 2.
@@ -538,7 +533,7 @@ def _h_realized(k: int, ctx: Context) -> YPoly:
     out = YPoly.one(ctx)
     for coeffs in product(range(p), repeat=k - 1):
         out = out * _linear_form([-c for c in coeffs] + [1], ctx)
-    return out.pow(p - 1)
+    return tuple(out.pow(p - 1).terms.items())
 
 
 def _linear_form(coeffs, ctx: Context) -> YPoly:
@@ -564,7 +559,8 @@ def realize_in_y(x: BPoly) -> YPoly:
     """Realize a BPoly in the y-variables (small n only)."""
     ctx = x.ctx
     _guard_realize(ctx)
-    return _evaluate(x, [_h_realized(k, ctx) for k in range(1, ctx.n + 1)])
+    images = [YPoly(ctx, dict(_h_realized(k, ctx))) for k in range(1, ctx.n + 1)]
+    return _evaluate(x, images)
 
 
 def _substitute(x: YPoly, mat) -> YPoly:

@@ -22,7 +22,7 @@ tuple ``eps``; eps_t = 1 means a Bockstein in front of the t-th factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import sub
+from operator import mul, sub
 
 from .arith import Context, DomainError
 
@@ -112,18 +112,10 @@ class UpperSeq(_Seq):
 
 
 def degree_lower(s: OpSeq) -> int:
-    """Topological degree of e_{I,eps}.
-
-    For odd p: 2(p-1) sum j_t p^(t-1) - sum eps_t p^(t-1); for p = 2:
-    sum j_t 2^(t-1).  Always an integer, even with half entries.
-    """
-    p = s.ctx.p
-    if p == 2:
-        return sum((t // 2) << pos for pos, t in enumerate(s.twice))
-    total = 0
-    for pos, (t, e) in enumerate(zip(s.twice, s.eps)):
-        total += (t * (p - 1) - e) * p**pos
-    return total
+    """Topological degree of e_{I,eps}: sum j_t |h_t| - sum eps_t p^(t-1),
+    an integer even with half entries; p^(t-1) = |h_t| / |h_1| at odd p."""
+    w = s.ctx.weights
+    return sum(map(mul, s.twice, w)) // 2 - sum(map(mul, s.eps, w)) // w[0]
 
 
 def first_defect(twice, eps, start: int = 0) -> int | None:
@@ -166,9 +158,9 @@ def compare(a: OpSeq, b: OpSeq) -> int:
     return 0
 
 
-def _entry_degree(p: int, twice: int, eps: int) -> int:
-    """Degree of one factor standing first: (p-1) 2j - eps, or j at p = 2."""
-    return twice // 2 if p == 2 else twice * (p - 1) - eps
+def _entry_degree(ctx: Context, twice: int, eps: int) -> int:
+    """Degree of one factor standing first: j |h_1| - eps."""
+    return twice * ctx.weights[0] // 2 - eps
 
 
 def lower_to_upper(s: OpSeq) -> UpperSeq:
@@ -185,7 +177,7 @@ def lower_to_upper(s: OpSeq) -> UpperSeq:
     suffix = 0
     bad = None
     for t in range(s.ctx.n - 2, -1, -1):
-        suffix = _entry_degree(p, twice[t + 1], eps[t + 1]) + p * suffix
+        suffix = _entry_degree(s.ctx, twice[t + 1], eps[t + 1]) + p * suffix
         twice_up[t] += scale * suffix
         if twice_up[t] < 0:
             bad = t
@@ -207,7 +199,7 @@ def upper_to_lower(u: UpperSeq) -> OpSeq:
     twice_low = list(u.twice)
     suffix = 0
     for t in range(u.ctx.n - 2, -1, -1):
-        suffix = _entry_degree(p, twice_low[t + 1], eps[t + 1]) + p * suffix
+        suffix = _entry_degree(u.ctx, twice_low[t + 1], eps[t + 1]) + p * suffix
         twice_low[t] -= scale * suffix
         if twice_low[t] < 0:
             raise DomainError(f"lower entry {t + 1} is negative")

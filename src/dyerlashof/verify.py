@@ -113,7 +113,7 @@ def suite_triangularity(ctx: Context, max_sum: int = 6):
             failures.append(f"degree {D}: {len(ms)} monomials, {len(ks)} admissibles")
             continue
         for i in range(len(ks)):
-            c = [kronecker_pair(ms[i], K, ctx) for K in ks]
+            c = [kronecker_pair(ms[i], K) for K in ks]
             if c[i] != 1:
                 failures.append(f"degree {D}: diagonal entry {c[i]} at {ks[i].twice}")
             for j in range(len(ks)):

@@ -11,7 +11,6 @@ from dyerlashof.arith import Context
 UNBOUNDED = {
     "invariants.coeff_memo": "one reader per context, and each reader's memo is "
     "unbounded; their bound is ROADMAP item 2",
-    "invariants._h_realized": "_guard_realize caps it at n <= 3",
     "cli._parser": "takes no arguments, so it holds one entry",
 }
 

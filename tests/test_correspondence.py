@@ -211,12 +211,32 @@ def test_misordered_enumeration_raises(monkeypatch, reverse, match):
 
 
 def test_kronecker_refuses_a_foreign_sequence():
-    # before, a p = 5 sequence paired in a p = 3 context answered 0
-    with pytest.raises(DomainError, match="another context"):
-        kronecker_pair((0, 1), OpSeq(Context(5, 2), (0, 4), (0, 0)), P3N2)
-    with pytest.raises(DomainError, match="another context"):
-        kronecker_pair((0, 1, 0), OpSeq(P2N2, (0, 2), (0, 0)), Context(2, 3))
-    assert kronecker_pair((0, 3), OpSeq(P2N2, (4, 4), (0, 0)), Context(2, 2)) == 1
+    # the pairing takes its context from J: m must fit J's context, and a
+    # p = 5 sequence pairs at p = 5 (before, a context argument could
+    # differ from J's)
+    with pytest.raises(DomainError, match="expected 2 exponents, got 3"):
+        kronecker_pair((0, 1, 0), OpSeq(P2N2, (0, 2), (0, 0)))
+    p5 = Context(5, 2)
+    assert kronecker_pair((0, 2), OpSeq(p5, (0, 4), (0, 0))) == coeff_in_expansion(
+        (0, 2), (0, 2), p5
+    )
+    assert kronecker_pair((0, 3), OpSeq(P2N2, (4, 4), (0, 0))) == 1
+
+
+def test_kronecker_refuses_upper_notation():
+    # before, E[2,4] at p = 3 was paired as if it were e[2,4] and gave 1
+    upper = UpperSeq(P3N2, (4, 8), (0, 0))
+    with pytest.raises(DomainError, match="lower notation, got UpperSeq"):
+        kronecker_pair((2, 2), upper)
+    assert kronecker_pair((2, 2), OpSeq(P3N2, (4, 8), (0, 0))) == 1
+
+
+def test_dickson_of_dual_refuses_upper_notation():
+    # before, E[2,4] at p = 3 gave {(2, 2): 1}, the answer for e[2,4]
+    upper = UpperSeq(P3N2, (4, 8), (0, 0))
+    with pytest.raises(DomainError, match="lower notation, got UpperSeq"):
+        dickson_of_dual(upper)
+    assert dickson_of_dual(OpSeq(P3N2, (4, 8), (0, 0))).terms == {(2, 2): 1}
 
 
 def test_kronecker_checks_the_exponents():
@@ -224,26 +244,26 @@ def test_kronecker_checks_the_exponents():
     q3, q6 = OpSeq.from_values(P2N2, (0, 3)), OpSeq.from_values(P2N2, (0, 6))
     for m, J in (((-2, 6), q6), ((-1, 3), q3)):
         with pytest.raises(DomainError, match="negative Dickson exponent"):
-            kronecker_pair(m, J, P2N2)
+            kronecker_pair(m, J)
     for m, J in (((2,), q6), ((1,), q3)):
         with pytest.raises(DomainError, match="expected 2 exponents, got 1"):
-            kronecker_pair(m, J, P2N2)
+            kronecker_pair(m, J)
     # valid pairs are unchanged
-    assert kronecker_pair((0, 3), q3, P2N2) == 1
-    assert kronecker_pair((2, 0), q3, P2N2) == 0
-    assert kronecker_pair((0, 6), q6, P2N2) == 1
-    assert kronecker_pair((0, 2), q3, P2N2) == 0
+    assert kronecker_pair((0, 3), q3) == 1
+    assert kronecker_pair((2, 0), q3) == 0
+    assert kronecker_pair((0, 6), q6) == 1
+    assert kronecker_pair((0, 2), q3) == 0
 
 
 def test_kronecker_examples():
-    assert kronecker_pair((0, 2), OpSeq(P3N2, (6, 2), (0, 0)), P3N2) == 2
-    assert kronecker_pair((0, 3), OpSeq(P2N2, (4, 4), (0, 0)), P2N2) == 1
+    assert kronecker_pair((0, 2), OpSeq(P3N2, (6, 2), (0, 0))) == 2
+    assert kronecker_pair((0, 3), OpSeq(P2N2, (4, 4), (0, 0))) == 1
     # degree mismatch pairs to zero
-    assert kronecker_pair((0, 1), OpSeq(P3N2, (0, 4), (0, 0)), P3N2) == 0
+    assert kronecker_pair((0, 1), OpSeq(P3N2, (0, 4), (0, 0))) == 0
     # half-entry sequences pair to zero (no eps = 0 monomial matches)
-    assert kronecker_pair((0, 2), OpSeq(P3N2, (5, 3), (0, 0)), P3N2) == 0
+    assert kronecker_pair((0, 2), OpSeq(P3N2, (5, 3), (0, 0))) == 0
     with pytest.raises(DomainError):
-        kronecker_pair((0, 2), OpSeq(P3N2, (6, 2), (0, 1)), P3N2)
+        kronecker_pair((0, 2), OpSeq(P3N2, (6, 2), (0, 1)))
 
 
 def seq_of(ctx, twice):
@@ -280,7 +300,7 @@ def dual_by_pairing(m, ctx):
     out = DualExpansion(ctx)
     lead = chi_min(m, ctx)
     for J in admissible_basis(D, ctx):
-        c = kronecker_pair(m, J, ctx)
+        c = kronecker_pair(m, J)
         cmp = compare(J, lead)
         if cmp < 0 and c:
             raise InvariantError(
@@ -582,8 +602,8 @@ def test_pairing_adjunction():
                     continue
                 right += (
                     c
-                    * kronecker_pair(a, OpSeq(ctx, tw1, (0, 0)), ctx)
-                    * kronecker_pair(b, OpSeq(ctx, tw2, (0, 0)), ctx)
+                    * kronecker_pair(a, OpSeq(ctx, tw1, (0, 0)))
+                    * kronecker_pair(b, OpSeq(ctx, tw2, (0, 0)))
                 )
             assert left % 2 == right % 2, (a, b, I.twice)
             checked += 1
@@ -596,6 +616,6 @@ def test_expansion_lookup_consistency():
         for J in admissible_basis(D, P3N2):
             if any(t % 2 for t in J.twice):
                 continue
-            assert kronecker_pair(m, J, P3N2) == coeff_in_expansion(
+            assert kronecker_pair(m, J) == coeff_in_expansion(
                 m, tuple(t // 2 for t in J.twice), P3N2
             )

@@ -304,6 +304,27 @@ def test_degree_formulas():
     assert h_monomial_degree((1, 1), P2N2) == 3
 
 
+def test_weights_are_the_grading():
+    # one vector grades both sides, at every supported (p, n)
+    for p in (2, 3, 5, 7):
+        for n in range(1, 7):
+            ctx = Context(p, n)
+            # |h_t| for t = 1..n, and |d_{n,i}| for i = 0..n-1
+            h = [
+                2 ** (t - 1) if p == 2 else 2 * (p - 1) * p ** (t - 1)
+                for t in range(1, n + 1)
+            ]
+            d = [2**n - 2**i if p == 2 else 2 * (p**n - p**i) for i in range(n)]
+            assert ctx.weights == tuple(h)
+            assert [dickson_degree(i, ctx) for i in range(n)] == d
+            units = [tuple(int(t == k) for t in range(n)) for k in range(n)]
+            assert [h_monomial_degree(e, ctx) for e in units] == h
+            assert dickson_monomial_degree((1,) * n, ctx) == sum(d)
+            # a derived value: the context's repr, == and hash stay its (p, n)
+            assert repr(ctx) == f"Context(p={p}, n={n})"
+            assert ctx == Context(p, n) and hash(ctx) == hash(Context(p, n))
+
+
 def test_homogeneity():
     for p in (2, 3):
         for n in (1, 2, 3):
@@ -414,6 +435,24 @@ def test_realize_examples():
     # Borel-invariant, and h_1 = y_1^2 there
     assert not check_invariance(YPoly(P3N2, {(1, 0): 1}), "borel")
     assert realize_in_y(BPoly(P3N2, {(1, 0): 1})).terms == {(2, 0): 1}
+
+
+def test_realized_h_is_not_shared():
+    # before, the cache handed out a YPoly: a term added to
+    # _h_realized(1, ctx) leaked into every later realization of h_1
+    ctx = Context(2, 2)
+    assert invariants._h_realized(1, ctx) == (((1, 0), 1),)
+    assert realize_in_y(BPoly(ctx, {(1, 0): 1})).terms == {(1, 0): 1}
+    # the cache holds every (k, ctx) that _guard_realize admits, no more
+    admitted = 0
+    for p in (2, 3, 5, 7):
+        for n in range(1, 7):
+            try:
+                invariants._guard_realize(Context(p, n))
+            except DomainError:
+                continue
+            admitted += n
+    assert invariants._h_realized.cache_info().maxsize == admitted == 18
 
 
 def test_realize_guards():

@@ -1,6 +1,7 @@
 """Tests for sequence bookkeeping: degree, excess, conversion, families."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -87,6 +88,16 @@ def test_degree_lower_examples():
     assert degree_lower(seq(P2N2, (1, 1))) == 3
     assert degree_lower(family("I", (1,), P3N2)) == 12  # 2 p^i (p^(n-i) - 1)
     assert degree_lower(seq(Context(3, 3), (0, 0, 0))) == 0
+
+
+def test_degree_lower_with_bocksteins_and_halves_at_n6():
+    twice, eps = (1, 3, 2, 5, 4, 7), (1, 0, 1, 0, 0, 1)
+    for p in (3, 5, 7):
+        j = [Fraction(t, 2) for t in twice]
+        want = 2 * (p - 1) * sum(j[t] * p**t for t in range(6)) - sum(
+            eps[t] * p**t for t in range(6)
+        )
+        assert degree_lower(OpSeq(Context(p, 6), twice, eps)) == want
 
 
 def test_conversion_examples():
