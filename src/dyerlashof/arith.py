@@ -72,7 +72,8 @@ class Combination:
     sum or product of two kinds raises DomainError.  Combinations are
     mutable, so they are not hashable.  Every kind takes whole keys through
     ``add_term(key, coeff)`` (a subclass's ``add_term`` checks its key,
-    then calls ``Combination.add_term``) and lists its terms through
+    then calls ``Combination.add_term``, which code whose keys are valid
+    by construction calls directly) and lists its terms through
     ``sorted_terms()`` in its canonical order.
     """
 

@@ -34,7 +34,7 @@ from .invariants import (
     psi_T,
 )
 from .opalgebra import OpPoly
-from .sequences import OpSeq, degree_lower, is_admissible, term_order
+from .sequences import OpSeq, degree_lower, is_admissible, require_lower, term_order
 
 __all__ = [
     "DualExpansion",
@@ -124,7 +124,7 @@ def _degree_basis(D: int, ctx: Context) -> tuple[tuple[int, ...], ...]:
 
 def kronecker_pair(m, J: OpSeq) -> int:
     """<d^m, Q_J>, in J's context: the coefficient of h^J in d^m."""
-    _require_lower(J, "the pairing")
+    require_lower(J, "the pairing")
     ctx = J.ctx
     _check_dickson_exponents(m, ctx)
     if any(J.eps):
@@ -134,12 +134,6 @@ def kronecker_pair(m, J: OpSeq) -> int:
     if dickson_monomial_degree(m, ctx) != degree_lower(J):
         return 0
     return coeff_in_expansion(m, _exps(J), ctx)
-
-
-def _require_lower(x, what: str) -> None:
-    """Refuse an UpperSeq: read as lower notation it names another sequence."""
-    if not isinstance(x, OpSeq):
-        raise DomainError(f"{what} needs lower notation, got {type(x).__name__}")
 
 
 def _exps(s: OpSeq) -> tuple[int, ...]:
@@ -214,7 +208,7 @@ def dickson_of_dual(J: OpSeq) -> DPoly:
     Forward substitution gives x_i = 0 below the target; from the target
     upwards each c_ij is read only for the i with x_i != 0.
     """
-    _require_lower(J, "dickson_of_dual")
+    require_lower(J, "dickson_of_dual")
     ctx = J.ctx
     if any(J.eps) or any(t % 2 for t in J.twice):
         raise DomainError("dickson_of_dual needs an integral eps = 0 sequence")
@@ -250,7 +244,7 @@ def adem_via_invariants(x: OpSeq) -> OpPoly:
     so a_i = 0 there too.  Back-substitution runs over the K_i <= I only
     and reads c_ij only for the j with a_j != 0.
     """
-    _require_lower(x, "straightening")
+    require_lower(x, "straightening")
     ctx = x.ctx
     if any(x.eps):
         raise DomainError("invariant-theoretic straightening needs eps = 0")
@@ -271,5 +265,5 @@ def adem_via_invariants(x: OpSeq) -> OpPoly:
             a[i] = acc
     out = OpPoly(ctx)
     for i in sorted(a):
-        out.add_term((tuple(2 * v for v in cols[i]), (0,) * ctx.n), a[i])
+        Combination.add_term(out, (tuple(2 * v for v in cols[i]), (0,) * ctx.n), a[i])
     return out

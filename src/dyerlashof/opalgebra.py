@@ -5,10 +5,11 @@ sequences (see :mod:`dyerlashof.sequences`).  The two workhorses here:
 
 * :func:`adem_straighten_classical` rewrites any polynomial into the
   admissible basis by repeatedly applying the Adem relations to the
-  leftmost inadmissible adjacent pair.  Terms acquiring a negative
-  entry (negative excess) are dropped on sight.  Pending monomials sit
-  in a heap in rewrite order, so like terms merge before they are
-  rewritten and each distinct monomial is rewritten once.
+  leftmost inadmissible adjacent pair.  :func:`pair_rewrite` sums each
+  relation in the excess quotient: a replacement with a negative entry
+  (negative excess) is zero there and is never summed.  Pending
+  monomials sit in a heap in rewrite order, so like terms merge before
+  they are rewritten and each distinct monomial is rewritten once.
 
 * :func:`coproduct` computes the componentwise coproduct in upper
   notation, with Koszul signs; legs are kept in upper notation (always
@@ -46,9 +47,17 @@ class OpPoly(Combination):
 
     __slots__ = ()
 
+    def add_term(self, key, coeff: int):
+        """Add coeff * key; DomainError unless key is the (twice, eps)
+        pair of a valid OpSeq."""
+        OpSeq(self.ctx, *key)
+        Combination.add_term(self, key, coeff)
+
     @classmethod
     def from_seq(cls, s: OpSeq, coeff: int = 1) -> "OpPoly":
-        return cls(s.ctx, {(s.twice, s.eps): coeff})
+        out = cls(s.ctx)
+        Combination.add_term(out, (s.twice, s.eps), coeff)
+        return out
 
     def sorted_terms(self) -> list:
         """((twice, eps), coeff) pairs in canonical order (term_order)."""
@@ -59,7 +68,9 @@ class OpPoly(Combination):
 # Adem straightening
 
 
-# (p, tr - ts, ts parity when es, er, es) -> replacement offsets
+# (p, tr, ts, er, es) -> replacements; emptied when it reaches
+# REWRITE_TABLE_SIZE entries (one long straightening needs about a thousand)
+REWRITE_TABLE_SIZE = 2**16
 _REWRITE_TABLE: dict[tuple, tuple] = {}
 
 
@@ -69,28 +80,29 @@ def clear_rewrite_table():
 
 
 def pair_rewrite(p: int, tr: int, ts: int, er: int, es: int):
-    """Adem relation for one inadmissible pair, in doubled arithmetic.
+    """Adem relation for one inadmissible pair in the excess quotient, in
+    doubled arithmetic.
 
     The pair is (beta^er e_{tr/2})(beta^es e_{ts/2}) with defect
-    ts - tr + er < 0.  Returns a tuple of (coeff, ta - ts, tb - ts, ea,
-    eb): each replacement pair (beta^ea e_{ta/2})(beta^eb e_{tb/2}) is
-    admissible, has coeff in 1..p-1 and is given by its entries' offsets
-    from ts; callers add ts back.  Entries may come out negative
-    (callers filter through the excess quotient).  Every replacement
+    ts - tr + er < 0.  Returns a tuple of (coeff, ta, tb, ea, eb): each
+    replacement pair (beta^ea e_{ta/2})(beta^eb e_{tb/2}) is admissible,
+    has coeff in 1..p-1 and entries ta, tb >= 0.  Every replacement
     raises the second entry's tail excess tb - eb above ts - es.
 
-    With the entries measured from ts, every binomial argument, the
-    summation bounds and the eps = 0 sign depend on (tr, ts) only
-    through d = tr - ts; the signs of the Bockstein branch also depend
-    on ts mod 2.  So the table is keyed by (p, d, ts mod 2 if es else 0,
-    er, es), and each distinct relation is summed once.
+    These are the terms of the whole relation that the excess quotient
+    keeps, in the relation's order.  With u = tb - ts the first entry is
+    tr - p u (less 1 where the Bockstein moves onto it), so the sum stops
+    at u = tr // p: about ts / (2p) terms of the relation's (tr - ts) / 2.
+    The binomials vanish for p u < tr - ts - 1, so the range is empty
+    unless ts >= 0, and then tb = ts + u >= 0.  The table is keyed by the
+    pair, and each distinct pair is summed once.
     """
-    d = tr - ts
-    parity = ts & 1 if es else 0
-    key = (p, d, parity, er, es)
+    key = (p, tr, ts, er, es)
     cached = _REWRITE_TABLE.get(key)
     if cached is not None:
         return cached
+    d = tr - ts
+    hi = tr // p + 1  # past tr / p the first entry is negative
     out = []
     # u = ti - ts is the second replacement entry's offset
     if es == 0:
@@ -100,7 +112,7 @@ def pair_rewrite(p: int, tr: int, ts: int, er: int, es: int):
         # (negative top); r - i must be an integer.
         lo = max(1, -(-d // p))
         lo += (d - lo) % 2
-        for u in range(lo, d - 1, 2):
+        for u in range(lo, min(d - 1, hi), 2):
             a = (p - 1) * u // 2 - 1
             b = (d - u) // 2 - 1
             c = binom_mod_p(a, b, p)
@@ -108,7 +120,7 @@ def pair_rewrite(p: int, tr: int, ts: int, er: int, es: int):
                 continue
             if (d - u) // 2 % 2:
                 c = p - c
-            out.append((c, d - p * u, u, er, 0))
+            out.append((c, tr - p * u, ts + u, er, 0))
     else:
         # e_r (beta e_s), p odd.  Two sums: the Bockstein moves to the
         # first factor or stays on the second.  A leading Bockstein
@@ -117,24 +129,26 @@ def pair_rewrite(p: int, tr: int, ts: int, er: int, es: int):
         # integer.  The signs (-1)^((tr + ti +- 1)/2) read ts mod 2.
         if p == 2:
             raise DomainError("p = 2 sequences cannot carry Bocksteins")
+        parity = ts & 1
         lo = max(0, -(-(d - 1) // p))
         lo += 1 - (d - lo) % 2
-        for u in range(lo, d, 2):
+        for u in range(lo, min(d, hi), 2):
             b = (d - 1 - u) // 2
             a1 = (p - 1) * u // 2
-            if er == 0:
+            if er == 0 and p * u < tr:
                 c1 = binom_mod_p(a1, b, p)
                 if c1:
                     if ((d + u + 1) // 2 + parity) % 2:
                         c1 = p - c1
-                    out.append((c1, d - p * u - 1, u, 1, 0))
+                    out.append((c1, tr - p * u - 1, ts + u, 1, 0))
             c2 = binom_mod_p(a1 - 1, b, p)
             if c2:
                 if ((d + u - 1) // 2 + parity) % 2:
                     c2 = p - c2
-                out.append((c2, d - p * u, u, er, 1))
-    result = tuple(out)
-    _REWRITE_TABLE[key] = result
+                out.append((c2, tr - p * u, ts + u, er, 1))
+    if len(_REWRITE_TABLE) >= REWRITE_TABLE_SIZE:
+        _REWRITE_TABLE.clear()
+    result = _REWRITE_TABLE[key] = tuple(out)
     return result
 
 
@@ -148,8 +162,9 @@ def _rewrite_order(twice, eps) -> tuple[int, ...]:
 def adem_straighten_classical(x: OpPoly | OpSeq, max_steps: int = 10**7) -> OpPoly:
     """Express x in the admissible basis via the Adem relations (rho).
 
-    Pure term rewriting at the leftmost inadmissible pair; terms
-    acquiring a negative entry are discarded.  Inadmissible monomials
+    Pure term rewriting at the leftmost inadmissible pair, with the
+    relations of pair_rewrite, which leave out every replacement with a
+    negative entry.  Inadmissible monomials
     wait in a min-heap on their rewrite order.  A rewrite leaves the
     positions right of the pair alone and raises the tail excess of the
     pair's second entry, so it only yields monomials of higher order:
@@ -170,7 +185,7 @@ def adem_straighten_classical(x: OpPoly | OpSeq, max_steps: int = 10**7) -> OpPo
     for (twice, eps), coeff in x.terms.items():
         pos = first_defect(twice, eps)
         if pos is None:
-            result.add_term((twice, eps), coeff)
+            Combination.add_term(result, (twice, eps), coeff)
         else:
             heap.append((_rewrite_order(twice, eps), coeff, twice, eps, pos))
     heapq.heapify(heap)
@@ -187,22 +202,17 @@ def adem_straighten_classical(x: OpPoly | OpSeq, max_steps: int = 10**7) -> OpPo
             raise RuntimeError(
                 f"Adem straightening exceeded {max_steps} rewrite steps"
             )
-        ts = twice[pos + 1]
-        replacements = pair_rewrite(p, twice[pos], ts, eps[pos], eps[pos + 1])
+        replacements = pair_rewrite(p, twice[pos], twice[pos + 1], eps[pos], eps[pos + 1])
         head_twice, tail_twice = twice[:pos], twice[pos + 2 :]
         head_eps, tail_eps = eps[:pos], eps[pos + 2 :]
         for c, ta, tb, ea, eb in replacements:
-            ta += ts
-            tb += ts
-            if ta < 0 or tb < 0:
-                continue
             new_twice = head_twice + (ta, tb) + tail_twice
             new_eps = head_eps + (ea, eb) + tail_eps
             c = coeff * c % p
             # pairs left of pos - 1 are untouched and admissible
             new_pos = first_defect(new_twice, new_eps, max(pos - 1, 0))
             if new_pos is None:
-                result.add_term((new_twice, new_eps), c)
+                Combination.add_term(result, (new_twice, new_eps), c)
             else:
                 heapq.heappush(
                     heap,

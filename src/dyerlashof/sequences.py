@@ -32,6 +32,7 @@ __all__ = [
     "degree_lower",
     "first_defect",
     "is_admissible",
+    "require_lower",
     "compare",
     "term_order",
     "lower_to_upper",
@@ -109,6 +110,12 @@ class OpSeq(_Seq):
 
 class UpperSeq(_Seq):
     """Upper-notation index sequence with doubled entries."""
+
+
+def require_lower(x, what: str) -> None:
+    """Refuse an UpperSeq: read as lower notation it names another sequence."""
+    if not isinstance(x, OpSeq):
+        raise DomainError(f"{what} needs lower notation, got {type(x).__name__}")
 
 
 def degree_lower(s: OpSeq) -> int:

@@ -19,7 +19,7 @@ from .arith import Context, DomainError
 from .correspondence import DualExpansion
 from .invariants import BPoly, DPoly
 from .opalgebra import OpPoly, TensorPoly
-from .sequences import OpSeq, UpperSeq, entry_from_str, entry_str
+from .sequences import OpSeq, UpperSeq, entry_from_str, entry_str, require_lower
 
 __all__ = [
     "ParseError",
@@ -213,6 +213,8 @@ def _render_entries(twice, eps) -> str:
 
 
 def render_seq(s: OpSeq) -> str:
+    """`Q[...]`, lower syntax; an UpperSeq raises DomainError."""
+    require_lower(s, "rendering a sequence")
     return _render_entries(s.twice, s.eps)
 
 

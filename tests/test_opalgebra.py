@@ -100,9 +100,52 @@ def test_pair_rewrite_memo_agrees():
     assert pair_rewrite(3, 6, 2, 0, 0) == hot
 
 
+def test_rewrite_table_is_capped(monkeypatch):
+    # a small cap empties the table many times over; no answer changes
+    inputs = [OpSeq(ctx, twice, eps) for ctx, twice, eps in LONG_BOCKSTEIN_CASES]
+    inputs.append(OpSeq(Context(2, 4), (24, 16, 8, 4), (0,) * 4))
+    clear_rewrite_table()
+    want = [adem_straighten_classical(s) for s in inputs]
+    sizes = []
+    real = opalgebra.pair_rewrite
+
+    def watched(*args):
+        out = real(*args)
+        sizes.append(len(opalgebra._REWRITE_TABLE))
+        return out
+
+    monkeypatch.setattr(opalgebra, "REWRITE_TABLE_SIZE", 8)
+    monkeypatch.setattr(opalgebra, "pair_rewrite", watched)
+    clear_rewrite_table()
+    assert [adem_straighten_classical(s) for s in inputs] == want
+    assert max(sizes) == 8
+    assert sizes.count(1) > 10  # emptied and refilled
+
+
+@pytest.mark.parametrize(
+    "ctx, key",
+    [
+        (P3N2, ((-2, 4), (0, 0))),  # negative entry
+        (P3N2, ((2, 4, 6), (0, 0, 0))),  # wrong length
+        (P3N2, ((0, 3), (0, 2))),  # eps not a bit
+        (P2N2, ((1, 4), (0, 0))),  # half entry at p = 2
+        (P2N2, ((2, 4), (1, 0))),  # Bockstein at p = 2
+    ],
+    ids=["negative", "length", "eps", "half-at-2", "bockstein-at-2"],
+)
+def test_op_poly_refuses_bad_keys(ctx, key):
+    with pytest.raises(DomainError):
+        OpPoly(ctx, {key: 1})
+    x = OpPoly(ctx)
+    with pytest.raises(DomainError):
+        x.add_term(key, 1)
+    assert x.is_zero()
+
+
 def pair_full_range(p, tr, ts, er, es):
     """The Adem pair formula summed over every i, skipping by parity only
-    (pair_rewrite's range starts where the binomials can be nonzero)."""
+    (pair_rewrite's range starts where the binomials can be nonzero and
+    stops where the first entry turns negative)."""
     out = []
     if es == 0:
         for ti in range(0, tr - 1):
@@ -134,6 +177,8 @@ def pair_full_range(p, tr, ts, er, es):
 
 
 def test_pair_rewrite_range_matches_full_sum():
+    # pair_rewrite is the full-range sum in the excess quotient: every
+    # term with both entries >= 0, in the same order
     clear_rewrite_table()
     for p in (2, 3, 5, 7):
         step = 2 if p == 2 else 1
@@ -143,18 +188,48 @@ def test_pair_rewrite_range_matches_full_sum():
                 for er, es in flags:
                     if ts - tr + er >= 0:
                         continue
-                    got = tuple(
-                        (c, ta + ts, tb + ts, ea, eb)
-                        for c, ta, tb, ea, eb in pair_rewrite(p, tr, ts, er, es)
+                    kept = tuple(
+                        term
+                        for term in pair_full_range(p, tr, ts, er, es)
+                        if term[1] >= 0 and term[2] >= 0
                     )
-                    assert got == pair_full_range(p, tr, ts, er, es), (p, tr, ts, er, es)
+                    assert pair_rewrite(p, tr, ts, er, es) == kept, (p, tr, ts, er, es)
+
+
+def test_pair_rewrite_evaluates_only_kept_terms(monkeypatch):
+    # one binomial per ti of the full-range sum whose binomial is not
+    # zero by its arguments alone and whose replacement, with first
+    # entry tr + p ts - p ti and second ti, has both entries >= 0
+    calls = []
+    monkeypatch.setattr(
+        opalgebra,
+        "binom_mod_p",
+        lambda a, b, p: calls.append(a) or binom_mod_p(a, b, p),
+    )
+    p = 7
+    counts = []
+    for tr, ts in ((200, 0), (200, 40), (200, 100), (200, 150), (200, 198), (60, -8)):
+        kept_range = [
+            ti
+            for ti in range(0, tr - 1)
+            if (tr - ti) % 2 == 0
+            and 0 <= (tr - ti) // 2 - 1 <= (p - 1) * (ti - ts) // 2 - 1
+            and tr + p * ts - p * ti >= 0
+        ]
+        clear_rewrite_table()
+        calls.clear()
+        pair_rewrite(p, tr, ts, 0, 0)
+        assert len(calls) == len(kept_range), (tr, ts)
+        counts.append(len(calls))
+    # the whole relations have 85, 68, 42, 21, 0 and 29 such binomials
+    assert counts == [0, 3, 7, 11, 0, 0]
 
 
 def test_pair_formula_is_translation_invariant():
     # the full-range formula at (tr + delta, ts + delta) is the one at
     # (tr, ts) with every entry shifted by delta, for even delta, and for
     # every delta when es = 0; with es = 1 an odd shift flips signs, so
-    # pair_rewrite's table key carries ts mod 2
+    # the Bockstein branch's signs read ts mod 2
     odd_bockstein_differs = False
     for p in (3, 5, 7):
         for er, es in itertools.product((0, 1), repeat=2):

@@ -89,6 +89,12 @@ def test_render_seq():
         assert parse_sequence(render_seq(s), s.ctx) == s
 
 
+def test_render_seq_refuses_upper_notation():
+    # E[2,4] in lower syntax would read back as e[2,4], another sequence
+    with pytest.raises(DomainError):
+        render_seq(UpperSeq(P3N2, (4, 8), (0, 0)))
+
+
 def test_render_op_poly():
     out = adem_straighten_classical(OpPoly.from_seq(OpSeq(P3N2, (6, 2), (0, 0))))
     assert render_op_poly(out) == "2*Q[0,2]"
