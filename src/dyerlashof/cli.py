@@ -201,8 +201,7 @@ def _coprod(args, ctx):
             payload["notation"] = "upper"
         return payload
 
-    res = coproduct(s).to_lower()
-    return res, textio.tensor_to_json, textio.render_tensor, input_json
+    return coproduct(s), textio.tensor_to_json, textio.render_tensor, input_json
 
 
 def run(args) -> int:

@@ -11,10 +11,10 @@ sequences (see :mod:`dyerlashof.sequences`).  The two workhorses here:
   monomials sit in a heap in rewrite order, so like terms merge before
   they are rewritten and each distinct monomial is rewritten once.
 
-* :func:`coproduct` computes the componentwise coproduct in upper
-  notation, with Koszul signs; legs are kept in upper notation (always
-  valid there) and :meth:`TensorPoly.to_lower` converts them back,
-  dropping legs that die in the excess quotient.
+* :func:`coproduct` splits each factor by the Cartan formula, which
+  reads upper notation, with Koszul signs; it returns lower-notation
+  legs and drops a term when one of its legs dies in the excess
+  quotient (a negative lower entry).
 
     >>> ctx = Context(3, 2)
     >>> s = OpSeq.from_values(ctx, [3, 1])
@@ -24,12 +24,13 @@ sequences (see :mod:`dyerlashof.sequences`).  The two workhorses here:
 
 from __future__ import annotations
 
+import functools
 import heapq
 from operator import sub
 
 from .arith import Combination, Context, DomainError, binom_mod_p
-from .sequences import OpSeq, UpperSeq, first_defect, lower_to_upper, upper_to_lower
-from .sequences import term_order
+from .sequences import OpSeq, UpperSeq, first_defect, lower_to_upper, require_lower
+from .sequences import term_order, upper_to_lower
 
 __all__ = [
     "OpPoly",
@@ -55,6 +56,7 @@ class OpPoly(Combination):
 
     @classmethod
     def from_seq(cls, s: OpSeq, coeff: int = 1) -> "OpPoly":
+        require_lower(s, "OpPoly.from_seq")
         out = cls(s.ctx)
         Combination.add_term(out, (s.twice, s.eps), coeff)
         return out
@@ -68,17 +70,11 @@ class OpPoly(Combination):
 # Adem straightening
 
 
-# (p, tr, ts, er, es) -> replacements; emptied when it reaches
-# REWRITE_TABLE_SIZE entries (one long straightening needs about a thousand)
+# pairs the rewrite table keeps; one long straightening needs about a thousand
 REWRITE_TABLE_SIZE = 2**16
-_REWRITE_TABLE: dict[tuple, tuple] = {}
 
 
-def clear_rewrite_table():
-    """Empty the rewrite table, the only cache of the classical engine."""
-    _REWRITE_TABLE.clear()
-
-
+@functools.lru_cache(maxsize=REWRITE_TABLE_SIZE)
 def pair_rewrite(p: int, tr: int, ts: int, er: int, es: int):
     """Adem relation for one inadmissible pair in the excess quotient, in
     doubled arithmetic.
@@ -94,13 +90,9 @@ def pair_rewrite(p: int, tr: int, ts: int, er: int, es: int):
     tr - p u (less 1 where the Bockstein moves onto it), so the sum stops
     at u = tr // p: about ts / (2p) terms of the relation's (tr - ts) / 2.
     The binomials vanish for p u < tr - ts - 1, so the range is empty
-    unless ts >= 0, and then tb = ts + u >= 0.  The table is keyed by the
-    pair, and each distinct pair is summed once.
+    unless ts >= 0, and then tb = ts + u >= 0.  The rewrite table, an
+    LRU cache of REWRITE_TABLE_SIZE pairs, sums each distinct pair once.
     """
-    key = (p, tr, ts, er, es)
-    cached = _REWRITE_TABLE.get(key)
-    if cached is not None:
-        return cached
     d = tr - ts
     hi = tr // p + 1  # past tr / p the first entry is negative
     out = []
@@ -146,10 +138,11 @@ def pair_rewrite(p: int, tr: int, ts: int, er: int, es: int):
                 if ((d + u - 1) // 2 + parity) % 2:
                     c2 = p - c2
                 out.append((c2, tr - p * u, ts + u, er, 1))
-    if len(_REWRITE_TABLE) >= REWRITE_TABLE_SIZE:
-        _REWRITE_TABLE.clear()
-    result = _REWRITE_TABLE[key] = tuple(out)
-    return result
+    return tuple(out)
+
+
+# bound at import: tracing swaps pair_rewrite for wrappers without cache_clear
+clear_rewrite_table = pair_rewrite.cache_clear
 
 
 def _rewrite_order(twice, eps) -> tuple[int, ...]:
@@ -226,42 +219,19 @@ def adem_straighten_classical(x: OpPoly | OpSeq, max_steps: int = 10**7) -> OpPo
 
 
 class TensorPoly(Combination):
-    """Sparse mod-p combination of r-fold tensors of sequences, keyed by
-    tuples of ``folds`` legs, each a (twice tuple, eps tuple) pair.
-
-    Legs are stored in upper notation (field ``lower`` False) where
-    every monomial of the free algebra is representable; ``to_lower``
-    converts for display, dropping legs killed by the excess quotient.
-    ``folds`` and ``lower`` are part of the kind.
+    """Sparse mod-p combination of r-fold tensors of lower-notation
+    sequences, keyed by tuples of ``folds`` legs, each a (twice tuple,
+    eps tuple) pair.  ``folds`` is part of the kind.
     """
 
-    __slots__ = ("folds", "lower")
+    __slots__ = ("folds",)
 
-    def __init__(self, ctx: Context, folds: int, lower: bool = False):
+    def __init__(self, ctx: Context, folds: int):
         self.folds = folds
-        self.lower = lower
         super().__init__(ctx)
 
     def _shape(self) -> tuple:
-        return (self.ctx, self.folds, self.lower)
-
-    def to_lower(self) -> "TensorPoly":
-        """Convert all legs to lower notation, dropping dead legs
-        (those whose lower form would need a negative entry)."""
-        if self.lower:
-            raise DomainError("tensor is already in lower notation")
-        out = TensorPoly(self.ctx, self.folds, lower=True)
-        for legs, coeff in self.terms.items():
-            converted = []
-            for twice, eps in legs:
-                try:
-                    low = upper_to_lower(UpperSeq(self.ctx, twice, eps))
-                except DomainError:
-                    break  # negative lower entry: leg is zero
-                converted.append((low.twice, low.eps))
-            else:
-                out.add_term(tuple(converted), coeff)
-        return out
+        return (self.ctx, self.folds)
 
 
 def _compositions(total: int, parts: int):
@@ -275,12 +245,13 @@ def _compositions(total: int, parts: int):
 
 
 def coproduct(x: OpPoly | OpSeq | UpperSeq, folds: int = 2) -> TensorPoly:
-    """The r-fold coproduct, computed componentwise in upper notation.
+    """The r-fold coproduct, with lower-notation legs.
 
-    Each factor f^i splits over all ways to distribute i across the
-    legs; a Bockstein lands on exactly one leg (and beta f^0 = 0).
-    Koszul signs arise when an odd piece passes legs to its right.
-    folds = 1 wraps x in one leg.
+    By the Cartan formula each upper factor f^i splits over all ways to
+    distribute i across the legs; a Bockstein lands on exactly one leg
+    (and beta f^0 = 0).  Koszul signs arise when an odd piece passes legs
+    to its right.  A term whose leg has a negative lower entry is zero in
+    the excess quotient and dropped.  folds = 1 wraps x in one leg.
     """
     if folds < 1:
         raise DomainError(f"the coproduct needs folds >= 1, got {folds}")
@@ -317,22 +288,23 @@ def coproduct(x: OpPoly | OpSeq | UpperSeq, folds: int = 2) -> TensorPoly:
                         nxt.add_term(new_legs, -c if sign else c)
             acc = nxt
         for legs, c in acc.terms.items():
-            out.add_term(legs, c)
+            try:
+                low = [upper_to_lower(UpperSeq(x.ctx, *leg)) for leg in legs]
+            except DomainError:
+                continue  # a leg with a negative lower entry is zero
+            out.add_term(tuple((leg.twice, leg.eps) for leg in low), c)
     return out
 
 
 def tensor_split_leg(t: TensorPoly, which: int) -> TensorPoly:
-    """Apply the 2-fold coproduct to one leg of an upper tensor.
+    """Apply the 2-fold coproduct to one leg of a tensor.
 
     No extra sign: the coproduct is an even map, so 1 x ... x psi x ...
     x 1 introduces none beyond those inside the split itself.
     """
-    if t.lower:
-        raise DomainError("splitting a leg needs an upper-notation tensor")
     out = TensorPoly(t.ctx, t.folds + 1)
     for legs, coeff in t.terms.items():
-        twice, eps = legs[which]
-        split = coproduct(UpperSeq(t.ctx, twice, eps), 2)
+        split = coproduct(OpSeq(t.ctx, *legs[which]))
         for (legA, legB), c in split.terms.items():
             new_legs = legs[:which] + (legA, legB) + legs[which + 1 :]
             out.add_term(new_legs, coeff * c)

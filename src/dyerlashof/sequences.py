@@ -178,6 +178,7 @@ def lower_to_upper(s: OpSeq) -> UpperSeq:
     DomainError, naming the leftmost position, if a negative upper entry
     would be produced.
     """
+    require_lower(s, "lower_to_upper")
     p, twice, eps = s.ctx.p, s.twice, s.eps
     scale = 2 if p == 2 else 1
     twice_up = list(twice)

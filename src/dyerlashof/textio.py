@@ -275,7 +275,8 @@ def render_dickson_monomial(m) -> str:
 
 
 def render_tensor(t: TensorPoly) -> str:
-    """Render a lower-notation tensor; legs are (twice, eps) pairs."""
+    """Render a tensor, such as a coproduct; its legs are lower-notation
+    (twice, eps) pairs, printed in the Q[...] syntax."""
     return _render_sum(
         t.sorted_terms(),
         lambda legs: " (x) ".join(_render_entries(*leg) for leg in legs),

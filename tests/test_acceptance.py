@@ -312,7 +312,7 @@ def check_coassociativity():
 
 
 def rho_tensor(t):
-    out = TensorPoly(t.ctx, t.folds, lower=True)
+    out = TensorPoly(t.ctx, t.folds)
     for legs, coeff in t.terms.items():
         factors = [
             adem_straighten_classical(OpPoly.from_seq(OpSeq(t.ctx, tw, ep)))
@@ -332,9 +332,9 @@ def check_coproduct_straightening():
         ctx = Context(p, 2)
         for twice in itertools.product(range(0, 13, 2), repeat=2):
             s = OpSeq(ctx, twice, (0, 0))
-            lhs = rho_tensor(coproduct(s).to_lower())
+            lhs = rho_tensor(coproduct(s))
             rho = adem_straighten_classical(OpPoly.from_seq(s))
-            rhs = rho_tensor(coproduct(rho).to_lower())
+            rhs = rho_tensor(coproduct(rho))
             assert lhs == rhs, (p, twice)
 
 

@@ -280,20 +280,17 @@ def test_combination_kinds():
     assert b != y and y != b
     assert b == BPoly(P3N2, {(1, 0): 4})
     assert b != BPoly(Context(5, 2), {(1, 0): 1})
-    # TensorPoly's kind includes its folds and its notation
+    # TensorPoly's kind includes its folds
     legs = (((0,), (0,)), ((2,), (0,)))
     t = TensorPoly(Context(3, 1), 2)
     t.add_term(legs, 1)
-    for folds, lower in ((3, False), (2, True)):
-        other = TensorPoly(Context(3, 1), folds, lower)
-        other.add_term(legs, 1)
-        assert other.terms == t.terms
-        assert other != t
-        with pytest.raises(DomainError):
-            t + other
-    assert t.scaled(2).folds == 2 and not t.scaled(2).lower
-    lower = TensorPoly(Context(3, 1), 2, lower=True)
-    assert (lower + lower).lower
+    other = TensorPoly(Context(3, 1), 3)
+    other.add_term(legs, 1)
+    assert other.terms == t.terms
+    assert other != t
+    with pytest.raises(DomainError):
+        t + other
+    assert t.scaled(2).folds == 2
 
 
 @pytest.mark.parametrize(CONTAINER_ARGS, CONTAINERS, ids=CONTAINER_IDS)

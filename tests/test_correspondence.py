@@ -31,7 +31,14 @@ from dyerlashof.invariants import (
     psi_T,
 )
 from dyerlashof.opalgebra import OpPoly, adem_straighten_classical, coproduct
-from dyerlashof.sequences import OpSeq, UpperSeq, compare, degree_lower, is_admissible
+from dyerlashof.sequences import (
+    OpSeq,
+    UpperSeq,
+    compare,
+    degree_lower,
+    is_admissible,
+    lower_to_upper,
+)
 from dyerlashof.textio import parse_any_sequence
 
 P3N2 = Context(3, 2)
@@ -432,12 +439,19 @@ def test_adem_via_invariants_guards():
 
 def test_engines_refuse_upper_notation():
     # E[4,2] is e[0,2] in upper notation; read as lower it straightened
-    # to 2*Q[1,3] in one engine and raised AttributeError in the other
+    # to 2*Q[1,3] in one engine and raised AttributeError in the other,
+    # OpPoly.from_seq kept it as Q[2,4] and lower_to_upper converted it
+    # a second time
     up = parse_any_sequence("E[4,2]", P3N2)
     assert isinstance(up, UpperSeq) and up.twice == (8, 4)
-    for engine in (adem_via_invariants, adem_straighten_classical):
+    for reader in (
+        adem_via_invariants,
+        adem_straighten_classical,
+        OpPoly.from_seq,
+        lower_to_upper,
+    ):
         with pytest.raises(DomainError, match="needs lower notation, got UpperSeq"):
-            engine(up)
+            reader(up)
 
 
 def test_invariant_engine_matches_classical():
@@ -596,7 +610,7 @@ def test_pairing_adjunction():
             product = expand_dickson_monomial(a, ctx) * expand_dickson_monomial(b, ctx)
             left = product.terms.get(tuple(t // 2 for t in I.twice), 0)
             right = 0
-            for legs, c in coproduct(I).to_lower().terms.items():
+            for legs, c in coproduct(I).terms.items():
                 (tw1, _), (tw2, _) = legs
                 if any(t % 2 for t in tw1 + tw2):
                     continue

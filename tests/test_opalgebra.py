@@ -101,25 +101,24 @@ def test_pair_rewrite_memo_agrees():
 
 
 def test_rewrite_table_is_capped(monkeypatch):
-    # a small cap empties the table many times over; no answer changes
+    # the table is an LRU cache of REWRITE_TABLE_SIZE pairs; emptying it
+    # before every rewrite, the smallest table there is, changes no answer
+    assert pair_rewrite.cache_info().maxsize == opalgebra.REWRITE_TABLE_SIZE
     inputs = [OpSeq(ctx, twice, eps) for ctx, twice, eps in LONG_BOCKSTEIN_CASES]
     inputs.append(OpSeq(Context(2, 4), (24, 16, 8, 4), (0,) * 4))
     clear_rewrite_table()
     want = [adem_straighten_classical(s) for s in inputs]
     sizes = []
-    real = opalgebra.pair_rewrite
 
-    def watched(*args):
-        out = real(*args)
-        sizes.append(len(opalgebra._REWRITE_TABLE))
+    def cold(*args):
+        clear_rewrite_table()
+        out = pair_rewrite(*args)
+        sizes.append(pair_rewrite.cache_info().currsize)
         return out
 
-    monkeypatch.setattr(opalgebra, "REWRITE_TABLE_SIZE", 8)
-    monkeypatch.setattr(opalgebra, "pair_rewrite", watched)
-    clear_rewrite_table()
+    monkeypatch.setattr(opalgebra, "pair_rewrite", cold)
     assert [adem_straighten_classical(s) for s in inputs] == want
-    assert max(sizes) == 8
-    assert sizes.count(1) > 10  # emptied and refilled
+    assert len(sizes) > 10 and set(sizes) == {1}
 
 
 @pytest.mark.parametrize(
@@ -440,11 +439,6 @@ def test_domain_errors_replace_asserts():
         pair_rewrite(2, 4, 1, 0, 1)
     with pytest.raises(DomainError):
         poly(P3N2, (1, 0)) + poly(Context(3, 1), (1,))
-    lower = coproduct(upper(Context(3, 1), (1,))).to_lower()
-    with pytest.raises(DomainError):
-        lower.to_lower()
-    with pytest.raises(DomainError):
-        tensor_split_leg(lower, 0)
     for k in (0, 3):
         with pytest.raises(DomainError):
             SparsePoly.variable(k, Context(3, 2))
@@ -489,18 +483,24 @@ def test_coproduct_rejects_half_entries():
 
 
 def test_coassociativity():
-    for p in (2, 3):
-        ctx = Context(p, 1)
-        for i in range(9):
-            for e in ((0,),) if p == 2 else ((0,), (1,)):
-                if e == (1,) and i == 0:
-                    continue
-                u = UpperSeq(ctx, (2 * i,), e)
+    # (p, n, largest upper entry, how many inputs have a nonzero 3-fold
+    # coproduct).  At n = 1 the two notations coincide; at n >= 2 the
+    # legs change when converted to lower notation, and tensor_split_leg
+    # converts a split leg a second time.
+    boxes = [(2, 1, 8, 9), (3, 1, 8, 17), (3, 2, 6, 49), (2, 3, 4, 22)]
+    for p, n, top, nonzero in boxes:
+        ctx = Context(p, n)
+        eps_opts = list(itertools.product((0, 1), repeat=n)) if p > 2 else [(0,) * n]
+        seen = 0
+        for twice in itertools.product(range(0, 2 * top + 1, 2), repeat=n):
+            for eps in eps_opts:
+                u = UpperSeq(ctx, twice, eps)
                 t = coproduct(u)
-                left = tensor_split_leg(t, 0)
-                right = tensor_split_leg(t, 1)
-                assert left == right
-                assert left == coproduct(u, folds=3)
+                want = coproduct(u, folds=3)
+                assert tensor_split_leg(t, 0) == want, (p, twice, eps)
+                assert tensor_split_leg(t, 1) == want, (p, twice, eps)
+                seen += not want.is_zero()
+        assert seen == nonzero, (p, n)
 
 
 def test_coproduct_folds_guard():
@@ -513,7 +513,7 @@ def test_coproduct_folds_guard():
 
 def rho_tensor(t):
     """Straighten every leg of a lower tensor, distributing."""
-    out = TensorPoly(t.ctx, t.folds, lower=True)
+    out = TensorPoly(t.ctx, t.folds)
     for legs, coeff in t.terms.items():
         factors = [
             adem_straighten_classical(OpPoly.from_seq(OpSeq(t.ctx, tw, ep)))
@@ -534,8 +534,8 @@ def test_coproduct_commutes_with_straightening():
         ctx = Context(p, 2)
         for twice in itertools.product(range(0, 13, 2), repeat=2):
             s = OpSeq(ctx, twice, (0, 0))
-            via_psi = rho_tensor(coproduct(s).to_lower())
-            via_rho = rho_tensor(coproduct(adem_straighten_classical(OpPoly.from_seq(s))).to_lower())
+            via_psi = rho_tensor(coproduct(s))
+            via_rho = rho_tensor(coproduct(adem_straighten_classical(OpPoly.from_seq(s))))
             assert via_psi == via_rho, (p, s.twice)
 
 
@@ -543,6 +543,6 @@ def test_straighten_kills_negative_excess():
     # e_1 e_0 at p=3 dies; its coproduct image dies leg by leg too
     s = OpSeq(P3N2, (2, 0), (0, 0))
     assert adem_straighten_classical(OpPoly.from_seq(s)).is_zero()
-    assert rho_tensor(coproduct(s).to_lower()) == rho_tensor(
-        coproduct(OpPoly(P3N2)).to_lower()
+    assert rho_tensor(coproduct(s)) == rho_tensor(
+        coproduct(OpPoly(P3N2))
     )

@@ -161,9 +161,9 @@ def test_render_bpoly_matches_reference(p):
 
 
 def test_render_tensor():
-    t = coproduct(UpperSeq(Context(3, 1), (2,), (0,))).to_lower()
+    t = coproduct(UpperSeq(Context(3, 1), (2,), (0,)))
     assert render_tensor(t) == "Q[0] (x) Q[1] + Q[1] (x) Q[0]"
-    tb = coproduct(UpperSeq(Context(3, 1), (2,), (1,))).to_lower()
+    tb = coproduct(UpperSeq(Context(3, 1), (2,), (1,)))
     assert render_tensor(tb) == "Q[0] (x) Q[1;eps=1] + Q[1;eps=1] (x) Q[0]"
 
 
@@ -208,9 +208,9 @@ def test_dickson_combo_json_roundtrip():
 
 def test_tensor_json_roundtrip():
     ctx = Context(3, 1)
-    t = coproduct(UpperSeq(ctx, (2,), (1,))).to_lower()
+    t = coproduct(UpperSeq(ctx, (2,), (1,)))
     items = tensor_to_json(t)
-    back = TensorPoly(ctx, 2, lower=True)
+    back = TensorPoly(ctx, 2)
     for obj in items:
         legs = [seq_from_json(leg, ctx) for leg in obj["legs"]]
         back.add_term(tuple((s.twice, s.eps) for s in legs), obj["coeff"])
