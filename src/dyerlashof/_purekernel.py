@@ -9,25 +9,22 @@ CASC 2007): with a field width w, the vector (e_0, ..., e_(n-1)) packs
 into the int sum of e_t << (w t).  While no field overflows, multiplying
 two monomials is one integer addition, and ascending packed ints are
 the reverse-lex order of the vectors (last exponent most significant).
+The packed form is this module's alone: ``poly_mul`` takes and returns
+exponent tuples.
 """
 
 from operator import lshift
 
-__all__ = ["field_width", "pack", "unpack", "mul_packed", "poly_mul"]
+__all__ = ["poly_mul"]
 
 
-def field_width(top: int) -> int:
-    """The field width in bits that holds every exponent up to top."""
-    return top.bit_length() or 1
-
-
-def pack(terms: dict, n: int, width: int) -> dict:
+def _pack(terms: dict, n: int, width: int) -> dict:
     """The terms of an n-variable polynomial keyed by packed exponents."""
     shifts = range(0, n * width, width)
     return {sum(map(lshift, exps, shifts)): c for exps, c in terms.items()}
 
 
-def unpack(items, n: int, width: int) -> dict:
+def _unpack(items, n: int, width: int) -> dict:
     """Exponent-tuple keyed terms from (packed key, coefficient) pairs,
     in the order given."""
     mask = (1 << width) - 1
@@ -35,7 +32,7 @@ def unpack(items, n: int, width: int) -> dict:
     return {tuple([key >> s & mask for s in shifts]): c for key, c in items}
 
 
-def mul_packed(a: dict, b: dict, p: int) -> dict:
+def _mul_packed(a: dict, b: dict, p: int) -> dict:
     """Multiply two polynomials keyed by packed exponents over F_p.
 
     The caller picks a width at which no field of the product overflows.
@@ -64,10 +61,15 @@ def mul_packed(a: dict, b: dict, p: int) -> dict:
 
 
 def poly_mul(a: dict, b: dict, p: int) -> dict:
-    """Multiply two sparse polynomials over F_p."""
+    """Multiply two sparse polynomials over F_p.
+
+    The product's terms come in reverse-lex order of their exponent
+    tuples, the canonical output order: sorting packed keys gives it.
+    """
     if not a or not b:
         return {}
     n = len(next(iter(a)))
-    width = field_width(max(map(max, a)) + max(map(max, b)) if n else 0)
-    product = mul_packed(pack(a, n, width), pack(b, n, width), p)
-    return unpack(product.items(), n, width)
+    # a field wide enough for the largest exponent sum never overflows
+    width = (max(map(max, a)) + max(map(max, b)) if n else 0).bit_length() or 1
+    product = _mul_packed(_pack(a, n, width), _pack(b, n, width), p)
+    return _unpack(sorted(product.items()), n, width)

@@ -4,7 +4,9 @@ Dickson generators d_{n,0}..d_{n,n-1} expand into B[n] three independent
 ways (closed subset formula, width recursion, 0/1 matrix family); all
 three must agree.  On top of the expansions sit the coefficient
 extraction used by the duality algorithms (a base-p digit recursion
-that never expands a whole Dickson monomial), the chi_min / chi_max
+that never expands a whole Dickson monomial; it and the full expansion
+of d^m read the same bounded cache of digit products d^r, r_i < p, all
+multiplied through ``kernels.poly_mul``), the chi_min / chi_max
 extremal-monomial maps, the decomposition/inclusion identities, and a
 concrete realization inside F_p[y_1..y_n] for checking Borel/GL
 invariance by brute substitution.
@@ -17,7 +19,7 @@ invariance by brute substitution.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations, product, zip_longest
 from operator import mul, sub
 from typing import NamedTuple
 
@@ -228,29 +230,23 @@ def _check_dickson_exponents(m: tuple[int, ...], ctx: Context) -> None:
         raise DomainError("negative Dickson exponent")
 
 
-def _dickson_product(m: tuple[int, ...], ctx: Context) -> BPoly:
-    """d^m as one chain of packed products (see ``_purekernel``).
+DIGIT_CACHE_SIZE = 1024
+"""How many digit products d^r (0 <= r_i < p), over all contexts,
+``_digit_product`` keeps (and each reader keeps grouped)."""
 
-    Each factor is d_{n,i}^(p^k), once per unit of the base-p digit k
-    of m_i; its Frobenius twist multiplies the packed keys of d_{n,i} by
-    p^k.  The field width holds the sum of the factors' largest
-    exponents, so no field overflows.  The product is unpacked once, in
-    canonical (reverse-lex) order.
-    """
-    p, n = ctx.p, ctx.n
-    gens = [(dickson_to_borel(i, ctx).terms, mi) for i, mi in enumerate(m) if mi]
-    width = kernels.field_width(sum(mi * max(map(max, g)) for g, mi in gens))
-    acc = {0: 1}
-    for g, mi in gens:
-        packed = kernels.pack(g, n, width)
-        for k, digit in enumerate(padic_digits(mi, p)):
-            q = p**k
-            twisted = {key * q: c for key, c in packed.items()}
-            for _ in range(digit):
-                acc = kernels.mul_packed(acc, twisted, p)
-    out = BPoly(ctx)
-    out.terms = kernels.unpack(sorted(acc.items()), n, width)
-    return out
+
+@lru_cache(maxsize=DIGIT_CACHE_SIZE)
+def _digit_product(r: tuple[int, ...], ctx: Context) -> dict:
+    """The terms of d^r for a digit vector r, in canonical order.  Built
+    as d^(r - e_k) d_{n,k}, with k the last nonzero digit, on top of the
+    cached smaller product."""
+    k = next((i for i in range(len(r) - 1, -1, -1) if r[i]), None)
+    if k is None:
+        return BPoly.one(ctx).terms
+    smaller = r[:k] + (r[k] - 1,) + r[k + 1 :]
+    return kernels.poly_mul(
+        _digit_product(smaller, ctx), dickson_to_borel(k, ctx).terms, ctx.p
+    )
 
 
 EXPANSION_CACHE_SIZE = 128
@@ -259,8 +255,18 @@ EXPANSION_CACHE_SIZE = 128
 
 @lru_cache(maxsize=EXPANSION_CACHE_SIZE)
 def _expansion_terms(m: tuple[int, ...], ctx: Context) -> dict:
+    """d^m by the Frobenius identity d^m = (d^(m // p))^p d^(m % p), one
+    base-p level of m at a time from the top: the product so far is
+    twisted (its exponent tuples times p), then multiplied by the next
+    level's digit product.  The terms come out in canonical order."""
     _check_dickson_exponents(m, ctx)
-    return _dickson_product(m, ctx).terms
+    p = ctx.p
+    levels = list(zip_longest(*(padic_digits(mi, p) for mi in m), fillvalue=0))
+    terms = _digit_product(levels.pop() if levels else m, ctx)
+    for r in reversed(levels):
+        twisted = {tuple([e * p for e in s]): c for s, c in terms.items()}
+        terms = kernels.poly_mul(twisted, _digit_product(r, ctx), p)
+    return terms
 
 
 def expand_dickson_monomial(m, ctx: Context) -> BPoly:
@@ -284,33 +290,24 @@ expand_dickson_monomial.cache_clear = _expansion_terms.cache_clear
 def coeff_memo(ctx: Context):
     """The reader of ctx: ``coeff_memo(ctx)(m, J)`` is [h^J] d^m by the
     digit recursion of coeff_in_expansion, which checks m and J first.
-    The reader and its helpers are unbounded ``lru_cache`` functions, so
-    its ``cache_info`` counts the reads (``cache_clear`` here drops every
-    reader)."""
+    The reader and its ``split`` are unbounded ``lru_cache`` functions,
+    so its ``cache_info`` counts the reads (``cache_clear`` here drops
+    every reader); the digit products they read come from the bounded
+    ``_digit_product`` cache that the expansion shares."""
     p = ctx.p
 
-    @lru_cache(maxsize=None)
-    def digits(r: tuple[int, ...]) -> tuple[dict, dict]:
-        """d^r for a digit vector r (0 <= r_i < p): its terms, and them
-        grouped by s mod p.  Built as d^(r - e_k) d_{n,k}, with k the last
-        nonzero digit, on top of the cached smaller product."""
-        k = next((i for i in range(len(r) - 1, -1, -1) if r[i]), None)
-        if k is None:
-            terms = BPoly.one(ctx).terms
-        else:
-            smaller = r[:k] + (r[k] - 1,) + r[k + 1 :]
-            terms = kernels.poly_mul(
-                digits(smaller)[0], dickson_to_borel(k, ctx).terms, p
-            )
-        groups: dict = {}
-        for s, c in terms.items():
-            groups.setdefault(tuple(si % p for si in s), []).append((s, c))
-        return terms, groups
+    @lru_cache(maxsize=DIGIT_CACHE_SIZE)
+    def groups(r: tuple[int, ...]) -> dict:
+        """The terms of d^r grouped by s mod p, a step expansions skip."""
+        out: dict = {}
+        for s, c in _digit_product(r, ctx).items():
+            out.setdefault(tuple([si % p for si in s]), []).append((s, c))
+        return out
 
     @lru_cache(maxsize=None)
     def split(m: tuple[int, ...]) -> tuple[tuple[int, ...], dict]:
         """m // p, and the grouped terms of d^(m % p)."""
-        return tuple([mi // p for mi in m]), digits(tuple([mi % p for mi in m]))[1]
+        return tuple([mi // p for mi in m]), groups(tuple([mi % p for mi in m]))
 
     @lru_cache(maxsize=None)
     def coeff(m: tuple[int, ...], J: tuple[int, ...]) -> int:
@@ -365,10 +362,14 @@ def coeff_by_multinomial(m, J, ctx: Context) -> int:
     Frobenius twist of the expansion, so its mu-th power distributes mu
     slots over the family monomials with a multinomial coefficient.
     Sum multinomial products over all slot assignments whose exponent
-    vectors add up to J.
+    vectors add up to J.  Like coeff_in_expansion, it refuses a bad m
+    and reads 0 for a J of the wrong length or with a negative entry.
     """
     p = ctx.p
-    J = tuple(J)
+    m, J = tuple(m), tuple(J)
+    _check_dickson_exponents(m, ctx)
+    if len(J) != ctx.n or any(j < 0 for j in J):
+        return 0
     vecs = [
         [matrix_to_monomial(A, ctx) for A in enumerate_A(j, ctx)]
         for j in range(ctx.n)

@@ -3,20 +3,13 @@
 Callers reach the kernel through this module's attributes
 (``kernels.poly_mul``), so a tracer can wrap the product by patching one
 name.  ``IMPL_NAME`` names the module that implements it and is recorded
-with every benchmark run.  ``pack``, ``mul_packed`` and ``unpack`` expose
-the packed-exponent form that ``poly_mul`` runs on, for callers that
-multiply a whole chain before unpacking once.
+with every benchmark run.  Every polynomial product of the package
+goes through ``poly_mul``; how it computes one, its packed exponents
+included, stays inside that module.
 """
 
-from ._purekernel import field_width, mul_packed, pack, poly_mul, unpack
+from ._purekernel import poly_mul
 
-__all__ = [
-    "IMPL_NAME",
-    "field_width",
-    "mul_packed",
-    "pack",
-    "poly_mul",
-    "unpack",
-]
+__all__ = ["IMPL_NAME", "poly_mul"]
 
 IMPL_NAME = "_purekernel"

@@ -9,8 +9,9 @@ from dyerlashof import invariants
 from dyerlashof.arith import Context
 
 UNBOUNDED = {
-    "invariants.coeff_memo": "one reader per context, and each reader's memo is "
-    "unbounded; their bound is ROADMAP item 2",
+    "invariants.coeff_memo": "one reader per context, and each reader's split "
+    "and coeff memos are unbounded; their bound is ROADMAP item 2 (the digit "
+    "products they read sit in the bounded invariants._digit_product)",
     "cli._parser": "takes no arguments, so it holds one entry",
 }
 

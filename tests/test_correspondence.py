@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from dyerlashof import correspondence
+from dyerlashof import correspondence, invariants
 from dyerlashof.arith import Context, DomainError, InvariantError, binom_mod_p
 from dyerlashof.correspondence import (
     DualExpansion,
@@ -332,6 +332,7 @@ def test_dual_matches_pairing_reference():
 def test_dual_on_cold_degree():
     correspondence._degree_data.cache_clear()
     coeff_memo.cache_clear()
+    invariants._digit_product.cache_clear()
     ctx = Context(2, 4)
     m = (3, 0, 2, 1)
     got = dual_of_dickson(m, ctx)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from dyerlashof import correspondence, invariants
+from dyerlashof import correspondence, invariants, kernels
 from dyerlashof.arith import Context, DomainError, padic_digits
 from dyerlashof.invariants import (
     BPoly,
@@ -199,14 +199,18 @@ def test_coeff_recursion_matches_both_oracles():
 
 
 def test_coeff_off_degree_and_shape():
-    # a J of the wrong degree, length or sign pairs to 0; bad m is refused
-    assert coeff_in_expansion((1, 1), (1, 1), P3N2) == 0
-    assert coeff_in_expansion((1, 1), (1, 2, 0), P3N2) == 0
-    assert coeff_in_expansion((1, 1), (-1, 3), P3N2) == 0
-    with pytest.raises(DomainError):
-        coeff_in_expansion((1,), (0, 0), P3N2)
-    with pytest.raises(DomainError):
-        coeff_in_expansion((1, -1), (0, 0), P3N2)
+    # a J of the wrong degree, length or sign pairs to 0; bad m is refused;
+    # both readers keep this contract
+    for coeff in (coeff_in_expansion, coeff_by_multinomial):
+        assert coeff((1, 1), (1, 1), P3N2) == 0
+        assert coeff((1, 1), (1, 2, 0), P3N2) == 0
+        assert coeff((1, 1), (-1, 3), P3N2) == 0
+        # d_(2,1) = h_2 + h_1^3: a J cut short or padded is not h_2
+        assert coeff((0, 1), (0,), P3N2) == 0
+        assert coeff((0, 1), (0, 1, 5), P3N2) == 0
+        for m in ((1,), (1, -1), (0, 1, 0)):
+            with pytest.raises(DomainError):
+                coeff(m, (0, 0), P3N2)
 
 
 def test_coeff_memo_per_context():
@@ -215,6 +219,7 @@ def test_coeff_memo_per_context():
     m, J = (0, 2), (3, 1)
     for order in ((P2N2, P3N2), (P3N2, P2N2)):
         invariants.coeff_memo.cache_clear()
+        invariants._digit_product.cache_clear()
         for ctx in order:
             assert coeff_in_expansion(m, J, ctx) == coeff_by_multinomial(m, J, ctx)
     assert coeff_in_expansion(m, J, P2N2) == 0
@@ -222,10 +227,13 @@ def test_coeff_memo_per_context():
 
 
 def test_digit_product_matches_direct_product():
-    # the reader's d^r, built from the next smaller digit vector, equals
-    # the product of the generators' powers at every h^J of its degree
-    # (zeros outside the support included), for every digit vector r
+    # the cached d^r, built from the next smaller digit vector, equals the
+    # product of the generators' powers, in canonical order, for every
+    # digit vector r; the reader agrees with it at every h^J of its
+    # degree (zeros outside the support included)
     shapes = [(p, n) for p in (2, 3, 5, 7) for n in (1, 2, 3)] + [(2, 4), (3, 4)]
+    invariants.coeff_memo.cache_clear()
+    invariants._digit_product.cache_clear()
     for p, n in shapes:
         ctx = Context(p, n)
         coeff = invariants.coeff_memo(ctx)
@@ -236,19 +244,24 @@ def test_digit_product_matches_direct_product():
             for i in reversed(range(n))
         )
         for r in itertools.product(range(p), repeat=n):
-            want = invariants._dickson_product(r, ctx).terms
+            want = BPoly.one(ctx)
+            for i, ri in enumerate(r):
+                want = want * dickson_to_borel(i, ctx).pow(ri)
+            terms = invariants._digit_product(r, ctx)
+            assert terms == want.terms, (p, n, r)
+            assert list(terms) == sorted(terms, key=lambda J: J[::-1])
             D = dickson_monomial_degree(r, ctx)
             Js = [v[::-1] for v in correspondence._solutions(weights, D, False)]
-            assert set(want) <= set(Js), (p, n, r)
+            assert set(terms) <= set(Js), (p, n, r)
             for J in Js:
-                assert coeff(r, J) == want.get(J, 0), (p, n, r, J)
+                assert coeff(r, J) == terms.get(J, 0), (p, n, r, J)
     invariants.coeff_memo.cache_clear()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_packed_expansion_matches_multinomial(p):
-    # random m with entries >= p, so the packed chain repeats factors and
-    # multiplies Frobenius twists; each term is checked against the
+    # random m with entries >= p, so the expansion has several base-p
+    # levels and multiplies Frobenius twists; each term is checked against the
     # digit/multinomial formula, the whole expansion against a product of
     # powers on exponent tuples, and the order against reverse-lex
     rng = random.Random(p)
@@ -282,6 +295,35 @@ def test_expansion_cache_is_bounded():
         assert info().currsize <= invariants.EXPANSION_CACHE_SIZE
     assert info().misses == invariants.EXPANSION_CACHE_SIZE + 20
     assert info().currsize == invariants.EXPANSION_CACHE_SIZE
+
+
+def test_expansion_multiplies_through_the_kernel(monkeypatch):
+    # the tracer patches kernels.poly_mul, so a cold expansion must reach
+    # the kernel there; however many base-p levels it multiplies, each
+    # cold monomial is one miss of the expansion cache
+    calls = []
+    real = kernels.poly_mul
+
+    def counted(a, b, p):
+        calls.append(p)
+        return real(a, b, p)
+
+    monkeypatch.setattr(kernels, "poly_mul", counted)
+    info = expand_dickson_monomial.cache_info
+    expand_dickson_monomial.cache_clear()
+    invariants._digit_product.cache_clear()
+    ctx = Context(3, 3)
+    cold = [(10, 4, 30), (0, 0, 27), (2, 1, 0), (0, 9, 1)]
+    for k, m in enumerate(cold, start=1):
+        before = len(calls)
+        expand_dickson_monomial(m, ctx)
+        assert len(calls) > before, m
+        assert info().misses == k
+    before = len(calls)
+    for m in cold:
+        expand_dickson_monomial(m, ctx)
+    assert len(calls) == before
+    assert info().misses == len(cold) and info().hits == len(cold)
 
 
 def test_expansion_results_are_independent():

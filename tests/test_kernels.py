@@ -18,6 +18,12 @@ def schoolbook_mul(a, b, p):
     return {k: c % p for k, c in acc.items() if c % p}
 
 
+def assert_reverse_lex(terms):
+    # the product's terms come in the canonical order: reverse-lex, the
+    # last exponent most significant
+    assert list(terms) == sorted(terms, key=lambda k: k[::-1])
+
+
 def random_poly(rng, p, nvars, terms, max_exp=3):
     out = {}
     for _ in range(terms):
@@ -37,6 +43,7 @@ def test_poly_mul_matches_schoolbook(p, nvars):
         assert got == schoolbook_mul(a, b, p)
         assert all(0 < c < p for c in got.values())
         assert got == poly_mul(b, a, p)
+        assert_reverse_lex(got)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -73,6 +80,7 @@ def assert_matches_schoolbook(a, b, p):
     assert got == poly_mul(b, a, p)
     assert all(0 < c < p for c in got.values())
     assert a == a0 and b == b0
+    assert_reverse_lex(got)
     return got
 
 
@@ -138,13 +146,14 @@ def test_poly_mul_wide_exponents_match_schoolbook(p, nvars):
 @pytest.mark.parametrize("nvars", [0, 1, 4])
 def test_packed_order_is_reverse_lex(nvars):
     # ascending packed keys are the canonical reverse-lex order, which
-    # the Dickson expansion relies on when it unpacks once, sorted
+    # poly_mul relies on when it unpacks its product sorted
     rng = random.Random(nvars)
     terms = random_poly(rng, 3, nvars, 40, max_exp=20)
-    width = kernels.field_width(max((max(k, default=0) for k in terms), default=0))
-    packed = kernels.pack(terms, nvars, width)
+    top = max((max(k, default=0) for k in terms), default=0)
+    width = top.bit_length() or 1
+    packed = _purekernel._pack(terms, nvars, width)
     assert len(packed) == len(terms)
-    back = kernels.unpack(sorted(packed.items()), nvars, width)
+    back = _purekernel._unpack(sorted(packed.items()), nvars, width)
     assert list(back.items()) == sorted(terms.items(), key=lambda kv: kv[0][::-1])
 
 
