@@ -10,7 +10,9 @@ over the K <= I.  Both substitutions read only the entries they need;
 no matrix is built.
 
 A degree's record is two tuples of exponent rows, the Dickson monomials
-and the halved admissible basis, from one cached bounded search.
+and the halved admissible basis, from one cached bounded search that
+steps each entry by residue class; its output and order are those of a
+search over every value.
 
     >>> ctx = Context(2, 2)
     >>> [s.twice for s in admissible_basis(6, ctx)]
@@ -22,6 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import accumulate
+from math import gcd
 
 from .arith import Combination, Context, DomainError, InvariantError
 from .invariants import (
@@ -75,22 +78,37 @@ ENUMERATION_CACHE_SIZE = 256
 def _solutions(weights, D: int, increasing: bool) -> tuple[tuple[int, ...], ...]:
     """All v >= 0 with sum v_t weights[t] = D, weakly increasing ones only
     if asked, in lex order, by bounded search.  The cache holds both
-    enumerations: it is keyed on the weights, not on a context."""
+    enumerations: it is keyed on the weights, not on a context.
+
+    The search steps by residue class: entry t runs only over the one
+    class mod gcd(weights[t+1:]) / gcd(weights[t:]) that leaves the rest a
+    remainder divisible by gcd(weights[t+1:]).  So no branch dies at the
+    last entry, a degree gcd(weights) does not divide is not searched,
+    and the output and its order are those of a search over every value."""
     if D < 0:
         raise DomainError("degree must be nonnegative")
     last = len(weights) - 1
     # the loop bound leaves room for the entries still to come
     bounds = [sum(weights[t:]) if increasing else weights[t] for t in range(last)]
+    # gcds[t] = gcd(weights[t:]) divides every remainder entry t sees
+    gcds = list(accumulate(reversed(weights), gcd))[::-1]
+    if D % gcds[0]:
+        return ()
+    steps = [gcds[t + 1] // gcds[t] for t in range(last)]
+    # entry t's class: v * (w_t / gcds[t]) = rem / gcds[t] (mod steps[t])
+    invs = [pow(weights[t] // gcds[t], -1, steps[t]) for t in range(last)]
     out: list[tuple[int, ...]] = []
 
     def rec(t: int, lo: int, rem: int, acc: tuple[int, ...]):
         if t == last:
-            # the last entry is forced
-            v, r = divmod(rem, weights[t])
-            if not r and v >= lo:
+            # the last entry is forced, and divides exactly
+            v = rem // weights[t]
+            if v >= lo:
                 out.append(acc + (v,))
             return
-        for v in range(lo, rem // bounds[t] + 1):
+        step = steps[t]
+        start = lo + (rem // gcds[t] * invs[t] - lo) % step
+        for v in range(start, rem // bounds[t] + 1, step):
             rec(t + 1, v if increasing else 0, rem - v * weights[t], acc + (v,))
 
     rec(0, 0, D, ())

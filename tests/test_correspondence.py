@@ -2,6 +2,7 @@
 dual bases, and Adem relations via invariant theory."""
 
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -9,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dyerlashof import correspondence, invariants
 from dyerlashof.arith import Context, DomainError, InvariantError, binom_mod_p
@@ -168,29 +170,148 @@ def test_enumerations_ascend_and_chi_min_maps_row_by_row():
                 assert [chi_min(m, ctx) for m in monos] == basis, (p, n, D)
 
 
+def assert_enumerator_matches_brute_force(p, n, side):
+    ctx = Context(p, n)
+    units = [tuple(int(i == t) for i in range(n)) for t in range(n)]
+    lower = tuple(degree_lower(psi_T(u, ctx)) for u in units)
+    dickson = tuple(dickson_degree(i, ctx) for i in range(n))
+    for weights, increasing in itertools.product((lower, dickson), (True, False)):
+        brute = {}
+        for v in itertools.product(range(side), repeat=n):
+            if not increasing or list(v) == sorted(v):
+                D = sum(a * w for a, w in zip(v, weights))
+                brute.setdefault(D, []).append(v)
+        # the box holds every solution of a degree below this
+        for D in range(side * min(weights)):
+            got = correspondence._solutions(weights, D, increasing)
+            assert got == tuple(brute.get(D, ())), (weights, D, increasing)
+        assert correspondence._solutions(weights, 0, increasing) == ((0,) * n,)
+        with pytest.raises(DomainError, match="nonnegative"):
+            correspondence._solutions(weights, -1, increasing)
+
+
 def test_one_enumerator_matches_brute_force():
     # both enumerations share _solutions, so a bug there could drop a row
     # on both sides and still pass the row-by-row chi_min check
-    side = 10
     for p in (2, 3, 5, 7):
         for n in (1, 2, 3):
+            assert_enumerator_matches_brute_force(p, n, 10)
+
+
+def test_one_enumerator_matches_brute_force_at_larger_n():
+    # the residue stepping acts at every position, so check long weight
+    # tuples too, in a smaller box
+    for p in (2, 3):
+        for n in (4, 5, 6):
+            assert_enumerator_matches_brute_force(p, n, 6)
+
+
+def brute_force_solutions(weights, D, increasing):
+    """Every solution of sum v_t weights[t] = D in lex order: the leading
+    entries run over a box, the last one is read off if it divides."""
+    *lead, last = weights
+    out = []
+    for v in itertools.product(*(range(D // w + 1) for w in lead)):
+        rem = D - sum(a * w for a, w in zip(v, lead))
+        if rem >= 0 and rem % last == 0:
+            row = v + (rem // last,)
+            if not increasing or list(row) == sorted(row):
+                out.append(row)
+    return tuple(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=st.lists(st.integers(1, 30), min_size=1, max_size=4).map(tuple),
+    D=st.integers(0, 120),
+    increasing=st.booleans(),
+)
+def test_enumerator_matches_brute_force_on_any_weights(weights, D, increasing):
+    # weights whose suffix gcds no grading produces: unsorted, repeated,
+    # coprime or sharing odd factors
+    got = correspondence._solutions.__wrapped__(weights, D, increasing)
+    assert got == brute_force_solutions(weights, D, increasing)
+
+
+def parent_solutions(weights, D, increasing):
+    """The search over every value at every position, as it stood before
+    the residue stepping: the oracle for large degrees."""
+    last = len(weights) - 1
+    bounds = [sum(weights[t:]) if increasing else weights[t] for t in range(last)]
+    out = []
+
+    def search(t, lo, rem, acc):
+        if t == last:
+            v, r = divmod(rem, weights[t])
+            if not r and v >= lo:
+                out.append(acc + (v,))
+            return
+        for v in range(lo, rem // bounds[t] + 1):
+            search(t + 1, v if increasing else 0, rem - v * weights[t], acc + (v,))
+
+    search(0, 0, D, ())
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p,n,D", [(2, 5, 600), (3, 4, 4000), (2, 6, 400)])
+def test_enumerator_matches_the_plain_search_at_large_degrees(p, n, D):
+    ctx = Context(p, n)
+    dickson = tuple(dickson_degree(i, ctx) for i in range(n))
+    # both enumerations: the admissible basis and the Dickson monomials
+    for weights, increasing in ((ctx.weights, True), (dickson, False)):
+        got = correspondence._solutions.__wrapped__(weights, D, increasing)
+        assert got == parent_solutions(weights, D, increasing), (weights, increasing)
+    assert len(admissible_basis(D, ctx)) == len(solve_degree_diophantine(D, ctx)) > 1
+
+
+def search_remainders(fn):
+    """Run fn and list (weights, t, rem) for every call of ``_solutions``'s
+    inner recursion ``rec``: the remainder it is asked to reach from
+    position t on."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event != "call" or frame.f_code.co_name != "rec":
+            return
+        outer = frame.f_back
+        while outer.f_code.co_name == "rec":
+            outer = outer.f_back
+        if outer.f_code is correspondence._solutions.__wrapped__.__code__:
+            loc = frame.f_locals
+            calls.append((outer.f_locals["weights"], loc["t"], loc["rem"]))
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_no_branch_of_the_search_dies_on_divisibility():
+    def sweep():
+        for p, n in ((2, 3), (2, 4), (3, 2), (3, 3), (5, 3)):
             ctx = Context(p, n)
-            units = [tuple(int(i == t) for i in range(n)) for t in range(n)]
-            lower = tuple(degree_lower(psi_T(u, ctx)) for u in units)
             dickson = tuple(dickson_degree(i, ctx) for i in range(n))
-            for weights, increasing in itertools.product((lower, dickson), (True, False)):
-                brute = {}
-                for v in itertools.product(range(side), repeat=n):
-                    if not increasing or list(v) == sorted(v):
-                        D = sum(a * w for a, w in zip(v, weights))
-                        brute.setdefault(D, []).append(v)
-                # the box holds every solution of a degree below this
-                for D in range(side * min(weights)):
-                    got = correspondence._solutions(weights, D, increasing)
-                    assert got == tuple(brute.get(D, ())), (weights, D, increasing)
-                assert correspondence._solutions(weights, 0, increasing) == ((0,) * n,)
-                with pytest.raises(DomainError, match="nonnegative"):
-                    correspondence._solutions(weights, -1, increasing)
+            for D in range(0, 3 * dickson[0] + 1):
+                for weights, increasing in ((ctx.weights, True), (dickson, False)):
+                    correspondence._solutions.__wrapped__(weights, D, increasing)
+
+    calls = search_remainders(sweep)
+    assert calls
+    for weights, t, rem in calls:
+        assert rem % math.gcd(*weights[t:]) == 0, (weights, t, rem)
+
+    # gcd 4 divides every degree at p = 3, n = 2 that has a row; 7 is searched not at all
+    ctx = Context(3, 2)
+    dickson = tuple(dickson_degree(i, ctx) for i in range(2))
+    assert math.gcd(*ctx.weights) == math.gcd(*dickson) == 4
+
+    def cold_degree():
+        assert admissible_basis(7, ctx) == solve_degree_diophantine(7, ctx) == []
+
+    correspondence._solutions.cache_clear()
+    assert search_remainders(cold_degree) == []
 
 
 @pytest.mark.parametrize(
