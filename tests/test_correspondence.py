@@ -90,25 +90,38 @@ def test_enumerations_hand_out_fresh_lists():
         assert enumerate_degree(6, P2N2) == want
 
 
-def count_searches(fn):
-    """Run fn and count, per enumeration (keyed by the ``increasing``
-    flag of ``_solutions``), the top-level calls of its inner recursion
-    ``rec``: one per search of a degree."""
-    searches = {}
+def search_calls(fn):
+    """Run fn and list (weights, increasing, t, rem) for every call of
+    ``_solutions``'s inner recursion ``rec``: the remainder it is asked to
+    reach from position t on."""
+    calls = []
 
     def profile(frame, event, arg):
         if event != "call" or frame.f_code.co_name != "rec":
             return
         outer = frame.f_back
+        while outer.f_code.co_name == "rec":
+            outer = outer.f_back
         if outer.f_code is correspondence._solutions.__wrapped__.__code__:
-            key = outer.f_locals["increasing"]
-            searches[key] = searches.get(key, 0) + 1
+            search, loc = outer.f_locals, frame.f_locals
+            calls.append((search["weights"], search["increasing"], loc["t"], loc["rem"]))
 
     sys.setprofile(profile)
     try:
         fn()
     finally:
         sys.setprofile(None)
+    return calls
+
+
+def count_searches(fn):
+    """Run fn and count, per enumeration (keyed by the ``increasing``
+    flag of ``_solutions``), the top-level calls of ``rec``: one per
+    search of a degree."""
+    searches = {}
+    for _, increasing, t, _ in search_calls(fn):
+        if t == 0:
+            searches[increasing] = searches.get(increasing, 0) + 1
     return searches
 
 
@@ -264,30 +277,6 @@ def test_enumerator_matches_the_plain_search_at_large_degrees(p, n, D):
     assert len(admissible_basis(D, ctx)) == len(solve_degree_diophantine(D, ctx)) > 1
 
 
-def search_remainders(fn):
-    """Run fn and list (weights, t, rem) for every call of ``_solutions``'s
-    inner recursion ``rec``: the remainder it is asked to reach from
-    position t on."""
-    calls = []
-
-    def profile(frame, event, arg):
-        if event != "call" or frame.f_code.co_name != "rec":
-            return
-        outer = frame.f_back
-        while outer.f_code.co_name == "rec":
-            outer = outer.f_back
-        if outer.f_code is correspondence._solutions.__wrapped__.__code__:
-            loc = frame.f_locals
-            calls.append((outer.f_locals["weights"], loc["t"], loc["rem"]))
-
-    sys.setprofile(profile)
-    try:
-        fn()
-    finally:
-        sys.setprofile(None)
-    return calls
-
-
 def test_no_branch_of_the_search_dies_on_divisibility():
     def sweep():
         for p, n in ((2, 3), (2, 4), (3, 2), (3, 3), (5, 3)):
@@ -297,9 +286,9 @@ def test_no_branch_of_the_search_dies_on_divisibility():
                 for weights, increasing in ((ctx.weights, True), (dickson, False)):
                     correspondence._solutions.__wrapped__(weights, D, increasing)
 
-    calls = search_remainders(sweep)
+    calls = search_calls(sweep)
     assert calls
-    for weights, t, rem in calls:
+    for weights, _, t, rem in calls:
         assert rem % math.gcd(*weights[t:]) == 0, (weights, t, rem)
 
     # gcd 4 divides every degree at p = 3, n = 2 that has a row; 7 is searched not at all
@@ -311,7 +300,7 @@ def test_no_branch_of_the_search_dies_on_divisibility():
         assert admissible_basis(7, ctx) == solve_degree_diophantine(7, ctx) == []
 
     correspondence._solutions.cache_clear()
-    assert search_remainders(cold_degree) == []
+    assert search_calls(cold_degree) == []
 
 
 @pytest.mark.parametrize(
