@@ -13,8 +13,6 @@ coefficient formulas rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from math import comb
 
 __all__ = [
@@ -41,26 +39,59 @@ class InvariantError(RuntimeError):
     check still runs under ``python -O``."""
 
 
-@dataclass(frozen=True)
-class Context:
+class Frozen:
+    """Base of the package's immutable value classes.  A subclass names
+    its fields in ``__slots__`` and sets each once in ``__init__``, through
+    ``object.__setattr__``; after that no field can be assigned or deleted
+    and no attribute added.  A subclass also defines ``__reduce__`` to
+    rebuild an instance from its constructor arguments, the way ``pickle``
+    and ``copy`` then copy it: their default sets the fields after
+    construction, which this class refuses.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Context(Frozen):
     """A prime p and a number of variables n (length of sequences),
-    1 <= n <= MAX_VARS."""
+    1 <= n <= MAX_VARS.  Contexts with the same p and n are equal.
 
-    p: int
-    n: int
+    ``weights`` is the grading: weights[t] = |h_(t+1)|, the degree of
+    lower entry 1 at position t: 2(p-1) p^t, halved to 2^t at p = 2 here
+    only.
+    """
 
-    def __post_init__(self):
-        if self.p not in PRIMES:
-            raise DomainError(f"p must be one of {PRIMES}, got {self.p}")
-        if not 1 <= self.n <= MAX_VARS:
-            raise DomainError(f"n must be in 1..{MAX_VARS}, got {self.n}")
+    __slots__ = ("p", "n", "weights")
 
-    @cached_property
-    def weights(self) -> tuple[int, ...]:
-        """The grading: weights[t] = |h_(t+1)|, the degree of lower entry 1
-        at position t: 2(p-1) p^t, halved to 2^t at p = 2 here only."""
-        unit = 1 if self.p == 2 else 2 * (self.p - 1)
-        return tuple(unit * self.p**t for t in range(self.n))
+    def __init__(self, p: int, n: int):
+        if p not in PRIMES:
+            raise DomainError(f"p must be one of {PRIMES}, got {p}")
+        if not 1 <= n <= MAX_VARS:
+            raise DomainError(f"n must be in 1..{MAX_VARS}, got {n}")
+        unit = 1 if p == 2 else 2 * (p - 1)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "weights", tuple(unit * p**t for t in range(n)))
+
+    def __repr__(self):
+        return f"Context(p={self.p!r}, n={self.n!r})"
+
+    def __eq__(self, other):
+        if type(other) is not Context:
+            return NotImplemented
+        return self.p == other.p and self.n == other.n
+
+    def __hash__(self):
+        return hash((self.p, self.n))
+
+    def __reduce__(self):
+        return Context, (self.p, self.n)
 
 
 class Combination:
@@ -180,14 +211,16 @@ def _block_binoms(p: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return q, tuple(tuple(comb(a, b) % p for b in range(q)) for a in range(q))
 
 
-_BLOCK_BINOMS = {p: _block_binoms(p) for p in PRIMES if p != 2}
+# filled the first time binom_mod_p meets each odd prime
+_BLOCK_BINOMS: dict = {}
 
 
 def binom_mod_p(a: int, b: int, p: int) -> int:
     """Return C(a, b) mod p via Lucas; 0 if a < 0, b < 0 or b > a.
 
     p must be one of PRIMES.  At odd p the digits are read in base Q
-    (see _block_binoms), so arguments below Q take one table lookup.
+    (see _block_binoms), so arguments below Q take one table lookup; the
+    table of p is built on the first call at p.
     Once b has no digits left every remaining factor is C(a_d, 0) = 1,
     so the digit loop stops there.
     """
@@ -195,7 +228,12 @@ def binom_mod_p(a: int, b: int, p: int) -> int:
         return 0
     if p == 2:
         return 1 if a & b == b else 0
-    q, table = _BLOCK_BINOMS[p]
+    try:
+        q, table = _BLOCK_BINOMS[p]
+    except KeyError:
+        if p not in PRIMES:
+            raise DomainError(f"p must be one of {PRIMES}, got {p}") from None
+        q, table = _BLOCK_BINOMS[p] = _block_binoms(p)
     result = 1
     while b:
         a, ad = divmod(a, q)

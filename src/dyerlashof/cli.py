@@ -8,13 +8,14 @@ Examples:
 
 Exit codes: 0 success, 1 domain error (bad input values, failed
 verification), 2 usage error.
+
+A call imports ``json`` only with ``--format json``.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import textio, verify
@@ -100,6 +101,8 @@ def _emit(args, result, to_json, to_text, input_json) -> None:
     field input_json() for json, to_text(result) for text.
     """
     if args.format == "json":
+        import json
+
         doc = {
             "p": args.p,
             "n": args.n,

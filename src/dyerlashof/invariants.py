@@ -18,10 +18,10 @@ invariance by brute substitution.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, combinations, product, zip_longest
 from operator import mul, sub
-from typing import NamedTuple
 
 from . import kernels
 from .arith import (
@@ -187,12 +187,10 @@ def dickson_to_borel_recursive(k: int, s: int, ctx: Context) -> BPoly:
     return first + second
 
 
-class RowMatrixA(NamedTuple):
-    """One member of the matrix family for d_{n,j}: the only nonzero
-    row, with 0/1 entries summing to n - j (columns numbered from 0)."""
-
-    j: int
-    a: tuple[int, ...]
+RowMatrixA = namedtuple("RowMatrixA", "j a")
+RowMatrixA.__doc__ = """One member of the matrix family for d_{n,j}: the only
+nonzero row ``a``, a tuple of 0/1 entries summing to n - j (columns
+numbered from 0)."""
 
 
 def enumerate_A(j: int, ctx: Context) -> list[RowMatrixA]:

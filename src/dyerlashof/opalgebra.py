@@ -13,8 +13,9 @@ sequences (see :mod:`dyerlashof.sequences`).  The two workhorses here:
 
 * :func:`coproduct` splits each factor by the Cartan formula, which
   reads upper notation, with Koszul signs; it returns lower-notation
-  legs and drops a term when one of its legs dies in the excess
-  quotient (a negative lower entry).
+  legs and drops a term when one of its legs is zero: a negative lower
+  entry dies in the excess quotient, and a factor with 2 j_t - eps_t < 0
+  is beta of a p-th power.
 
     >>> ctx = Context(3, 2)
     >>> s = OpSeq.from_values(ctx, [3, 1])
@@ -250,8 +251,9 @@ def coproduct(x: OpPoly | OpSeq | UpperSeq, folds: int = 2) -> TensorPoly:
     By the Cartan formula each upper factor f^i splits over all ways to
     distribute i across the legs; a Bockstein lands on exactly one leg
     (and beta f^0 = 0).  Koszul signs arise when an odd piece passes legs
-    to its right.  A term whose leg has a negative lower entry is zero in
-    the excess quotient and dropped.  folds = 1 wraps x in one leg.
+    to its right.  A term whose leg has a negative lower entry (zero in
+    the excess quotient) or a factor with 2 j_t - eps_t < 0 (beta of a
+    p-th power, zero) is dropped.  folds = 1 wraps x in one leg.
     """
     if folds < 1:
         raise DomainError(f"the coproduct needs folds >= 1, got {folds}")
@@ -292,6 +294,8 @@ def coproduct(x: OpPoly | OpSeq | UpperSeq, folds: int = 2) -> TensorPoly:
                 low = [upper_to_lower(UpperSeq(x.ctx, *leg)) for leg in legs]
             except DomainError:
                 continue  # a leg with a negative lower entry is zero
+            if any(min(map(sub, leg.twice, leg.eps)) < 0 for leg in low):
+                continue  # a leg with negative excess is zero
             out.add_term(tuple((leg.twice, leg.eps) for leg in low), c)
     return out
 

@@ -21,10 +21,9 @@ tuple ``eps``; eps_t = 1 means a Bockstein in front of the t-th factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul, sub
 
-from .arith import Context, DomainError
+from .arith import Context, DomainError, Frozen
 
 __all__ = [
     "OpSeq",
@@ -65,17 +64,13 @@ def entry_from_str(text: str) -> int:
         raise DomainError(f"entry must be like 3 or 3/2, got {text!r}") from None
 
 
-@dataclass(frozen=True)
-class _Seq:
+class _Seq(Frozen):
     """An index sequence with doubled entries and its eps flags, checked
     on construction.  Equality tells the notations apart."""
 
-    ctx: Context
-    twice: tuple[int, ...]
-    eps: tuple[int, ...]
+    __slots__ = ("ctx", "twice", "eps")
 
-    def __post_init__(self):
-        ctx, twice, eps = self.ctx, self.twice, self.eps
+    def __init__(self, ctx: Context, twice: tuple[int, ...], eps: tuple[int, ...]):
         if len(twice) != ctx.n:
             raise DomainError(f"expected {ctx.n} entries, got {len(twice)}")
         if len(eps) != ctx.n:
@@ -89,6 +84,26 @@ class _Seq:
                 raise DomainError("p = 2 sequences cannot carry Bocksteins")
             if any(t % 2 for t in twice):
                 raise DomainError("p = 2 entries must be integers")
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "twice", twice)
+        object.__setattr__(self, "eps", eps)
+
+    def __repr__(self):
+        return (
+            f"{type(self).__name__}(ctx={self.ctx!r}, "
+            f"twice={self.twice!r}, eps={self.eps!r})"
+        )
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.ctx, self.twice, self.eps) == (other.ctx, other.twice, other.eps)
+
+    def __hash__(self):
+        return hash((self.ctx, self.twice, self.eps))
+
+    def __reduce__(self):
+        return type(self), (self.ctx, self.twice, self.eps)
 
     @classmethod
     def from_values(cls, ctx: Context, values, eps=None):
@@ -103,6 +118,8 @@ class _Seq:
 class OpSeq(_Seq):
     """Lower-notation index sequence with doubled entries."""
 
+    __slots__ = ()
+
     def key(self) -> tuple[int, ...]:
         """Per-position tail excess vector (2 j_t - eps_t); see compare()."""
         return tuple(t - e for t, e in zip(self.twice, self.eps))
@@ -110,6 +127,8 @@ class OpSeq(_Seq):
 
 class UpperSeq(_Seq):
     """Upper-notation index sequence with doubled entries."""
+
+    __slots__ = ()
 
 
 def require_lower(x, what: str) -> None:

@@ -1,6 +1,8 @@
 """Tests for modular binomial arithmetic and the F_p term container."""
 
+import copy
 import math
+import pickle
 import random
 
 from hypothesis import given, strategies as st
@@ -36,6 +38,24 @@ def test_context_guards():
         Context(3, 0)
 
 
+def test_context_is_an_immutable_value():
+    ctx = Context(3, 2)
+    assert repr(ctx) == "Context(p=3, n=2)"
+    assert (ctx.p, ctx.n, ctx.weights) == (3, 2, (4, 12))
+    twin = Context(p=3, n=2)
+    assert ctx == twin and hash(ctx) == hash(twin)
+    assert ctx != Context(3, 3) and ctx != Context(2, 2) and ctx != (3, 2)
+    for name in ("p", "n", "weights", "other"):
+        with pytest.raises(AttributeError):
+            setattr(ctx, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(ctx, name)
+    assert (ctx.p, ctx.n, ctx.weights) == (3, 2, (4, 12))
+    for copied in (pickle.loads(pickle.dumps(ctx)), copy.deepcopy(ctx)):
+        assert copied == ctx and hash(copied) == hash(ctx)
+        assert copied.weights == ctx.weights
+
+
 def test_padic_digits_examples():
     assert padic_digits(10, 3) == [1, 0, 1]
     assert padic_digits(0, 5) == []
@@ -56,6 +76,9 @@ def test_binom_examples():
     assert binom_mod_p(5, 2, 3) == 1
     assert binom_mod_p(-1, 1, 3) == 0
     assert binom_mod_p(7, 3, 2) == 1
+    # a p outside PRIMES has no table to build
+    with pytest.raises(DomainError, match="p must be one of"):
+        binom_mod_p(5, 2, 11)
 
 
 def test_binom_conventions():

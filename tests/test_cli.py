@@ -379,6 +379,13 @@ TEXT_CASES = [
         "Q[1,1] (x) Q[0,0]\n",
     ),
     (["coprod", "--p", "3", "--n", "1", "e[0;eps=1]"], "0\n"),
+    # a leg with a factor beta e_0 (2 j - eps < 0) is beta of a p-th power: zero
+    (
+        ["coprod", "--p", "3", "--n", "2", "e[1,1;eps=10]"],
+        "Q[0,0] (x) Q[1,1;eps=10] + Q[0,1] (x) Q[1,0;eps=10] + "
+        "Q[1,0;eps=10] (x) Q[0,1] + Q[1,1;eps=10] (x) Q[0,0]\n",
+    ),
+    (["coprod", "--p", "3", "--n", "2", "e[0,1;eps=10]"], "0\n"),
     (
         ["coprod", "--p", "3", "--n", "2", "E[3,1;eps=11]"],
         "Q[0,0] (x) Q[3/2,1;eps=11] + 2*Q[1/2,1;eps=01] (x) Q[1,0;eps=10] + "

@@ -1,6 +1,8 @@
 """Tests for sequence bookkeeping: degree, excess, conversion, families."""
 
+import copy
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -62,6 +64,28 @@ def test_validation():
         OpSeq(P2N2, (-3, 0), (2, 0))
     # half entries are fine at odd p
     OpSeq(P3N2, (3, 1), (1, 1))
+
+
+def test_sequences_are_immutable_values():
+    s = OpSeq(P3N2, (2, 4), (0, 0))
+    u = UpperSeq(P3N2, (2, 4), (0, 0))
+    assert repr(s) == "OpSeq(ctx=Context(p=3, n=2), twice=(2, 4), eps=(0, 0))"
+    assert repr(u) == "UpperSeq(ctx=Context(p=3, n=2), twice=(2, 4), eps=(0, 0))"
+    # the notations never compare equal, so a set keeps both
+    assert s != u and u != s and len({s, u}) == 2
+    twin = OpSeq(Context(3, 2), (2, 4), (0, 0))
+    assert s == twin and hash(s) == hash(twin)
+    assert s != OpSeq(P3N2, (2, 4), (1, 0))
+    for x in (s, u):
+        for name in ("ctx", "twice", "eps", "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, (0, 0))
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+        assert (x.twice, x.eps) == ((2, 4), (0, 0))
+        for copied in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            assert type(copied) is type(x)
+            assert copied == x and hash(copied) == hash(x)
 
 
 def test_entry_strings():
