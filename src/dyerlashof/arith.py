@@ -13,6 +13,7 @@ coefficient formulas rely on.
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
 
 __all__ = [
@@ -21,6 +22,7 @@ __all__ = [
     "DomainError",
     "InvariantError",
     "binom_mod_p",
+    "compositions",
     "multinom_mod_p",
     "padic_digits",
 ]
@@ -243,6 +245,14 @@ def binom_mod_p(a: int, b: int, p: int) -> int:
             return 0
         result = result * c % p
     return result
+
+
+def compositions(total: int, parts: int):
+    """Yield the tuples of `parts` >= 1 non-negative ints that sum to
+    total, in lexicographic order (stars and bars); none when total < 0."""
+    end = total + parts - 1
+    for bars in combinations(range(end), parts - 1) if total >= 0 else ():
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (end,)))
 
 
 def multinom_mod_p(parts: tuple[int, ...] | list[int], p: int) -> int:

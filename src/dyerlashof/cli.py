@@ -29,8 +29,8 @@ from .correspondence import (
     solve_degree_diophantine,
 )
 from .invariants import expand_dickson_monomial
-from .opalgebra import adem_straighten_classical, coproduct
-from .sequences import UpperSeq
+from .opalgebra import OpPoly, adem_straighten_classical, coproduct
+from .sequences import UpperSeq, upper_to_lower
 
 __all__ = ["main", "build_parser"]
 
@@ -196,15 +196,18 @@ def _pair(args, ctx):
 
 
 def _coprod(args, ctx):
-    s = textio.parse_any_sequence(args.expr, ctx)
-
-    def input_json():
-        payload = textio.seq_to_json(s)
-        if isinstance(s, UpperSeq):
-            payload["notation"] = "upper"
-        return payload
-
-    return coproduct(s), textio.tensor_to_json, textio.render_tensor, input_json
+    s = x = textio.parse_any_sequence(args.expr, ctx)
+    note = {}
+    if isinstance(s, UpperSeq):
+        note = {"notation": "upper"}
+        if any(t % 2 for t in s.twice):  # before a conversion that may fail
+            raise DomainError("coproduct needs integral upper entries")
+        try:
+            x = upper_to_lower(s)
+        except DomainError:
+            x = OpPoly(ctx)  # a negative lower entry: zero in the excess quotient
+    to_json, to_text = textio.tensor_to_json, textio.render_tensor
+    return coproduct(x), to_json, to_text, lambda: textio.seq_to_json(s) | note
 
 
 def run(args) -> int:

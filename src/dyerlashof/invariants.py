@@ -28,6 +28,7 @@ from .arith import (
     Combination,
     Context,
     DomainError,
+    compositions,
     multinom_mod_p,
     padic_digits,
 )
@@ -344,15 +345,6 @@ def coeff_in_expansion(m, J, ctx: Context) -> int:
     return coeff_memo(ctx)(m, J)
 
 
-def _plain_compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _plain_compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def coeff_by_multinomial(m, J, ctx: Context) -> int:
     """Coefficient of h^J in d^m by the digit/multinomial formula.
 
@@ -384,7 +376,7 @@ def coeff_by_multinomial(m, J, ctx: Context) -> int:
         j, alpha, digit = items[idx]
         q = p**alpha
         total = 0
-        for pi in _plain_compositions(digit, len(vecs[j])):
+        for pi in compositions(digit, len(vecs[j])):
             contrib = [0] * ctx.n
             for slots, vec in zip(pi, vecs[j]):
                 if slots:

@@ -11,11 +11,11 @@ sequences (see :mod:`dyerlashof.sequences`).  The two workhorses here:
   monomials sit in a heap in rewrite order, so like terms merge before
   they are rewritten and each distinct monomial is rewritten once.
 
-* :func:`coproduct` splits each factor by the Cartan formula, which
-  reads upper notation, with Koszul signs; it returns lower-notation
-  legs and drops a term when one of its legs is zero: a negative lower
-  entry dies in the excess quotient, and a factor with 2 j_t - eps_t < 0
-  is beta of a p-th power.
+* :func:`coproduct` applies the Cartan formula in lower notation, where
+  the legs' entries and Bocksteins add up to the input's.  It keeps the
+  legs whose upper entries are integral and whose factors have
+  2 j_t - eps_t >= 0; the Koszul sign flips once for each pair of
+  Bocksteins whose right one lies on an earlier leg.
 
     >>> ctx = Context(3, 2)
     >>> s = OpSeq.from_values(ctx, [3, 1])
@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import functools
 import heapq
+from math import comb, prod
 from operator import sub
 
-from .arith import Combination, Context, DomainError, binom_mod_p
-from .sequences import OpSeq, UpperSeq, first_defect, lower_to_upper, require_lower
-from .sequences import term_order, upper_to_lower
+from .arith import Combination, Context, DomainError, binom_mod_p, compositions
+from .sequences import OpSeq, first_defect, require_lower, term_order
 
 __all__ = [
     "OpPoly",
@@ -169,10 +169,9 @@ def adem_straighten_classical(x: OpPoly | OpSeq, max_steps: int = 10**7) -> OpPo
     defect) is fixed and the map is linear.  Raises RuntimeError past
     max_steps distinct rewrites.
     """
-    if isinstance(x, OpSeq):
+    if not isinstance(x, OpPoly):
+        require_lower(x, "straightening")
         x = OpPoly.from_seq(x)
-    elif not isinstance(x, OpPoly):
-        raise DomainError(f"straightening needs lower notation, got {type(x).__name__}")
     p = x.ctx.p
     result = OpPoly(x.ctx)
     heap = []
@@ -235,68 +234,63 @@ class TensorPoly(Combination):
         return (self.ctx, self.folds)
 
 
-def _compositions(total: int, parts: int):
-    """Yield tuples of `parts` non-negative even ints summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(0, total + 1, 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+# admits e[20,20,20,20] at p = 2: 194,481 terms, about 1 s and 170 MB on 2 vCPUs
+COPRODUCT_TERMS_CAP = 200_000
 
 
-def coproduct(x: OpPoly | OpSeq | UpperSeq, folds: int = 2) -> TensorPoly:
-    """The r-fold coproduct, with lower-notation legs.
+def _split_position(legs, c: int, t: int, e: int):
+    """Yield (legs, coeff) for each way to share the doubled entry t and
+    Bockstein e among legs that hold the positions right of it."""
+    par = [sum(ep) % 2 for _, ep in legs]
+    for u in range(len(legs)) if e else (None,):
+        low = par.copy()
+        if u is not None:
+            low[u] = 2 - par[u]
+        signed = -c if u and sum(par[:u]) % 2 else c
+        for q in compositions((t - sum(low)) // 2, len(legs)):
+            yield tuple(
+                ((2 * qv + lv,) + tw, (int(v == u),) + ep)
+                for v, (qv, lv, (tw, ep)) in enumerate(zip(q, low, legs))
+            ), signed
 
-    By the Cartan formula each upper factor f^i splits over all ways to
-    distribute i across the legs; a Bockstein lands on exactly one leg
-    (and beta f^0 = 0).  Koszul signs arise when an odd piece passes legs
-    to its right.  A term whose leg has a negative lower entry (zero in
-    the excess quotient) or a factor with 2 j_t - eps_t < 0 (beta of a
-    p-th power, zero) is dropped.  folds = 1 wraps x in one leg.
+
+def coproduct(x: OpPoly | OpSeq, folds: int = 2) -> TensorPoly:
+    """The r-fold coproduct, by the Cartan formula in lower notation.
+
+    Upper entries split among the legs, and s_t - j_t is half the degree
+    of positions t+1..n, which is additive: so the legs' lower entries
+    add up to the input's, and each Bockstein goes to one leg.  A leg is
+    zero unless its upper entries are integral (at odd p, 2 j_t has the
+    parity of its Bocksteins right of t) and each 2 j_t - eps_t >= 0.
+    Right to left, leg v takes 2 q_v + low_v over the compositions q:
+    low_v is that parity, or 2 if the leg takes the Bockstein at even
+    parity.  The Koszul sign flips once for each Bockstein already on a
+    leg left of the new one's.  folds = 1 wraps x in one leg.  Raises
+    DomainError on non-integral upper entries and, before enumerating,
+    when a bound on the output's terms exceeds COPRODUCT_TERMS_CAP.
     """
     if folds < 1:
         raise DomainError(f"the coproduct needs folds >= 1, got {folds}")
-    if isinstance(x, OpSeq):
+    if not isinstance(x, OpPoly):
+        require_lower(x, "the coproduct")
         x = OpPoly.from_seq(x)
-    if isinstance(x, UpperSeq):
-        ups = [(x, 1)]
-    else:
-        ups = [(lower_to_upper(OpSeq(x.ctx, *key)), c) for key, c in x.terms.items()]
-    out = TensorPoly(x.ctx, folds)
-    for up, coeff in ups:
-        if any(t % 2 for t in up.twice):
+    bound, k = 0, folds - 1
+    for twice, eps in x.terms:
+        if any((t - sum(eps[i + 1 :])) % 2 for i, t in enumerate(twice)):
             raise DomainError("coproduct needs integral upper entries")
-        # each leg is a (twice, eps) pair, odd when its eps sum is odd
-        acc = Combination(x.ctx, {(((), ()),) * folds: coeff})
-        for total, e in zip(up.twice, up.eps):
-            nxt = Combination(x.ctx)
-            for legs, c in acc.terms.items():
-                for split in _compositions(total, folds):
-                    if e == 0:
-                        new_legs = tuple(
-                            (tw + (s,), ep + (0,)) for (tw, ep), s in zip(legs, split)
-                        )
-                        nxt.add_term(new_legs, c)
-                        continue
-                    for u in range(folds):
-                        if split[u] == 0:
-                            continue  # beta f^0 = 0
-                        new_legs = tuple(
-                            (tw + (s,), ep + (int(v == u),))
-                            for v, ((tw, ep), s) in enumerate(zip(legs, split))
-                        )
-                        sign = sum(sum(ep) for _, ep in legs[u + 1 :]) % 2
-                        nxt.add_term(new_legs, -c if sign else c)
-            acc = nxt
-        for legs, c in acc.terms.items():
-            try:
-                low = [upper_to_lower(UpperSeq(x.ctx, *leg)) for leg in legs]
-            except DomainError:
-                continue  # a leg with a negative lower entry is zero
-            if any(min(map(sub, leg.twice, leg.eps)) < 0 for leg in low):
-                continue  # a leg with negative excess is zero
-            out.add_term(tuple((leg.twice, leg.eps) for leg in low), c)
+        # position t shares at most t // 2 among the legs, its beta goes to one
+        bound += prod(comb(t // 2 + k, k) * folds**e for t, e in zip(twice, eps))
+    if bound > COPRODUCT_TERMS_CAP:
+        raise DomainError(
+            f"the coproduct may have {bound} terms, above the cap {COPRODUCT_TERMS_CAP}"
+        )
+    out = TensorPoly(x.ctx, folds)
+    for (twice, eps), coeff in x.terms.items():
+        acc = [((((), ()),) * folds, coeff)]
+        for t, e in zip(reversed(twice), reversed(eps)):
+            acc = [y for legs, c in acc for y in _split_position(legs, c, t, e)]
+        for legs, c in acc:
+            Combination.add_term(out, legs, c)
     return out
 
 

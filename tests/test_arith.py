@@ -1,6 +1,7 @@
 """Tests for modular binomial arithmetic and the F_p term container."""
 
 import copy
+import itertools
 import math
 import pickle
 import random
@@ -12,6 +13,7 @@ from dyerlashof.arith import (
     Context,
     DomainError,
     binom_mod_p,
+    compositions,
     multinom_mod_p,
     padic_digits,
 )
@@ -174,6 +176,19 @@ def test_multinom_matches_factorials():
 )
 def test_multinom_permutation_invariant(p, parts):
     assert multinom_mod_p(parts, p) == multinom_mod_p(sorted(parts), p)
+
+
+def test_compositions():
+    assert list(compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
+    assert list(compositions(0, 3)) == [(0, 0, 0)]
+    for parts in (1, 2, 3):
+        assert list(compositions(-1, parts)) == []
+        for total in range(6):
+            want = [
+                c for c in itertools.product(range(total + 1), repeat=parts)
+                if sum(c) == total
+            ]
+            assert list(compositions(total, parts)) == want
 
 
 # Every term container: (name, empty(ctx), add(x, key, c), two keys at ctx,

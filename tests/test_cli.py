@@ -386,6 +386,13 @@ TEXT_CASES = [
         "Q[1,0;eps=10] (x) Q[0,1] + Q[1,1;eps=10] (x) Q[0,0]\n",
     ),
     (["coprod", "--p", "3", "--n", "2", "e[0,1;eps=10]"], "0\n"),
+    # a factor beta e_0 right of position 1 (its upper form has a negative
+    # entry) is beta of a p-th power too
+    (["coprod", "--p", "3", "--n", "3", "e[0,1/2,0;eps=011]"], "0\n"),
+    # an upper input whose lower form has a negative entry is zero in the
+    # excess quotient
+    (["coprod", "--p", "2", "--n", "2", "E[0,5]"], "0\n"),
+    (["coprod", "--p", "3", "--n", "2", "E[1,1;eps=01]"], "0\n"),
     (
         ["coprod", "--p", "3", "--n", "2", "E[3,1;eps=11]"],
         "Q[0,0] (x) Q[3/2,1;eps=11] + 2*Q[1/2,1;eps=01] (x) Q[1,0;eps=10] + "

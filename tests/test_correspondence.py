@@ -560,6 +560,7 @@ def test_engines_refuse_upper_notation():
         adem_straighten_classical,
         OpPoly.from_seq,
         lower_to_upper,
+        coproduct,
     ):
         with pytest.raises(DomainError, match="needs lower notation, got UpperSeq"):
             reader(up)

@@ -1,10 +1,11 @@
-"""Upper notation stays where the Cartan formula needs it.
+"""Upper notation lives only at the CLI's input.
 
-Every sum the package returns has lower-notation keys; upper notation is
-only the coproduct's input and the inside of its split.  So only the
-modules that parse, convert or split it name ``UpperSeq`` or the two
-converters, and no module converts a result with ``.to_lower()``.  This
-stands in for a lint rule over src/.
+Every sum the package returns has lower-notation keys, and every engine,
+the coproduct included, reads lower notation only; the CLI converts an
+upper-notation ``E[...]`` input once.  So only the modules that define,
+parse or convert it name ``UpperSeq`` or the two converters, and no
+module converts a result with ``.to_lower()``.  This stands in for a
+lint rule over src/.
 """
 
 import ast
@@ -12,7 +13,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dyerlashof"
 UPPER_NAMES = {"UpperSeq", "lower_to_upper", "upper_to_lower"}
-UPPER_MODULES = {"sequences", "opalgebra", "textio", "cli"}
+UPPER_MODULES = {"sequences", "textio", "cli"}
 
 
 def notation_uses(source: str) -> list[str]:

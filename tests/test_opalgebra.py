@@ -2,6 +2,8 @@
 the coproduct."""
 
 import itertools
+import operator
+import re
 
 import pytest
 
@@ -22,6 +24,8 @@ from dyerlashof.sequences import (
     UpperSeq,
     degree_lower,
     is_admissible,
+    lower_to_upper,
+    upper_to_lower,
 )
 
 P3N2 = Context(3, 2)
@@ -445,7 +449,93 @@ def test_domain_errors_replace_asserts():
 
 
 def upper(ctx, values, eps=None):
-    return UpperSeq.from_values(ctx, values, eps)
+    """The lower form of the upper-notation sequence with these values."""
+    return upper_to_lower(UpperSeq.from_values(ctx, values, eps))
+
+
+def coproduct_by_upper_cartan(u, folds=2):
+    """The Cartan formula read in upper notation, a second route to
+    coproduct: each upper factor f^i splits over all ways to share i
+    among the legs, a Bockstein lands on one leg (and beta f^0 = 0), and
+    a Koszul sign arises when it passes odd pieces on legs right of it.
+    Each leg is converted to lower notation, and a term is dropped when a
+    leg has a negative lower entry or a factor with 2 j_t - eps_t < 0."""
+    acc = {(((), ()),) * folds: 1}
+    for total, e in zip(u.twice, u.eps):
+        nxt = {}
+        for legs, c in acc.items():
+            for split in itertools.product(range(total // 2 + 1), repeat=folds):
+                if sum(split) != total // 2:
+                    continue
+                for b in range(folds) if e else (None,):
+                    if b is not None and split[b] == 0:
+                        continue  # beta f^0 = 0
+                    new_legs = tuple(
+                        (tw + (2 * s,), ep + (int(v == b),))
+                        for v, ((tw, ep), s) in enumerate(zip(legs, split))
+                    )
+                    sign = b is not None and sum(sum(ep) for _, ep in legs[b + 1 :]) % 2
+                    nxt[new_legs] = -c if sign else c
+        acc = nxt
+    out = TensorPoly(u.ctx, folds)
+    for legs, c in acc.items():
+        try:
+            low = [upper_to_lower(UpperSeq(u.ctx, *leg)) for leg in legs]
+        except DomainError:
+            continue  # a leg with a negative lower entry is zero
+        if any(min(map(operator.sub, leg.twice, leg.eps)) < 0 for leg in low):
+            continue  # a leg with negative excess is zero
+        out.add_term(tuple((leg.twice, leg.eps) for leg in low), c)
+    return out
+
+
+def upper_is_integral(s):
+    """Whether the upper entries of s, negative ones included, are
+    integers: 2 i_t = 2 j_t + |e_(t+1) ... e_n| at odd p."""
+    if s.ctx.p == 2:
+        return True
+    n = s.ctx.n
+    suffix = [
+        degree_lower(OpSeq(Context(s.ctx.p, n - t), s.twice[t:], s.eps[t:]))
+        for t in range(1, n)
+    ]
+    return all((tw + d) % 2 == 0 for tw, d in zip(s.twice, suffix + [0]))
+
+
+# (p, n, largest doubled lower entry, folds)
+COPRODUCT_BOXES = [
+    (2, 2, 8, 2), (2, 3, 5, 2), (2, 4, 3, 2),
+    (3, 2, 8, 2), (3, 3, 5, 2),
+    (5, 2, 6, 2), (7, 2, 5, 2),
+    (2, 2, 8, 3), (3, 2, 8, 3), (5, 2, 6, 3), (7, 2, 5, 3),
+]
+
+
+def test_coproduct_matches_upper_cartan():
+    # every eps; where the input has a factor beta e_0 right of position
+    # 1 its upper form has a negative entry, and its coproduct is zero
+    cases = nonzero = 0
+    for p, n, top, folds in COPRODUCT_BOXES:
+        ctx = Context(p, n)
+        step = 2 if p == 2 else 1
+        eps_opts = list(itertools.product((0, 1), repeat=n)) if p > 2 else [(0,) * n]
+        for twice in itertools.product(range(0, top + 1, step), repeat=n):
+            for eps in eps_opts:
+                s = OpSeq(ctx, twice, eps)
+                cases += 1
+                if not upper_is_integral(s):
+                    with pytest.raises(DomainError, match="integral upper entries"):
+                        coproduct(s, folds)
+                    continue
+                try:
+                    want = coproduct_by_upper_cartan(lower_to_upper(s), folds)
+                except DomainError as exc:
+                    assert re.fullmatch(r"upper entry \d+ is negative", str(exc))
+                    want = TensorPoly(ctx, folds)
+                got = coproduct(s, folds)
+                assert got == want, (p, twice, eps, folds)
+                nonzero += not got.is_zero()
+    assert (cases, nonzero) == (3149, 540)
 
 
 def test_coproduct_examples():
@@ -458,7 +548,7 @@ def test_coproduct_examples():
     t0 = coproduct(upper(c31, (0,)))
     assert t0.terms == {(((0,), (0,)), ((0,), (0,))): 1}
     # psi(beta f^1) = beta f^1 (x) f^0 + f^0 (x) beta f^1 (beta f^0 = 0)
-    tb = coproduct(UpperSeq(c31, (2,), (1,)))
+    tb = coproduct(upper_to_lower(UpperSeq(c31, (2,), (1,))))
     assert tb.terms == {
         (((2,), (1,)), ((0,), (0,))): 1,
         (((0,), (0,)), ((2,), (1,))): 1,
@@ -472,7 +562,7 @@ def test_coproduct_counts():
         t = coproduct(upper(c51, (i,)))
         assert len(t.terms) == i + 1
         # with a Bockstein: one beta per split, except on f^0 legs
-        tb = coproduct(UpperSeq(c51, (2 * i,), (1,)))
+        tb = coproduct(upper_to_lower(UpperSeq(c51, (2 * i,), (1,))))
         expected = 2 * (i + 1) - 2 if i else 0
         assert len(tb.terms) == expected
 
@@ -482,13 +572,27 @@ def test_coproduct_rejects_half_entries():
         coproduct(OpSeq(Context(3, 1), (1,), (0,)))
 
 
+def test_coproduct_refuses_large_outputs_at_once(monkeypatch):
+    # e[30,30,30,30] at p = 2 would have 31^4 = 923,521 terms
+    # the refusal comes before the enumeration, which would call this
+    monkeypatch.setattr(opalgebra, "compositions", None)
+    big = OpSeq(Context(2, 4), (60,) * 4, (0,) * 4)
+    with pytest.raises(DomainError, match="may have 923521 terms, above the cap"):
+        coproduct(big)
+    monkeypatch.undo()
+    # the bound is summed over the terms: 21^4 + 21^3 * 19 = 370,440
+    edge = OpSeq(Context(2, 4), (40,) * 4, (0,) * 4)
+    assert 194_481 <= opalgebra.COPRODUCT_TERMS_CAP < 2 * 194_481
+    with pytest.raises(DomainError, match="may have 370440 terms"):
+        coproduct(OpPoly.from_seq(edge) + poly(Context(2, 4), (20, 20, 20, 18)))
+
+
 def test_coassociativity():
     # (p, n, largest upper entry, how many inputs have a nonzero 3-fold
-    # coproduct).  At n = 1 the two notations coincide; at n >= 2 the
-    # legs change when converted to lower notation, and tensor_split_leg
-    # converts a split leg a second time.  At p = 3, n = 2 the inputs
-    # E[2k,k;eps=10], k = 1..3, are beta e_0 e_k in lower notation, beta
-    # of a p-th power, so their coproducts are zero.
+    # coproduct).  An input whose lower form has a negative entry is
+    # zero.  At p = 3, n = 2 the inputs E[2k,k;eps=10], k = 1..3, are
+    # beta e_0 e_k in lower notation, beta of a p-th power, so their
+    # coproducts are zero.
     boxes = [(2, 1, 8, 9), (3, 1, 8, 17), (3, 2, 6, 46), (2, 3, 4, 22)]
     for p, n, top, nonzero in boxes:
         ctx = Context(p, n)
@@ -496,9 +600,12 @@ def test_coassociativity():
         seen = 0
         for twice in itertools.product(range(0, 2 * top + 1, 2), repeat=n):
             for eps in eps_opts:
-                u = UpperSeq(ctx, twice, eps)
-                t = coproduct(u)
-                want = coproduct(u, folds=3)
+                try:
+                    s = upper_to_lower(UpperSeq(ctx, twice, eps))
+                except DomainError:
+                    continue
+                t = coproduct(s)
+                want = coproduct(s, folds=3)
                 assert tensor_split_leg(t, 0) == want, (p, twice, eps)
                 assert tensor_split_leg(t, 1) == want, (p, twice, eps)
                 seen += not want.is_zero()

@@ -8,7 +8,7 @@ from dyerlashof.arith import Context, DomainError
 from dyerlashof.correspondence import DualExpansion, dual_of_dickson
 from dyerlashof.invariants import BPoly, DPoly, expand_dickson_monomial
 from dyerlashof.opalgebra import OpPoly, TensorPoly, adem_straighten_classical, coproduct
-from dyerlashof.sequences import OpSeq, UpperSeq
+from dyerlashof.sequences import OpSeq, UpperSeq, upper_to_lower
 from dyerlashof.textio import (
     ParseError,
     bpoly_to_json,
@@ -161,9 +161,9 @@ def test_render_bpoly_matches_reference(p):
 
 
 def test_render_tensor():
-    t = coproduct(UpperSeq(Context(3, 1), (2,), (0,)))
+    t = coproduct(upper_to_lower(UpperSeq(Context(3, 1), (2,), (0,))))
     assert render_tensor(t) == "Q[0] (x) Q[1] + Q[1] (x) Q[0]"
-    tb = coproduct(UpperSeq(Context(3, 1), (2,), (1,)))
+    tb = coproduct(upper_to_lower(UpperSeq(Context(3, 1), (2,), (1,))))
     assert render_tensor(tb) == "Q[0] (x) Q[1;eps=1] + Q[1;eps=1] (x) Q[0]"
 
 
@@ -208,7 +208,7 @@ def test_dickson_combo_json_roundtrip():
 
 def test_tensor_json_roundtrip():
     ctx = Context(3, 1)
-    t = coproduct(UpperSeq(ctx, (2,), (1,)))
+    t = coproduct(upper_to_lower(UpperSeq(ctx, (2,), (1,))))
     items = tensor_to_json(t)
     back = TensorPoly(ctx, 2)
     for obj in items:
