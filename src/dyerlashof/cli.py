@@ -110,7 +110,8 @@ def _emit(args, result, to_json, to_text, input_json) -> None:
             "input": input_json(),
             "result": to_json(result),
         }
-        print(json.dumps(doc))
+        # doc is a fresh tree built above and by textio: it holds no cycle
+        print(json.dumps(doc, check_circular=False))
     else:
         print(to_text(result))
 

@@ -5,7 +5,9 @@ Callers reach the kernel through this module's attributes
 name.  ``IMPL_NAME`` names the module that implements it and is recorded
 with every benchmark run.  Every polynomial product of the package
 goes through ``poly_mul``; how it computes one, its packed exponents
-included, stays inside that module.
+included, stays inside that module.  It takes and returns dicts keyed
+by exponent tuples, its terms in reverse-lex order, and raises
+``DomainError`` for a product with an exponent of 2^64 or more.
 """
 
 from ._purekernel import poly_mul

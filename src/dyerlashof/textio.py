@@ -250,17 +250,18 @@ def _render_indexed_monomial(head: str, indices_exps) -> str:
 
 
 def render_bpoly(x: BPoly) -> str:
-    """Each piece `h{t}^{e}` is formatted once per call, into a table per
+    """Each piece `h{t}^{e}*` is formatted once per call, into a table per
     position t that maps every exponent met there to its piece (0 to
-    nothing)."""
+    nothing).  A monomial joins its pieces and drops the last `*`; the
+    unit monomial, with no pieces, prints as `1`."""
     items = x.sorted_terms()
     columns = zip(*[exps for exps, _ in items])
     pieces = [
-        {e: f"h{t}^{e}" if e != 1 else f"h{t}" for e in set(col) if e} | {0: ""}
+        {e: f"h{t}^{e}*" if e != 1 else f"h{t}*" for e in set(col) if e} | {0: ""}
         for t, col in enumerate(columns, start=1)
     ]
     return _render_sum(
-        items, lambda exps: "*".join(filter(None, map(getitem, pieces, exps))) or "1"
+        items, lambda exps: "".join(map(getitem, pieces, exps))[:-1] or "1"
     )
 
 
@@ -310,11 +311,13 @@ def dual_to_json(d: DualExpansion) -> list:
 
 
 def bpoly_to_json(x: BPoly) -> list:
-    return [{"coeff": c, "exps": list(exps)} for exps, c in x.sorted_terms()]
+    """Each exponent tuple goes to the encoder as it is: ``json`` writes
+    a tuple as an array."""
+    return [{"coeff": c, "exps": exps} for exps, c in x.sorted_terms()]
 
 
 def dickson_combo_to_json(x: DPoly) -> list:
-    return [{"coeff": c, "m": list(m)} for m, c in x.sorted_terms()]
+    return [{"coeff": c, "m": m} for m, c in x.sorted_terms()]
 
 
 def dickson_combo_from_json(items: list) -> dict[tuple[int, ...], int]:

@@ -25,6 +25,15 @@ def run_cli(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+def json_line(out):
+    """The document of one printed JSON line, which must be exactly what
+    json.dumps with its default settings prints for it: a change of
+    encoder settings that changed a byte would show here."""
+    doc = json.loads(out)
+    assert out == json.dumps(doc) + "\n"
+    return doc
+
+
 def test_adem_text(capsys):
     rc, out, err = run_cli(capsys, "adem", "--p", "3", "--n", "2", "e[3,1]")
     assert rc == 0
@@ -37,7 +46,7 @@ def test_adem_json(capsys):
         capsys, "adem", "--p", "3", "--n", "2", "--format", "json", "e[3,1]"
     )
     assert rc == 0
-    assert json.loads(out) == {
+    assert json_line(out) == {
         "p": 3,
         "n": 2,
         "command": "adem",
@@ -136,7 +145,7 @@ def test_verify_json(capsys):
         capsys, "verify", "--p", "3", "--format", "json", "reference-vectors"
     )
     assert rc == 0
-    doc = json.loads(out)
+    doc = json_line(out)
     assert doc["command"] == "verify"
     assert doc["result"] == {"cases": 20, "failures": []}
 
@@ -148,7 +157,7 @@ def test_verify_failures_then_status(capsys, monkeypatch):
     assert run_cli(capsys, *argv) == (1, out, "")
     rc, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert rc == 1
-    assert json.loads(out) == {
+    assert json_line(out) == {
         "p": 2, "n": 2, "command": "verify", "input": {"suite": "roundtrip"},
         "result": {"cases": 3, "failures": ["x y", "z"]},
     }
@@ -304,6 +313,7 @@ def test_json_output_pinned(capsys, argv, text, doc):
     assert rc == 0
     assert out == doc + "\n"
     assert err == ""
+    json_line(out)
 
 
 @pytest.mark.parametrize("argv,text,doc", FORMAT_CASES, ids=FORMAT_IDS)
@@ -320,7 +330,8 @@ def test_only_requested_format_is_built(capsys, monkeypatch, argv, text, doc):
 
 
 # argv and the text stdout of every command, byte for byte: empty results,
-# coefficients > 1, unit monomials and Bockstein legs
+# coefficients > 1, unit monomials and Bockstein legs.  An output that
+# starts with `error: ` is instead the stderr of a refused input (exit 1).
 TEXT_CASES = [
     (["adem", "--p", "3", "--n", "2", "e[3,1]"], "2*Q[0,2]\n"),
     (["adem", "--p", "3", "--n", "2", "e[2,1]"], "0\n"),
@@ -356,6 +367,15 @@ TEXT_CASES = [
     (
         ["expand", "--p", "2", "--n", "3", "d0*d2"],
         "h1^5*h2*h3 + h1*h2^3*h3 + h1*h2*h3^2\n",
+    ),
+    # the largest exponent a product may have is 2^64 - 1
+    (
+        ["expand", "--p", "2", "--n", "1", "d0^18446744073709551615"],
+        "h1^18446744073709551615\n",
+    ),
+    (
+        ["expand", "--p", "2", "--n", "1", "d0^18446744073709551616"],
+        "error: exponent 18446744073709551616 of a product is not below 2^64\n",
     ),
     (["basis", "--p", "2", "--n", "2", "6"], "Q[0,3]\nQ[2,2]\n"),
     (["basis", "--p", "2", "--n", "2", "1"], "0\n"),
@@ -425,7 +445,8 @@ TEXT_CASES = [
     "argv,out", TEXT_CASES, ids=[" ".join(argv) for argv, _ in TEXT_CASES]
 )
 def test_text_output_pinned(capsys, argv, out):
-    assert run_cli(capsys, *argv) == (0, out, "")
+    want = (1, "", out) if out.startswith("error: ") else (0, out, "")
+    assert run_cli(capsys, *argv) == want
 
 
 @pytest.mark.parametrize(
@@ -524,12 +545,35 @@ def test_big_expand_output_pinned(capsys, fmt, size, sha256):
     data = out.encode()
     assert len(data) == size
     assert hashlib.sha256(data).hexdigest() == sha256
+    if fmt == "json":
+        json_line(out)
+
+
+def test_big_expand_text_and_json_agree(capsys):
+    # both forms list the same exponent vectors in the same order
+    argv = ["expand", "--p", "2", "--n", "6", "d0*d1*d2*d3*d4*d5"]
+    rc, text, _ = run_cli(capsys, *argv)
+    assert rc == 0
+
+    def exps(term):
+        e = [0] * 6
+        for piece in term.split("*"):
+            var, _, power = piece.partition("^")
+            e[int(var[1:]) - 1] = int(power or 1)
+        return e
+
+    from_text = [exps(term) for term in text.rstrip("\n").split(" + ")]
+    rc, line, _ = run_cli(capsys, *argv, "--format", "json")
+    result = json_line(line)["result"]
+    assert len(result) == len(from_text) == 6876
+    assert [obj["exps"] for obj in result] == from_text
+    assert {obj["coeff"] for obj in result} == {1}
 
 
 def test_parser_reuse_keeps_no_format(capsys):
     argv = ["adem", "--p", "3", "--n", "2", "e[3,1]"]
     rc, out, _ = run_cli(capsys, *argv, "--format", "json")
-    assert rc == 0 and json.loads(out)["command"] == "adem"
+    assert rc == 0 and json_line(out)["command"] == "adem"
     assert run_cli(capsys, *argv) == (0, "2*Q[0,2]\n", "")
 
 

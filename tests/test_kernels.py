@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dyerlashof import _purekernel, kernels
+from dyerlashof.arith import DomainError
 from dyerlashof.kernels import poly_mul
 
 
@@ -85,14 +87,16 @@ def assert_matches_schoolbook(a, b, p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-@pytest.mark.parametrize("bits", [1, 2, 3, 5, 8, 13])
+@pytest.mark.parametrize("bits", [1, 2, 3, 5, 8, 13, 16, 32, 64])
 def test_poly_mul_field_boundaries(p, bits):
-    # the packed field width comes from the largest exponent sum; sums
-    # just below and exactly at 2^bits sit on either side of a width
-    # change, and a field that overflowed would carry into its neighbour
+    # a packed field is 1, 2, 4 or 8 bytes, the smallest that holds the
+    # largest exponent of the product; sums just below and exactly at
+    # 2^8, 2^16 and 2^32 sit on either side of a size change, 2^64 - 1
+    # fills the widest field, and a field that overflowed would carry
+    # into its neighbour
     rng = random.Random(100 * p + bits)
     edge = 1 << bits
-    for top in (edge - 1, edge):
+    for top in (edge - 1, edge) if bits < 64 else (edge - 1,):
         for split in (1, top // 2):
             for _ in range(8):
                 a = random_poly(rng, p, 3, 4, max_exp=top - split)
@@ -102,6 +106,30 @@ def test_poly_mul_field_boundaries(p, bits):
                 got = assert_matches_schoolbook(a, b, p)
                 assert (top, 0, 0) in got
                 assert max(max(k) for k in got) == top
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("at", [0, 2])
+def test_poly_mul_refuses_exponents_past_64_bits(p, at):
+    # the widest field holds 2^64 - 1: a product with a larger exponent
+    # has no packed form, and poly_mul says so instead of answering
+    def mono(e):
+        return tuple(e if t == at else 0 for t in range(3))
+
+    half = 1 << 63
+    small = {(1, 2, 3): 1}
+    with pytest.raises(DomainError, match=r"exponent 18446744073709551616 .*2\^64"):
+        poly_mul({mono(half): 1} | small, {mono(half): 1}, p)
+    with pytest.raises(DomainError, match=r"2\^64"):
+        poly_mul(small, {mono(1 << 100): 1}, p)
+    assert poly_mul({mono(half): 1}, {mono(half - 1): 1}, p) == {mono((1 << 64) - 1): 1}
+
+
+def test_poly_mul_exponent_bound_is_per_position():
+    # the factors' largest exponents sit at different positions, so no
+    # exponent of the product reaches 2^64
+    half = 1 << 63
+    assert poly_mul({(half, 0, 1): 1}, {(0, 1, half): 1}, 3) == {(half, 1, half + 1): 1}
 
 
 @pytest.mark.parametrize("p", [2, 3, 7])
@@ -143,18 +171,50 @@ def test_poly_mul_wide_exponents_match_schoolbook(p, nvars):
         assert_matches_schoolbook(a, b, p)
 
 
+@st.composite
+def factor_pairs(draw):
+    """(p, a, b) with n = 0..6 variables, at one field size: every
+    exponent below 2^(bits - 1), and a term each in a and b whose
+    exponents at one position sum to 2^bits - 2, so the product needs
+    fields of exactly that many bits."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(0, 6))
+    bits = draw(st.sampled_from([8, 16, 32, 64]))
+    half = 1 << (bits - 1)
+    # small exponents collide and cancel; large ones fill the fields
+    exp = st.one_of(st.integers(0, 3), st.integers(0, half - 1))
+    poly = st.dictionaries(
+        st.tuples(*[exp] * n), st.integers(1, p - 1), min_size=1, max_size=8
+    )
+    a, b = draw(poly), draw(poly)
+    if n:
+        at = draw(st.integers(0, n - 1))
+        top = tuple(half - 1 if t == at else 0 for t in range(n))
+        a[top] = b[top] = 1
+    return p, a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(factor_pairs())
+def test_poly_mul_matches_schoolbook_at_every_field_size(pab):
+    p, a, b = pab
+    assert_matches_schoolbook(a, b, p)
+
+
 @pytest.mark.parametrize("nvars", [0, 1, 4])
 def test_packed_order_is_reverse_lex(nvars):
     # ascending packed keys are the canonical reverse-lex order, which
-    # poly_mul relies on when it unpacks its product sorted
+    # poly_mul relies on when it unpacks its product sorted; at each
+    # field size of 1, 2, 4 and 8 bytes
     rng = random.Random(nvars)
-    terms = random_poly(rng, 3, nvars, 40, max_exp=20)
-    top = max((max(k, default=0) for k in terms), default=0)
-    width = top.bit_length() or 1
-    packed = _purekernel._pack(terms, nvars, width)
-    assert len(packed) == len(terms)
-    back = _purekernel._unpack(sorted(packed.items()), nvars, width)
-    assert list(back.items()) == sorted(terms.items(), key=lambda kv: kv[0][::-1])
+    for max_exp in (20, 300, 70000, 1 << 40):
+        terms = random_poly(rng, 3, nvars, 40, max_exp=max_exp)
+        top = max((max(k, default=0) for k in terms), default=0)
+        layout = _purekernel._layout_for(nvars, top)
+        packed = _purekernel._pack(terms, layout)
+        assert len(packed) == len(terms)
+        back = _purekernel._unpack(sorted(packed.items()), layout)
+        assert list(back.items()) == sorted(terms.items(), key=lambda kv: kv[0][::-1])
 
 
 def test_kernel_names_pinned():
