@@ -261,6 +261,11 @@ def adem_via_invariants(x: OpSeq) -> OpPoly:
     for K_i > I because chi_min = K_i is the least monomial of d^m(K_i);
     so a_i = 0 there too.  Back-substitution runs over the K_i <= I only
     and reads c_ij only for the j with a_j != 0.
+
+    The c_ij recur across straightenings of a degree and are read from
+    the context's memo.  Unless I is admissible, and so a column of the
+    matrix, each b_i is read once: through the reader's ``__wrapped__``,
+    which computes it without storing it.
     """
     require_lower(x, "straightening")
     ctx = x.ctx
@@ -273,9 +278,12 @@ def adem_via_invariants(x: OpSeq) -> OpPoly:
     p = ctx.p
     exps = _exps(x)
     a: dict[int, int] = {}
-    for i in range(bisect_right(cols, exps) - 1, -1, -1):
+    top = bisect_right(cols, exps) - 1
+    # an admissible I is the column cols[top], which the matrix reads again
+    read_b = coeff if top >= 0 and cols[top] == exps else coeff.__wrapped__
+    for i in range(top, -1, -1):
         m = ms[i]
-        acc = coeff(m, exps)
+        acc = read_b(m, exps)
         for j, aj in a.items():
             acc -= aj * coeff(m, cols[j])
         acc %= p

@@ -25,6 +25,8 @@ from operator import mul, sub
 
 from . import kernels
 from .arith import (
+    MAX_VARS,
+    PRIMES,
     Combination,
     Context,
     DomainError,
@@ -248,8 +250,16 @@ def _digit_product(r: tuple[int, ...], ctx: Context) -> dict:
     )
 
 
+COEFF_MEMO_SIZE = 2**16
+"""How many reads (m, J), and as many splits of m, each context's reader
+keeps; read when a reader is built."""
+
 EXPANSION_CACHE_SIZE = 128
 """How many Dickson monomial expansions ``_expansion_terms`` keeps."""
+
+EXPAND_PAIRS_CAP = 200_000
+"""The most term pairs one base-p level of ``_expansion_terms`` may
+multiply; the pair count bounds the size of that level's product."""
 
 
 @lru_cache(maxsize=EXPANSION_CACHE_SIZE)
@@ -257,14 +267,24 @@ def _expansion_terms(m: tuple[int, ...], ctx: Context) -> dict:
     """d^m by the Frobenius identity d^m = (d^(m // p))^p d^(m % p), one
     base-p level of m at a time from the top: the product so far is
     twisted (its exponent tuples times p), then multiplied by the next
-    level's digit product.  The terms come out in canonical order."""
+    level's digit product.  The terms come out in canonical order.
+
+    Raises DomainError before a level's product when it would multiply
+    more than EXPAND_PAIRS_CAP pairs of terms."""
     _check_dickson_exponents(m, ctx)
     p = ctx.p
     levels = list(zip_longest(*(padic_digits(mi, p) for mi in m), fillvalue=0))
     terms = _digit_product(levels.pop() if levels else m, ctx)
     for r in reversed(levels):
+        digits = _digit_product(r, ctx)
+        pairs = len(terms) * len(digits)
+        if pairs > EXPAND_PAIRS_CAP:
+            raise DomainError(
+                f"expanding d^{m} would multiply {pairs} term pairs at one "
+                f"level, above the cap {EXPAND_PAIRS_CAP}"
+            )
         twisted = {tuple([e * p for e in s]): c for s, c in terms.items()}
-        terms = kernels.poly_mul(twisted, _digit_product(r, ctx), p)
+        terms = kernels.poly_mul(twisted, digits, p)
     return terms
 
 
@@ -274,7 +294,9 @@ def expand_dickson_monomial(m, ctx: Context) -> BPoly:
     The terms are cached, in canonical order, for the last
     EXPANSION_CACHE_SIZE monomials (``cache_info`` / ``cache_clear``
     reach that cache); every call returns a fresh BPoly over a copy of
-    them, so a caller may modify the result.
+    them, so a caller may modify the result.  Raises DomainError when a
+    base-p level of m would multiply more than EXPAND_PAIRS_CAP pairs of
+    terms.
     """
     out = BPoly(ctx)
     out.terms = dict(_expansion_terms(tuple(m), ctx))
@@ -285,14 +307,17 @@ expand_dickson_monomial.cache_info = _expansion_terms.cache_info
 expand_dickson_monomial.cache_clear = _expansion_terms.cache_clear
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=len(PRIMES) * MAX_VARS)  # one reader per context
 def coeff_memo(ctx: Context):
     """The reader of ctx: ``coeff_memo(ctx)(m, J)`` is [h^J] d^m by the
     digit recursion of coeff_in_expansion, which checks m and J first.
-    The reader and its ``split`` are unbounded ``lru_cache`` functions,
-    so its ``cache_info`` counts the reads (``cache_clear`` here drops
-    every reader); the digit products they read come from the bounded
-    ``_digit_product`` cache that the expansion shares."""
+    The reader and its ``split`` are ``lru_cache`` functions of
+    COEFF_MEMO_SIZE entries each, so its ``cache_info`` counts the
+    memoised reads (``cache_clear`` here drops every reader).  Its
+    ``__wrapped__`` reads one entry without storing it, while the reads
+    at the lower digits still go through the memo; the digit products
+    they read come from the bounded ``_digit_product`` cache that the
+    expansion shares."""
     p = ctx.p
 
     @lru_cache(maxsize=DIGIT_CACHE_SIZE)
@@ -303,12 +328,12 @@ def coeff_memo(ctx: Context):
             out.setdefault(tuple([si % p for si in s]), []).append((s, c))
         return out
 
-    @lru_cache(maxsize=None)
+    @lru_cache(maxsize=COEFF_MEMO_SIZE)
     def split(m: tuple[int, ...]) -> tuple[tuple[int, ...], dict]:
         """m // p, and the grouped terms of d^(m % p)."""
         return tuple([mi // p for mi in m]), groups(tuple([mi % p for mi in m]))
 
-    @lru_cache(maxsize=None)
+    @lru_cache(maxsize=COEFF_MEMO_SIZE)
     def coeff(m: tuple[int, ...], J: tuple[int, ...]) -> int:
         if not any(m):
             return 0 if any(J) else 1
@@ -336,7 +361,8 @@ def coeff_in_expansion(m, J, ctx: Context) -> int:
     coordinate.  The recursion is log_p(max m) deep and each step scans
     one cached product of generators with exponents below p; no full
     expansion of d^m is built.  Results are memoised in the context's
-    reader (coeff_memo), keyed on (m, J).
+    reader (coeff_memo), keyed on (m, J), which keeps the last
+    COEFF_MEMO_SIZE of them.
     """
     m, J = tuple(m), tuple(J)
     _check_dickson_exponents(m, ctx)

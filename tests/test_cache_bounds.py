@@ -6,12 +6,9 @@ import pkgutil
 
 import dyerlashof
 from dyerlashof import invariants
-from dyerlashof.arith import Context
+from dyerlashof.arith import MAX_VARS, PRIMES, Context
 
 UNBOUNDED = {
-    "invariants.coeff_memo": "one reader per context, and each reader's split "
-    "and coeff memos are unbounded; their bound is ROADMAP item 2 (the digit "
-    "products they read sit in the bounded invariants._digit_product)",
     "cli._parser": "takes no arguments, so it holds one entry",
 }
 
@@ -35,9 +32,9 @@ def test_every_cache_is_bounded_or_listed():
     assert all(size is None or size > 0 for size in caches.values())
 
 
-def test_the_readers_coeff_memo_makes_are_listed():
+def test_the_readers_coeff_memo_makes_are_bounded():
     # the module scan sees coeff_memo but not the caches it builds per
-    # context; the reader, unbounded, is covered by coeff_memo's entry
+    # context: coeff_memo keeps one reader per context, each bounded
     reader = invariants.coeff_memo(Context(2, 2))
-    assert reader.cache_info().maxsize is None
-    assert "invariants.coeff_memo" in UNBOUNDED
+    assert reader.cache_info().maxsize == invariants.COEFF_MEMO_SIZE
+    assert invariants.coeff_memo.cache_info().maxsize == len(PRIMES) * MAX_VARS

@@ -377,6 +377,18 @@ TEXT_CASES = [
         ["expand", "--p", "2", "--n", "1", "d0^18446744073709551616"],
         "error: exponent 18446744073709551616 of a product is not below 2^64\n",
     ),
+    # a level of the expansion that would multiply more than
+    # EXPAND_PAIRS_CAP term pairs is refused before it is built
+    (
+        ["expand", "--p", "3", "--n", "2", "d0^1594322*d1^1594322"],
+        "error: expanding d^(1594322, 1594322) would multiply 531441 term "
+        "pairs at one level, above the cap 200000\n",
+    ),
+    (
+        ["expand", "--p", "3", "--n", "2", "d1^18446744073709551616"],
+        "error: expanding d^(0, 18446744073709551616) would multiply 419904 "
+        "term pairs at one level, above the cap 200000\n",
+    ),
     (["basis", "--p", "2", "--n", "2", "6"], "Q[0,3]\nQ[2,2]\n"),
     (["basis", "--p", "2", "--n", "2", "1"], "0\n"),
     (["basis", "--p", "3", "--n", "2", "0"], "Q[0,0]\n"),

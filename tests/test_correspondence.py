@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dyerlashof import correspondence, invariants
+from dyerlashof import correspondence, invariants, verify
 from dyerlashof.arith import Context, DomainError, InvariantError, binom_mod_p
 from dyerlashof.correspondence import (
     DualExpansion,
@@ -487,7 +487,52 @@ def test_reader_reuses_reads_across_calls():
     coeff_memo.cache_clear()
     fresh = coeff_memo(P3N2)
     assert fresh is not reader
-    assert fresh.cache_info() == (0, 0, None, 0)
+    assert fresh.cache_info() == (0, 0, invariants.COEFF_MEMO_SIZE, 0)
+
+
+def test_straightening_leaves_the_inputs_column_out_of_the_reader():
+    # b_i = <d^m(K_i), Q_I> is read once and not stored; the reads at
+    # its lower digits are, so reading b_i again misses exactly once
+    for ctx, twice in ((P3N2, (6, 2)), (Context(2, 3), (8, 4, 2))):
+        x = seq_of(ctx, twice)
+        assert not is_admissible(x)
+        coeff_memo.cache_clear()
+        adem_via_invariants(x)
+        ms, cols = correspondence._degree_data(degree_lower(x), ctx)
+        exps = tuple(t // 2 for t in twice)
+        reader = coeff_memo(ctx)
+        rows = [m for m, col in zip(ms, cols) if col <= exps]
+        assert rows
+        for m in rows:
+            before = reader.cache_info()
+            reader(m, exps)
+            assert reader.cache_info().misses == before.misses + 1, (twice, m)
+
+
+def test_a_tiny_reader_evicts_and_keeps_the_answers(monkeypatch):
+    # a reader of 8 entries evicts on nearly every read; the answers
+    # stay those of the classical engine and the round trip
+    monkeypatch.setattr(invariants, "COEFF_MEMO_SIZE", 8)
+    coeff_memo.cache_clear()
+    correspondence._degree_data.cache_clear()
+    try:
+        for ctx, top in ((Context(2, 4), 4), (Context(3, 3), 3)):
+            reader = coeff_memo(ctx)
+            assert reader.cache_info().maxsize == 8
+            for vals in itertools.product(range(top + 1), repeat=ctx.n):
+                x = seq_of(ctx, tuple(2 * v for v in vals))
+                want = adem_straighten_classical(OpPoly.from_seq(x))
+                assert adem_via_invariants(x) == want, vals
+                assert reader.cache_info().currsize <= 8
+            cases, failures = verify.run_suite(
+                "roundtrip", ctx.p, ctx.n, max_degree=4
+            )
+            assert cases and not failures
+            assert reader.cache_info().currsize <= 8
+    finally:
+        monkeypatch.undo()
+        coeff_memo.cache_clear()
+        correspondence._degree_data.cache_clear()
 
 
 def test_dual_rejects_bad_exponents():
