@@ -8,8 +8,9 @@ sequences (see :mod:`dyerlashof.sequences`).  The two workhorses here:
   leftmost inadmissible adjacent pair.  :func:`pair_rewrite` sums each
   relation in the excess quotient: a replacement with a negative entry
   (negative excess) is zero there and is never summed.  Pending
-  monomials sit in a heap in rewrite order, so like terms merge before
-  they are rewritten and each distinct monomial is rewritten once.
+  monomials sit in a heap in rewrite order, so like terms merge when
+  they are popped and each distinct monomial is rewritten once.  A
+  replacement's heap key is built from its parent's, not from its entries.
 
 * :func:`coproduct` applies the Cartan formula in lower notation, where
   the legs' entries and Bocksteins add up to the input's.  It keeps the
@@ -149,7 +150,9 @@ clear_rewrite_table = pair_rewrite.cache_clear
 def _rewrite_order(twice, eps) -> tuple[int, ...]:
     """Heap key: the tail excesses read from the last position backwards,
     then eps.  Distinct monomials have distinct keys, and every rewrite
-    strictly raises the key (see pair_rewrite)."""
+    strictly raises the key (see pair_rewrite).  adem_straighten_classical
+    calls it for its input's terms only; a replacement's key is built
+    from its parent's."""
     return tuple(map(sub, twice, eps))[::-1] + eps
 
 
@@ -164,10 +167,11 @@ def adem_straighten_classical(x: OpPoly | OpSeq, max_steps: int = 10**7) -> OpPo
     pair's second entry, so it only yields monomials of higher order:
     every contribution to a monomial is queued before the monomial is
     popped.  Equal keys are summed on pop and each distinct monomial is
-    rewritten once.  The result equals term-by-term rewriting in any
-    processing order: a monomial's rewrite (always at its leftmost
-    defect) is fixed and the map is linear.  Raises RuntimeError past
-    max_steps distinct rewrites.
+    rewritten once.  A replacement's key is its parent's with the pair's
+    two excess slots and the Bocksteins replaced.  The result equals
+    term-by-term rewriting in any processing order: a monomial's rewrite
+    (always at its leftmost defect) is fixed and the map is linear.
+    Raises RuntimeError past max_steps distinct rewrites.
     """
     if not isinstance(x, OpPoly):
         require_lower(x, "straightening")
@@ -196,21 +200,27 @@ def adem_straighten_classical(x: OpPoly | OpSeq, max_steps: int = 10**7) -> OpPo
                 f"Adem straightening exceeded {max_steps} rewrite steps"
             )
         replacements = pair_rewrite(p, twice[pos], twice[pos + 1], eps[pos], eps[pos + 1])
+        if not replacements:
+            continue
         head_twice, tail_twice = twice[:pos], twice[pos + 2 :]
         head_eps, tail_eps = eps[:pos], eps[pos + 2 :]
+        # the key reads the excesses backwards: the pair's second entry
+        # sits at k, its first at k + 1, and only they and eps change
+        n = len(twice)
+        k = n - pos - 2
+        right_key, left_key = order[:k], order[k + 2 : n]
+        # pairs left of pos - 1 are untouched and admissible
+        start = max(pos - 1, 0)
         for c, ta, tb, ea, eb in replacements:
             new_twice = head_twice + (ta, tb) + tail_twice
             new_eps = head_eps + (ea, eb) + tail_eps
             c = coeff * c % p
-            # pairs left of pos - 1 are untouched and admissible
-            new_pos = first_defect(new_twice, new_eps, max(pos - 1, 0))
+            new_pos = first_defect(new_twice, new_eps, start)
             if new_pos is None:
                 Combination.add_term(result, (new_twice, new_eps), c)
             else:
-                heapq.heappush(
-                    heap,
-                    (_rewrite_order(new_twice, new_eps), c, new_twice, new_eps, new_pos),
-                )
+                key = right_key + (tb - eb, ta - ea) + left_key + new_eps
+                heapq.heappush(heap, (key, c, new_twice, new_eps, new_pos))
     return result
 
 

@@ -17,6 +17,7 @@ import dyerlashof
 from dyerlashof import cli, textio, verify
 from dyerlashof.arith import DomainError
 from dyerlashof.cli import build_parser, main
+from dyerlashof.opalgebra import OpPoly
 
 
 def run_cli(capsys, *argv):
@@ -138,6 +139,20 @@ def test_verify_oracle_equivalence(capsys):
     assert rc == 0
     assert out.startswith("oracle-equivalence:")
     assert out.rstrip().endswith("ok")
+
+
+def test_verify_oracle_equivalence_names_each_disagreement(capsys, monkeypatch):
+    # an engine that answers 0 disagrees wherever the answer is not 0,
+    # and the suite names those inputs in order
+    monkeypatch.setattr(verify, "adem_straighten_classical", lambda x: OpPoly(x.ctx))
+    argv = ["verify", "oracle-equivalence", "--p", "2", "--n", "2", "--max-entry", "1"]
+    out = (
+        "FAIL: (0, 0): invariants Q[0,0] / classical 0\n"
+        "FAIL: (0, 2): invariants Q[0,1] / classical 0\n"
+        "FAIL: (2, 2): invariants Q[1,1] / classical 0\n"
+        "oracle-equivalence: 4 cases, 3 FAILED\n"
+    )
+    assert run_cli(capsys, *argv) == (1, out, "")
 
 
 def test_verify_json(capsys):

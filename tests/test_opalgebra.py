@@ -3,6 +3,7 @@ the coproduct."""
 
 import itertools
 import operator
+import random
 import re
 
 import pytest
@@ -197,6 +198,21 @@ def test_pair_rewrite_range_matches_full_sum():
                         if term[1] >= 0 and term[2] >= 0
                     )
                     assert pair_rewrite(p, tr, ts, er, es) == kept, (p, tr, ts, er, es)
+
+
+def test_every_replacement_raises_the_second_tail_excess():
+    # the heap invariant of the engine: tb - eb > ts - es for every
+    # replacement, so a rewrite only queues monomials of higher order
+    for p in (2, 3, 5, 7):
+        step = 2 if p == 2 else 1
+        flags = ((0, 0),) if p == 2 else tuple(itertools.product((0, 1), repeat=2))
+        for tr in range(0, 61, step):
+            for ts in range(0, 61, step):
+                for er, es in flags:
+                    if ts - tr + er >= 0:
+                        continue
+                    for _, _, tb, _, eb in pair_rewrite(p, tr, ts, er, es):
+                        assert tb - eb > ts - es, (p, tr, ts, er, es)
 
 
 def test_pair_rewrite_evaluates_only_kept_terms(monkeypatch):
@@ -415,6 +431,67 @@ def test_classical_merges_only_equal_monomials():
             for (tw, ep), d in one.terms.items():
                 total.add_term((tw, ep), d)
         assert adem_straighten_classical(x) == total
+
+
+def key_inputs():
+    """Falling inputs, and rising ones whose last entry drops, per
+    (p, n) with n = 2..6; Bocksteins on every other entry at odd p."""
+    for p in (2, 3, 5, 7):
+        step = 2 if p == 2 else 1
+        for n in range(2, 7):
+            ctx = Context(p, n)
+            eps = (0,) * n if p == 2 else tuple(t % 2 for t in range(n))
+            for top in (12, 19):
+                yield ctx, tuple(step * (top - 2 * t) for t in range(n)), eps
+                yield ctx, tuple(step * (top + 2 * t) for t in range(n - 1)) + (0,), eps
+
+
+def test_replacement_keys_are_their_rewrite_orders(monkeypatch):
+    # a replacement's heap key, built from its parent's, is the key
+    # _rewrite_order gives the replacement, whatever position the parent
+    # was rewritten at
+    parent_pos = []
+    seen = set()
+    real_pop, real_push = opalgebra.heapq.heappop, opalgebra.heapq.heappush
+
+    def pop(heap):
+        entry = real_pop(heap)
+        parent_pos[:] = [entry[4]]
+        return entry
+
+    def push(heap, entry):
+        key, _, twice, eps, _ = entry
+        assert key == opalgebra._rewrite_order(twice, eps), (twice, eps)
+        seen.add((len(twice), parent_pos[0]))
+        real_push(heap, entry)
+
+    monkeypatch.setattr(opalgebra.heapq, "heappop", pop)
+    monkeypatch.setattr(opalgebra.heapq, "heappush", push)
+    for ctx, twice, eps in key_inputs():
+        x = OpPoly.from_seq(OpSeq(ctx, twice, eps))
+        assert adem_straighten_classical(x) == straighten_leftmost(x), (ctx, twice, eps)
+    monkeypatch.undo()
+    # at n = 2 every replacement is admissible and nothing is queued
+    assert seen == {(n, pos) for n in range(3, 7) for pos in range(n - 1)}
+
+
+def test_straightening_ignores_the_order_of_terms():
+    # one sum, its terms inserted in shuffled orders: the same answer
+    for p in (2, 3):
+        ctx = Context(p, 4)
+        step = 2 if p == 2 else 3
+        terms = {}
+        for i, t in enumerate(itertools.product(range(5), repeat=4)):
+            if i % 7 == 0:
+                eps = (0,) * 4 if p == 2 else (t[0] % 2, 0, 0, 0)
+                terms[(tuple(step * v for v in t), eps)] = 1 + i % (p - 1)
+        want = adem_straighten_classical(OpPoly(ctx, terms))
+        assert not want.is_zero()
+        items = list(terms.items())
+        rng = random.Random(p)
+        for _ in range(6):
+            rng.shuffle(items)
+            assert adem_straighten_classical(OpPoly(ctx, dict(items))) == want
 
 
 def test_max_steps_caps_distinct_rewrites(monkeypatch):

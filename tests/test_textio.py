@@ -160,6 +160,19 @@ def test_render_bpoly_matches_reference(p):
             assert render_bpoly(x) == reference_render_bpoly(x)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_expansions_render_in_their_own_order(p):
+    # an expansion lists its terms in canonical order, so the ordered
+    # forms print what the sorted ones print
+    rng = random.Random(p)
+    for n in range(1, 5):
+        ctx = Context(p, n)
+        for _ in range(6):
+            x = expand_dickson_monomial(tuple(rng.randrange(2 * p) for _ in range(n)), ctx)
+            assert render_bpoly(x, ordered=True) == render_bpoly(x)
+            assert bpoly_to_json(x, ordered=True) == bpoly_to_json(x)
+
+
 def test_render_tensor():
     t = coproduct(upper_to_lower(UpperSeq(Context(3, 1), (2,), (0,))))
     assert render_tensor(t) == "Q[0] (x) Q[1] + Q[1] (x) Q[0]"
