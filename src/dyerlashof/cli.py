@@ -173,10 +173,7 @@ def _invert_dual(args, ctx):
 def _expand(args, ctx):
     m = textio.parse_dickson(args.expr, ctx)
     res = expand_dickson_monomial(m, ctx)
-    # an expansion lists its terms in canonical order: no second sort
-    to_json = functools.partial(textio.bpoly_to_json, ordered=True)
-    to_text = functools.partial(textio.render_bpoly, ordered=True)
-    return res, to_json, to_text, lambda: _mono_json(m)
+    return res, textio.bpoly_to_json, textio.render_bpoly, lambda: _mono_json(m)
 
 
 def _basis(args, ctx):

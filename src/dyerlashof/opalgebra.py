@@ -176,7 +176,7 @@ def adem_straighten_classical(x: OpPoly | OpSeq, max_steps: int = 10**7) -> OpPo
     if not isinstance(x, OpPoly):
         require_lower(x, "straightening")
         x = OpPoly.from_seq(x)
-    p = x.ctx.p
+    p, n = x.ctx.p, x.ctx.n
     result = OpPoly(x.ctx)
     heap = []
     for (twice, eps), coeff in x.terms.items():
@@ -206,7 +206,6 @@ def adem_straighten_classical(x: OpPoly | OpSeq, max_steps: int = 10**7) -> OpPo
         head_eps, tail_eps = eps[:pos], eps[pos + 2 :]
         # the key reads the excesses backwards: the pair's second entry
         # sits at k, its first at k + 1, and only they and eps change
-        n = len(twice)
         k = n - pos - 2
         right_key, left_key = order[:k], order[k + 2 : n]
         # pairs left of pos - 1 are untouched and admissible

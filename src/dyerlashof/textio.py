@@ -249,14 +249,14 @@ def _render_indexed_monomial(head: str, indices_exps) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def render_bpoly(x: BPoly, ordered: bool = False) -> str:
-    """Each piece `h{t}^{e}*` is formatted once per call, into a table per
-    position t that maps every exponent met there to its piece (0 to
-    nothing).  A monomial joins its pieces and drops the last `*`; the
-    unit monomial, with no pieces, prints as `1`.  With ordered, x.terms
-    already lists the terms in canonical order (as an expansion's do)
-    and they are not sorted again."""
-    items = list(x.terms.items()) if ordered else x.sorted_terms()
+def render_bpoly(x: BPoly) -> str:
+    """x.terms must list the terms in canonical order, as an expansion's
+    do (expand_dickson_monomial); they are printed in that order, not
+    sorted again.  Each piece `h{t}^{e}*` is formatted once per call,
+    into a table per position t that maps every exponent met there to
+    its piece (0 to nothing).  A monomial joins its pieces and drops the
+    last `*`; the unit monomial, with no pieces, prints as `1`."""
+    items = x.terms.items()
     columns = zip(*[exps for exps, _ in items])
     pieces = [
         {e: f"h{t}^{e}*" if e != 1 else f"h{t}*" for e in set(col) if e} | {0: ""}
@@ -312,11 +312,11 @@ def dual_to_json(d: DualExpansion) -> list:
     return [{"coeff": c, **seq_to_json(s)} for s, c in d.sorted_terms()]
 
 
-def bpoly_to_json(x: BPoly, ordered: bool = False) -> list:
-    """Each exponent tuple goes to the encoder as it is: ``json`` writes
-    a tuple as an array.  ordered is render_bpoly's."""
-    items = x.terms.items() if ordered else x.sorted_terms()
-    return [{"coeff": c, "exps": exps} for exps, c in items]
+def bpoly_to_json(x: BPoly) -> list:
+    """The terms in x.terms's order, which must be canonical (see
+    render_bpoly).  Each exponent tuple goes to the encoder as it is:
+    ``json`` writes a tuple as an array."""
+    return [{"coeff": c, "exps": exps} for exps, c in x.terms.items()]
 
 
 def dickson_combo_to_json(x: DPoly) -> list:

@@ -3,15 +3,28 @@
 The classical engine and ``is_admissible`` find defects only by calling
 it, and no other code in src/ compares adjacent entries with eps.  A
 second statement of the rule, say one inlined into the rewrite loop for
-speed, would have to change with every fix to the first; this stands in
-for a lint rule over src/.
+speed, would have to change with every fix to the first.
+
+The source check stands in for a lint rule over src/, and is weaker than
+one: it flags only a comparison, inside a def, that indexes one sequence
+at x[i] and x[i + c] with c = 1 (either way round) and reads a name or
+attribute containing "eps".  A rule inlined through locals
+(``a, b = twice[t], twice[t + 1]`` and then ``b - a + e < 0``), or
+written in a lambda or at module level, passes it.  So the behaviour is
+tested too: with ``first_defect`` swapped for a different rule, both
+users answer by the swapped rule, whatever names an inlined copy uses.
 """
 
 import ast
 import inspect
 from pathlib import Path
 
+import pytest
+
 from dyerlashof import opalgebra, sequences
+from dyerlashof.arith import Context
+from dyerlashof.opalgebra import OpPoly
+from dyerlashof.sequences import OpSeq
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dyerlashof"
 
@@ -86,3 +99,37 @@ def test_rule_is_stated_once():
         for name in rule_statements(path.read_text())
     }
     assert statements == {("sequences", "first_defect")}
+
+
+def _no_defect(twice, eps, start=0):
+    return None
+
+
+def _defect_at_first_pair(twice, eps, start=0):
+    """A stricter rule: the first pair at or after start that is not
+    strictly increasing, whatever its Bocksteins."""
+    for t in range(start, len(twice) - 1):
+        if twice[t] >= twice[t + 1]:
+            return t
+    return None
+
+
+@pytest.mark.parametrize(
+    "twice, eps", [((4, 2), (0, 0)), ((2, 2), (0, 0)), ((6, 2, 4), (0, 1, 0))]
+)
+def test_engines_answer_by_first_defect(monkeypatch, twice, eps):
+    ctx = Context(3, len(twice))
+    s = OpSeq(ctx, twice, eps)
+    unchanged = OpPoly.from_seq(s)
+    # with no defect anywhere, every sequence is admissible and is its own
+    # straightening
+    monkeypatch.setattr(opalgebra, "first_defect", _no_defect)
+    monkeypatch.setattr(sequences, "first_defect", _no_defect)
+    assert sequences.is_admissible(s)
+    assert opalgebra.adem_straighten_classical(s) == unchanged
+    # the stricter rule finds a defect in each input, (2, 2) included,
+    # which the package's rule keeps
+    monkeypatch.setattr(opalgebra, "first_defect", _defect_at_first_pair)
+    monkeypatch.setattr(sequences, "first_defect", _defect_at_first_pair)
+    assert not sequences.is_admissible(s)
+    assert opalgebra.adem_straighten_classical(s) != unchanged
