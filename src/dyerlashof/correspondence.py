@@ -7,7 +7,11 @@ matrix is unitriangular for the excess-lex order with chi_min on the
 diagonal.  That gives the dual-basis algorithm, its inversion by forward
 substitution, and the straightening map rho(e_I) by back-substitution
 over the K <= I.  Both substitutions read only the entries they need;
-no matrix is built.
+no matrix is built.  The diagonal is checked once per degree by
+``invariants._chi_min_coeffs``, which follows the chain
+chi_min(p m' + r) = p chi_min(m') + chi_min(r) (chi_min is partial
+sums) down m's base-p digits instead of reading each entry <d^m, Q_K>
+as a pair.
 
 A degree's record is two tuples of exponent rows, the Dickson monomials
 and the halved admissible basis, from one cached bounded search that
@@ -25,11 +29,13 @@ from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd
+from operator import sub
 
 from .arith import Combination, Context, DomainError, InvariantError
 from .invariants import (
     DPoly,
     _check_dickson_exponents,
+    _chi_min_coeffs,
     coeff_in_expansion,
     coeff_memo,
     dickson_degree,
@@ -170,7 +176,12 @@ def _degree_data(D: int, ctx: Context):
     basis row by row, that the columns strictly ascend (the solves
     bisect them, and the monomials with them) and that every diagonal
     entry <d^m(K), Q_K> is 1; the solves then read the pairing memo
-    directly.
+    directly.  Each diagonal entry is computed exactly by _chi_min_coeffs
+    along chi_min(p m' + r) = p chi_min(m') + chi_min(r): the entry of m
+    is the next link, the entry of m' = m // p, times the coefficient of
+    h^chi_min(r) in d^(m % p), plus any other term of that residue class
+    mod p read through the reader.  The chain is memoised on m' alone,
+    so rows sharing a digit prefix share their links.
     """
     ms = _degree_monomials(D, ctx)
     cols = _degree_basis(D, ctx)
@@ -178,8 +189,7 @@ def _degree_data(D: int, ctx: Context):
         raise InvariantError("chi_min is not a bijection onto the admissible basis")
     if any(a >= b for a, b in zip(cols, cols[1:])):
         raise InvariantError("the admissible basis is not strictly ascending")
-    for m, col in zip(ms, cols):
-        c = coeff_in_expansion(m, col, ctx)
+    for m, col, c in zip(ms, cols, _chi_min_coeffs(ms, ctx)):
         if c != 1:
             raise InvariantError(
                 "pairing matrix is not unitriangular: "
@@ -264,8 +274,12 @@ def adem_via_invariants(x: OpSeq) -> OpPoly:
 
     The c_ij recur across straightenings of a degree and are read from
     the context's memo.  Unless I is admissible, and so a column of the
-    matrix, each b_i is read once: through the reader's ``__wrapped__``,
-    which computes it without storing it.
+    matrix, each b_i is read once and not stored: the top digit level of
+    the reader's recursion runs here, over the terms of d^(m % p) in the
+    class of I mod p (taken once per straightening) from the reader's
+    cached ``split``, and only the reads below it go through the memo.
+    An admissible I = K_top has b_top = c_top,top, the diagonal entry
+    the record checked, read from the reader's chain (``diagonal``).
     """
     require_lower(x, "straightening")
     ctx = x.ctx
@@ -280,10 +294,24 @@ def adem_via_invariants(x: OpSeq) -> OpPoly:
     a: dict[int, int] = {}
     top = bisect_right(cols, exps) - 1
     # an admissible I is the column cols[top], which the matrix reads again
-    read_b = coeff if top >= 0 and cols[top] == exps else coeff.__wrapped__
+    admissible = top >= 0 and cols[top] == exps
+    split = coeff.split
+    residue = tuple([e % p for e in exps])
     for i in range(top, -1, -1):
         m = ms[i]
-        acc = read_b(m, exps)
+        if not admissible:
+            # the top digit level of the reader's recursion, unstored
+            high, (grouped, _, _) = split(m)
+            acc = 0
+            for s, c in grouped.get(residue, ()):
+                rest = tuple(map(sub, exps, s))
+                if min(rest) >= 0:
+                    acc += c * coeff(high, tuple([r // p for r in rest]))
+        elif i == top:
+            # b_top is the diagonal entry the record checked, on the chain
+            acc = coeff.diagonal(m)
+        else:
+            acc = coeff(m, exps)
         for j, aj in a.items():
             acc -= aj * coeff(m, cols[j])
         acc %= p

@@ -6,8 +6,11 @@ three must agree.  On top of the expansions sit the coefficient
 extraction used by the duality algorithms (a base-p digit recursion
 that never expands a whole Dickson monomial; it and the full expansion
 of d^m read the same bounded cache of digit products d^r, r_i < p, all
-multiplied through ``kernels.poly_mul``), the chi_min / chi_max
-extremal-monomial maps, the decomposition/inclusion identities, and a
+multiplied through ``kernels.poly_mul``), the diagonal pairing
+<d^m, Q_chi_min(m)> that ``_chi_min_coeffs`` computes along the chain
+chi_min(p m' + r) = p chi_min(m') + chi_min(r) of m's base-p digits,
+the chi_min / chi_max extremal-monomial maps, the
+decomposition/inclusion identities, and a
 concrete realization inside F_p[y_1..y_n] for checking Borel/GL
 invariance by brute substitution.
 
@@ -21,7 +24,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, combinations, product, zip_longest
-from operator import mul, sub
+from operator import add, mul, sub
 
 from . import kernels
 from .arith import (
@@ -311,40 +314,67 @@ expand_dickson_monomial.cache_clear = _expansion_terms.cache_clear
 def coeff_memo(ctx: Context):
     """The reader of ctx: ``coeff_memo(ctx)(m, J)`` is [h^J] d^m by the
     digit recursion of coeff_in_expansion, which checks m and J first.
-    The reader and its ``split`` are ``lru_cache`` functions of
-    COEFF_MEMO_SIZE entries each, so its ``cache_info`` counts the
-    memoised reads (``cache_clear`` here drops every reader).  Its
-    ``__wrapped__`` reads one entry without storing it, while the reads
-    at the lower digits still go through the memo; the digit products
-    they read come from the bounded ``_digit_product`` cache that the
-    expansion shares."""
+    The reader, its ``split`` (m // p with the grouped terms of
+    d^(m % p), which a straightening reads to run one top level
+    unstored) and its ``diagonal`` (the chain of _chi_min_coeffs, keyed on
+    m alone) are ``lru_cache`` functions of COEFF_MEMO_SIZE entries
+    each, so its ``cache_info`` counts the memoised reads
+    (``cache_clear`` here drops every reader, with its split and chain).
+    The digit products they read come from the bounded
+    ``_digit_product`` cache that the expansion shares."""
     p = ctx.p
 
     @lru_cache(maxsize=DIGIT_CACHE_SIZE)
-    def groups(r: tuple[int, ...]) -> dict:
-        """The terms of d^r grouped by s mod p, a step expansions skip."""
+    def groups(r: tuple[int, ...]) -> tuple[dict, int, tuple]:
+        """The terms of d^r grouped by s mod p, a step expansions skip,
+        and the chain's link at r: the coefficient of h^chi_min(r) and,
+        as ((chi_min(r) - s) / p, c), the other terms c h^s of its
+        class mod p."""
         out: dict = {}
         for s, c in _digit_product(r, ctx).items():
             out.setdefault(tuple([si % p for si in s]), []).append((s, c))
-        return out
+        low = tuple(accumulate(r))
+        link, others = 0, []
+        for s, c in out.get(tuple([li % p for li in low]), ()):
+            if s == low:
+                link = c
+            else:
+                others.append((tuple([(li - si) // p for li, si in zip(low, s)]), c))
+        return out, link, tuple(others)
 
     @lru_cache(maxsize=COEFF_MEMO_SIZE)
-    def split(m: tuple[int, ...]) -> tuple[tuple[int, ...], dict]:
-        """m // p, and the grouped terms of d^(m % p)."""
+    def split(m: tuple[int, ...]) -> tuple[tuple[int, ...], tuple]:
+        """m // p, and the grouped terms and link of d^(m % p)."""
         return tuple([mi // p for mi in m]), groups(tuple([mi % p for mi in m]))
 
     @lru_cache(maxsize=COEFF_MEMO_SIZE)
     def coeff(m: tuple[int, ...], J: tuple[int, ...]) -> int:
         if not any(m):
             return 0 if any(J) else 1
-        high, groups = split(m)
+        high, (grouped, _, _) = split(m)
         total = 0
-        for s, c in groups.get(tuple([j % p for j in J]), ()):
+        for s, c in grouped.get(tuple([j % p for j in J]), ()):
             rest = tuple(map(sub, J, s))
             if min(rest) >= 0:
                 total += c * coeff(high, tuple([r // p for r in rest]))
         return total % p
 
+    @lru_cache(maxsize=COEFF_MEMO_SIZE)
+    def diagonal(m: tuple[int, ...]) -> int:
+        if not any(m):
+            return 1
+        high, (_, link, others) = split(m)
+        total = link * diagonal(high)
+        if others:
+            base = tuple(accumulate(high))  # chi_min(m // p)
+            for delta, c in others:
+                J = tuple(map(add, base, delta))
+                if min(J) >= 0:
+                    total += c * coeff(high, J)
+        return total % p
+
+    coeff.split = split
+    coeff.diagonal = diagonal
     return coeff
 
 
@@ -369,6 +399,28 @@ def coeff_in_expansion(m, J, ctx: Context) -> int:
     if len(J) != ctx.n or any(j < 0 for j in J):
         return 0
     return coeff_memo(ctx)(m, J)
+
+
+def _chi_min_coeffs(ms, ctx: Context) -> list[int]:
+    """The coefficient of h^chi_min(m) in d^m, the diagonal pairing
+    <d^m, Q_chi_min(m)>, for each exponent vector m of ms (rows of a
+    degree, which it does not check), along the chain of m's base-p
+    digits.
+
+    chi_min takes m to its partial sums, so with m = p m' + r (r = m % p)
+    it splits as chi_min(m) = p chi_min(m') + chi_min(r), and the digit
+    recursion of coeff_in_expansion becomes
+
+        [h^chi_min(m)] d^m = sum over terms c h^s of d^r with
+                             s = chi_min(r) (mod p) of
+                             c [h^(chi_min(m') + (chi_min(r) - s) / p)] d^m'.
+
+    The term s = chi_min(r) is the next link, [h^chi_min(m')] d^m',
+    memoised on m' alone in the reader's ``diagonal``; any other term of
+    the class is read through the reader.  Every link is computed
+    exactly: nothing assumes the answer is 1.
+    """
+    return list(map(coeff_memo(ctx).diagonal, ms))
 
 
 def coeff_by_multinomial(m, J, ctx: Context) -> int:

@@ -37,4 +37,7 @@ def test_the_readers_coeff_memo_makes_are_bounded():
     # context: coeff_memo keeps one reader per context, each bounded
     reader = invariants.coeff_memo(Context(2, 2))
     assert reader.cache_info().maxsize == invariants.COEFF_MEMO_SIZE
+    # its digit splits and the chain of _chi_min_coeffs, one entry per m
+    assert reader.split.cache_info().maxsize == invariants.COEFF_MEMO_SIZE
+    assert reader.diagonal.cache_info().maxsize == invariants.COEFF_MEMO_SIZE
     assert invariants.coeff_memo.cache_info().maxsize == len(PRIMES) * MAX_VARS

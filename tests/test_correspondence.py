@@ -626,15 +626,13 @@ def test_invariant_engine_matches_classical():
 
 
 def test_broken_diagonal_raises(monkeypatch):
-    # make <d^m, Q_K> = 0 for K = chi_min(d^m) at m = (1, 1)
-    original = correspondence.coeff_in_expansion
+    # make <d^m, Q_K> = 0 for K = chi_min(d^m) = (1, 2) at m = (1, 1)
+    original = correspondence._chi_min_coeffs
 
-    def broken(m, J, ctx):
-        if tuple(m) == (1, 1) and tuple(J) == (1, 2):
-            return 0
-        return original(m, J, ctx)
+    def broken(ms, ctx):
+        return [0 if tuple(m) == (1, 1) else c for m, c in zip(ms, original(ms, ctx))]
 
-    monkeypatch.setattr(correspondence, "coeff_in_expansion", broken)
+    monkeypatch.setattr(correspondence, "_chi_min_coeffs", broken)
     # the diagonal is checked when a degree's data is built
     correspondence._degree_data.cache_clear()
     ctx = P3N2
@@ -651,14 +649,15 @@ def test_broken_diagonal_above_input_raises(monkeypatch):
     # K = (2, 2) = chi_min(d^(2,0)) lies above I = (0, 3) in degree 6, so
     # back-substitution for e_I never reads its row; the per-degree check
     # must still see its diagonal entry
-    original = correspondence.coeff_in_expansion
+    original = correspondence._chi_min_coeffs
 
-    def broken(m, J, ctx):
-        if ctx == P2N2 and tuple(m) == (2, 0) and tuple(J) == (2, 2):
-            return 0
-        return original(m, J, ctx)
+    def broken(ms, ctx):
+        return [
+            0 if ctx == P2N2 and tuple(m) == (2, 0) else c
+            for m, c in zip(ms, original(ms, ctx))
+        ]
 
-    monkeypatch.setattr(correspondence, "coeff_in_expansion", broken)
+    monkeypatch.setattr(correspondence, "_chi_min_coeffs", broken)
     correspondence._degree_data.cache_clear()
     with pytest.raises(InvariantError):
         adem_via_invariants(OpSeq.from_values(P2N2, (0, 3)))
@@ -670,12 +669,11 @@ def test_broken_diagonal_raises_under_optimize():
         "from dyerlashof import correspondence\n"
         "from dyerlashof.arith import Context, InvariantError\n"
         "from dyerlashof.sequences import OpSeq\n"
-        "original = correspondence.coeff_in_expansion\n"
-        "def broken(m, J, ctx):\n"
-        "    if tuple(m) == (1, 1) and tuple(J) == (1, 2):\n"
-        "        return 0\n"
-        "    return original(m, J, ctx)\n"
-        "correspondence.coeff_in_expansion = broken\n"
+        "original = correspondence._chi_min_coeffs\n"
+        "def broken(ms, ctx):\n"
+        "    return [0 if tuple(m) == (1, 1) else c\n"
+        "            for m, c in zip(ms, original(ms, ctx))]\n"
+        "correspondence._chi_min_coeffs = broken\n"
         "assert False, 'asserts are on'\n"
         "try:\n"
         "    correspondence.adem_via_invariants(OpSeq.from_values(Context(3, 2), (4, 1)))\n"
@@ -690,6 +688,113 @@ def test_broken_diagonal_raises_under_optimize():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def read_diagonal(ms, ctx):
+    """The diagonal entries <d^m, Q_chi_min(m)> of the rows ms, read
+    through the reader instead of the chain."""
+    return [coeff_in_expansion(m, tuple(itertools.accumulate(m)), ctx) for m in ms]
+
+
+def test_chain_matches_the_reader_on_every_row():
+    # every degree that only monomials of total exponent <= top can reach
+    coeff_memo.cache_clear()
+    for p, top in ((2, 16), (3, 12), (5, 10), (7, 9)):
+        for n in (2, 3, 4):
+            ctx = Context(p, n)
+            bound = top * min(dickson_degree(i, ctx) for i in range(n))
+            degrees = {
+                dickson_monomial_degree(m, ctx)
+                for m in itertools.product(range(top + 1), repeat=n)
+                if sum(m) <= top
+            }
+            for D in sorted(d for d in degrees if d <= bound):
+                rows = solve_degree_diophantine(D, ctx)
+                chain = invariants._chi_min_coeffs(rows, ctx)
+                assert chain == read_diagonal(rows, ctx) == [1] * len(rows), (p, n, D)
+    # the r = 304 degree of e[60,40,20,10]
+    ctx = Context(2, 4)
+    D = degree_lower(OpSeq.from_values(ctx, (60, 40, 20, 10)))
+    rows = solve_degree_diophantine(D, ctx)
+    assert len(rows) == 304
+    chain = invariants._chi_min_coeffs(rows, ctx)
+    assert chain == read_diagonal(rows, ctx) == [1] * 304
+
+
+@pytest.mark.parametrize(
+    "p, r, s, c",
+    [
+        # a second term h^(1, 2, 3, 0, 6) in the class of chi_min(r) =
+        # (1, 2, 3, 4, 4); it has the degree of chi_min(r), so it reaches
+        # some diagonal entries through (chi_min(r) - s) / 2 = (0, 0, 0, 2, -1)
+        (2, (1, 1, 1, 1, 0), (1, 2, 3, 0, 6), 1),
+        # the link itself: h^chi_min(r) = h^(1, 2) with coefficient 2
+        (3, (1, 1), (1, 2), 2),
+    ],
+)
+def test_chain_follows_a_changed_class(monkeypatch, p, r, s, c):
+    # give d^r the term c h^s in the class of chi_min(r) mod p: the chain
+    # and the reader must still agree on every row with m % p = r
+    ctx = Context(p, len(r))
+    original = invariants._digit_product.__wrapped__
+
+    def patched(digits, context):
+        out = dict(original(digits, context))
+        if (digits, context) == (r, ctx):
+            out[s] = c
+        return out
+
+    monkeypatch.setattr(invariants, "_digit_product", patched)
+    coeff_memo.cache_clear()
+    try:
+        reader = coeff_memo(ctx)
+        other = s != tuple(itertools.accumulate(r))
+        entries = []
+        for high in itertools.product(range(3), repeat=ctx.n):
+            m = tuple(p * h + d for h, d in zip(high, r))
+            before = reader.cache_info()
+            [chain] = invariants._chi_min_coeffs([m], ctx)
+            # another term fits J = chi_min(m) once m // p is nonzero,
+            # and the chain reads it through the reader
+            assert (reader.cache_info() != before) == (other and any(high)), m
+            assert [chain] == read_diagonal([m], ctx), m
+            entries.append(chain)
+        # the changed term changes some entries, which the chain sees
+        assert 1 in entries and len(set(entries)) > 1
+    finally:
+        monkeypatch.undo()
+        coeff_memo.cache_clear()
+
+
+def test_a_cold_record_adds_one_chain_entry_per_digit_prefix():
+    # building a degree's record reads its diagonal on the chain alone:
+    # the reader is untouched, and the chain stores each m // p^k of the
+    # rows once, across the records built so far
+    for ctx, degrees in (
+        (Context(2, 4), range(140, 213, 8)),
+        (Context(3, 3), range(0, 1300, 4)),
+    ):
+        correspondence._degree_data.cache_clear()
+        coeff_memo.cache_clear()
+        reader = coeff_memo(ctx)
+        chain = reader.diagonal
+        seen = set()
+        for D in degrees:
+            before = reader.cache_info()
+            stored = chain.cache_info().currsize
+            ms, _ = correspondence._degree_data(D, ctx)
+            assert reader.cache_info() == before, D
+            new = set()
+            for m in ms:
+                while True:
+                    new.add(m)
+                    if not any(m):
+                        break
+                    m = tuple(mi // ctx.p for mi in m)
+            assert chain.cache_info().currsize == stored + len(new - seen), D
+            seen |= new
+        assert seen
+    correspondence._degree_data.cache_clear()
 
 
 def power_dual_check(n, i, k, alpha_k, alpha_0, ctx):

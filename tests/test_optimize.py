@@ -45,7 +45,7 @@ def test_invariant_error_raised_under_optimize():
         "from dyerlashof.arith import Context, InvariantError\n"
         "from dyerlashof.sequences import OpSeq\n"
         "assert False, 'asserts are on'\n"
-        "correspondence.coeff_in_expansion = lambda m, J, ctx: 2\n"
+        "correspondence._chi_min_coeffs = lambda ms, ctx: [2] * len(ms)\n"
         "try:\n"
         "    correspondence.adem_via_invariants(OpSeq.from_values(Context(3, 2), (4, 1)))\n"
         "except InvariantError:\n"
