@@ -88,7 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("suite", choices=verify.SUITES)
     q.add_argument("--max-entry", type=int, help="entry bound for oracle-equivalence")
     q.add_argument(
-        "--max-degree", type=int, help="total-exponent bound for roundtrip suites"
+        "--max-degree",
+        type=int,
+        help="total-exponent bound on d^m for roundtrip and triangularity",
     )
 
     return parser

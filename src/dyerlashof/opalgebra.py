@@ -7,10 +7,12 @@ sequences (see :mod:`dyerlashof.sequences`).  The two workhorses here:
   admissible basis by repeatedly applying the Adem relations to the
   leftmost inadmissible adjacent pair.  :func:`pair_rewrite` sums each
   relation in the excess quotient: a replacement with a negative entry
-  (negative excess) is zero there and is never summed.  Pending
-  monomials sit in a heap in rewrite order, so like terms merge when
-  they are popped and each distinct monomial is rewritten once.  A
-  replacement's heap key is built from its parent's, not from its entries.
+  (negative excess) is zero there and is never summed.  The heap holds
+  each pending monomial once, under its bare rewrite-order key; a
+  replacement that is already queued adds its coefficient to the
+  pending one, so each distinct monomial is rewritten once.  A
+  replacement's heap key is built from its parent's, not from its
+  entries.  A sequence input is read as its one term, with no OpPoly.
 
 * :func:`coproduct` applies the Cartan formula in lower notation, where
   the legs' entries and Bocksteins add up to the input's.  It keeps the
@@ -20,7 +22,7 @@ sequences (see :mod:`dyerlashof.sequences`).  The two workhorses here:
 
     >>> ctx = Context(3, 2)
     >>> s = OpSeq.from_values(ctx, [3, 1])
-    >>> adem_straighten_classical(OpPoly.from_seq(s)).terms
+    >>> adem_straighten_classical(s).terms
     {((0, 4), (0, 0)): 2}
 """
 
@@ -150,9 +152,10 @@ clear_rewrite_table = pair_rewrite.cache_clear
 def _rewrite_order(twice, eps) -> tuple[int, ...]:
     """Heap key: the tail excesses read from the last position backwards,
     then eps.  Distinct monomials have distinct keys, and every rewrite
-    strictly raises the key (see pair_rewrite).  adem_straighten_classical
-    calls it for its input's terms only; a replacement's key is built
-    from its parent's."""
+    strictly raises the key (see pair_rewrite), so the heap holds each
+    pending monomial under one key.  adem_straighten_classical calls it
+    for its input's terms only; a replacement's key is built from its
+    parent's."""
     return tuple(map(sub, twice, eps))[::-1] + eps
 
 
@@ -161,36 +164,47 @@ def adem_straighten_classical(x: OpPoly | OpSeq, max_steps: int = 10**7) -> OpPo
 
     Pure term rewriting at the leftmost inadmissible pair, with the
     relations of pair_rewrite, which leave out every replacement with a
-    negative entry.  Inadmissible monomials
-    wait in a min-heap on their rewrite order.  A rewrite leaves the
-    positions right of the pair alone and raises the tail excess of the
-    pair's second entry, so it only yields monomials of higher order:
-    every contribution to a monomial is queued before the monomial is
-    popped.  Equal keys are summed on pop and each distinct monomial is
-    rewritten once.  A replacement's key is its parent's with the pair's
-    two excess slots and the Bocksteins replaced.  The result equals
-    term-by-term rewriting in any processing order: a monomial's rewrite
-    (always at its leftmost defect) is fixed and the map is linear.
-    Raises RuntimeError past max_steps distinct rewrites.
+    negative entry.  A sequence is read as its one term, with no OpPoly
+    built for it.  Inadmissible monomials wait in a min-heap of their
+    rewrite orders (bare keys); a dict maps each queued key to its
+    pending [coeff, twice, eps, pos].  A rewrite leaves the positions
+    right of the pair alone and raises the tail excess of the pair's
+    second entry, so it only yields monomials of higher order: every
+    contribution to a monomial arrives before the monomial is popped.  A
+    replacement whose key is already queued adds its coefficient to the
+    pending entry and is not pushed again, so each distinct monomial is
+    queued once, reduced mod p when popped and rewritten once.  A
+    replacement's key is its parent's with the pair's two excess slots
+    and the Bocksteins replaced.  The result equals term-by-term
+    rewriting in any processing order: a monomial's rewrite (always at
+    its leftmost defect) is fixed and the map is linear.  Raises
+    RuntimeError past max_steps distinct rewrites.
     """
-    if not isinstance(x, OpPoly):
+    if isinstance(x, OpPoly):
+        ctx, items = x.ctx, x.terms.items()
+    else:
         require_lower(x, "straightening")
-        x = OpPoly.from_seq(x)
-    p, n = x.ctx.p, x.ctx.n
-    result = OpPoly(x.ctx)
+        ctx, items = x.ctx, (((x.twice, x.eps), 1),)
+    # read once per call, so a patched heapq or first_defect still counts
+    push, pop, defect = heapq.heappush, heapq.heappop, first_defect
+    p, n = ctx.p, ctx.n
+    result = OpPoly(ctx)
     heap = []
-    for (twice, eps), coeff in x.terms.items():
+    pending = {}  # queued key -> [coeff, twice, eps, pos]
+    queued = pending.get
+    for (twice, eps), coeff in items:
         pos = first_defect(twice, eps)
         if pos is None:
             Combination.add_term(result, (twice, eps), coeff)
         else:
-            heap.append((_rewrite_order(twice, eps), coeff, twice, eps, pos))
+            key = _rewrite_order(twice, eps)
+            heap.append(key)
+            pending[key] = [coeff, twice, eps, pos]
     heapq.heapify(heap)
     steps = 0
     while heap:
-        order, coeff, twice, eps, pos = heapq.heappop(heap)
-        while heap and heap[0][0] == order:
-            coeff += heapq.heappop(heap)[1]
+        order = pop(heap)
+        coeff, twice, eps, pos = pending.pop(order)
         coeff %= p
         if not coeff:
             continue
@@ -209,17 +223,21 @@ def adem_straighten_classical(x: OpPoly | OpSeq, max_steps: int = 10**7) -> OpPo
         k = n - pos - 2
         right_key, left_key = order[:k], order[k + 2 : n]
         # pairs left of pos - 1 are untouched and admissible
-        start = max(pos - 1, 0)
+        start = pos - 1 if pos else 0
         for c, ta, tb, ea, eb in replacements:
             new_twice = head_twice + (ta, tb) + tail_twice
             new_eps = head_eps + (ea, eb) + tail_eps
-            c = coeff * c % p
-            new_pos = first_defect(new_twice, new_eps, start)
+            new_pos = defect(new_twice, new_eps, start)
             if new_pos is None:
-                Combination.add_term(result, (new_twice, new_eps), c)
+                Combination.add_term(result, (new_twice, new_eps), coeff * c)
+                continue
+            key = right_key + (tb - eb, ta - ea) + left_key + new_eps
+            entry = queued(key)
+            if entry is None:
+                pending[key] = [coeff * c, new_twice, new_eps, new_pos]
+                push(heap, key)
             else:
-                key = right_key + (tb - eb, ta - ea) + left_key + new_eps
-                heapq.heappush(heap, (key, c, new_twice, new_eps, new_pos))
+                entry[0] += coeff * c
     return result
 
 

@@ -463,6 +463,21 @@ TEXT_CASES = [
         ["verify", "triangularity", "--p", "3", "--n", "2", "--max-degree", "3"],
         "triangularity: 10 cases, ok\n",
     ),
+    (
+        ["verify", "triangularity", "--p", "2", "--n", "4", "--max-degree", "60"],
+        "error: --max-degree 60 at n = 4 reaches 635376 Dickson monomials, "
+        "above the cap 5000\n",
+    ),
+    # the largest bound admitted at n = 2 (C(100, 2) = 4,950 monomials)
+    (
+        ["verify", "roundtrip", "--p", "3", "--n", "2", "--max-degree", "98"],
+        "roundtrip: 4950 cases, ok\n",
+    ),
+    (
+        ["verify", "roundtrip", "--p", "3", "--n", "2", "--max-degree", "99"],
+        "error: --max-degree 99 at n = 2 reaches 5050 Dickson monomials, "
+        "above the cap 5000\n",
+    ),
     (["verify", "identities", "--p", "2", "--n", "3"], "identities: 12 cases, ok\n"),
     (["verify", "invariance", "--p", "2", "--n", "2"], "invariance: 11 cases, ok\n"),
 ]

@@ -446,25 +446,40 @@ def key_inputs():
                 yield ctx, tuple(step * (top + 2 * t) for t in range(n - 1)) + (0,), eps
 
 
+def monomial_of(key):
+    """The (twice, eps) a rewrite-order key names: it holds the tail
+    excesses twice - eps backwards, then eps."""
+    n = len(key) // 2
+    eps = key[n:]
+    return tuple(map(operator.add, key[n - 1 :: -1], eps)), eps
+
+
 def test_replacement_keys_are_their_rewrite_orders(monkeypatch):
     # a replacement's heap key, built from its parent's, is the key
-    # _rewrite_order gives the replacement, whatever position the parent
-    # was rewritten at
+    # _rewrite_order gives the monomial of the first_defect call before
+    # its push, whatever position the parent was rewritten at
+    checked = []
     parent_pos = []
     seen = set()
     real_pop, real_push = opalgebra.heapq.heappop, opalgebra.heapq.heappush
+    real_defect = opalgebra.first_defect
+
+    def defect(twice, eps, start=0):
+        checked[:] = [(twice, eps)]
+        return real_defect(twice, eps, start)
 
     def pop(heap):
-        entry = real_pop(heap)
-        parent_pos[:] = [entry[4]]
-        return entry
+        key = real_pop(heap)
+        parent_pos[:] = [real_defect(*monomial_of(key))]
+        return key
 
-    def push(heap, entry):
-        key, _, twice, eps, _ = entry
+    def push(heap, key):
+        twice, eps = checked[0]
         assert key == opalgebra._rewrite_order(twice, eps), (twice, eps)
         seen.add((len(twice), parent_pos[0]))
-        real_push(heap, entry)
+        real_push(heap, key)
 
+    monkeypatch.setattr(opalgebra, "first_defect", defect)
     monkeypatch.setattr(opalgebra.heapq, "heappop", pop)
     monkeypatch.setattr(opalgebra.heapq, "heappush", push)
     for ctx, twice, eps in key_inputs():
@@ -473,6 +488,56 @@ def test_replacement_keys_are_their_rewrite_orders(monkeypatch):
     monkeypatch.undo()
     # at n = 2 every replacement is admissible and nothing is queued
     assert seen == {(n, pos) for n in range(3, 7) for pos in range(n - 1)}
+
+
+def test_each_pending_monomial_is_queued_once(monkeypatch):
+    # a replacement whose monomial is already queued joins its pending
+    # coefficient: no key is pushed twice, and the keys leave the heap
+    # in strictly rising order
+    pushed, popped = [], []
+    real_pop, real_push = opalgebra.heapq.heappop, opalgebra.heapq.heappush
+
+    def pop(heap):
+        popped.append(real_pop(heap))
+        return popped[-1]
+
+    def push(heap, key):
+        pushed.append(key)
+        real_push(heap, key)
+
+    monkeypatch.setattr(opalgebra.heapq, "heappop", pop)
+    monkeypatch.setattr(opalgebra.heapq, "heappush", push)
+    queued = 0
+    for ctx, twice, eps in itertools.chain(key_inputs(), LONG_BOCKSTEIN_CASES):
+        pushed.clear()
+        popped.clear()
+        s = OpSeq(ctx, twice, eps)
+        assert adem_straighten_classical(s) == straighten_leftmost(OpPoly.from_seq(s))
+        assert len(set(pushed)) == len(pushed), (ctx, twice, eps)
+        assert all(a < b for a, b in zip(popped, popped[1:])), (ctx, twice, eps)
+        queued += len(pushed)
+    monkeypatch.undo()
+    assert queued > 1000
+
+
+def test_a_sequence_straightens_as_its_one_term():
+    # a sequence input is read without an OpPoly, with the same answer
+    cases = [
+        (P3N2, (0, 2), (0, 0)),  # admissible: returned as itself
+        (P2N2, (8, 2), (0, 0)),
+        *LONG_BOCKSTEIN_CASES,
+        *itertools.islice(bockstein_box(), 0, None, 37),
+        *key_inputs(),
+    ]
+    for ctx, twice, eps in cases:
+        s = OpSeq(ctx, twice, eps)
+        got = adem_straighten_classical(s)
+        assert got == adem_straighten_classical(OpPoly.from_seq(s)), (ctx, twice, eps)
+    assert adem_straighten_classical(OpSeq(P3N2, (0, 2), (0, 0))).terms == {
+        ((0, 2), (0, 0)): 1
+    }
+    with pytest.raises(DomainError, match="needs lower notation, got UpperSeq"):
+        adem_straighten_classical(UpperSeq(P3N2, (4, 2), (0, 0)))
 
 
 def test_straightening_ignores_the_order_of_terms():
