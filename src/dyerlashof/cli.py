@@ -30,7 +30,7 @@ from .correspondence import (
 )
 from .invariants import expand_dickson_monomial
 from .opalgebra import OpPoly, adem_straighten_classical, coproduct
-from .sequences import UpperSeq, upper_to_lower
+from .sequences import OpSeq, upper_to_lower
 
 __all__ = ["main", "build_parser"]
 
@@ -199,18 +199,20 @@ def _pair(args, ctx):
 
 
 def _coprod(args, ctx):
-    s = x = textio.parse_any_sequence(args.expr, ctx)
-    note = {}
-    if isinstance(s, UpperSeq):
-        note = {"notation": "upper"}
-        if any(t % 2 for t in s.twice):  # before a conversion that may fail
-            raise DomainError("coproduct needs integral upper entries")
+    twice, eps, upper = textio.parse_any_sequence(args.expr, ctx)
+    note = {"notation": "upper"} if upper else {}
+    if not upper:
+        x = OpSeq(ctx, twice, eps)
+    elif any(t % 2 for t in twice):  # before a conversion that may fail
+        raise DomainError("coproduct needs integral upper entries")
+    else:
         try:
-            x = upper_to_lower(s)
+            x = OpSeq(ctx, upper_to_lower(ctx, twice, eps), eps)
         except DomainError:
             x = OpPoly(ctx)  # a negative lower entry: zero in the excess quotient
     to_json, to_text = textio.tensor_to_json, textio.render_tensor
-    return coproduct(x), to_json, to_text, lambda: textio.seq_to_json(s) | note
+    res = coproduct(x)
+    return res, to_json, to_text, lambda: textio.entries_to_json(twice, eps) | note
 
 
 def run(args) -> int:

@@ -43,7 +43,7 @@ from .invariants import (
     psi_T,
 )
 from .opalgebra import OpPoly
-from .sequences import OpSeq, degree_lower, is_admissible, require_lower, term_order
+from .sequences import OpSeq, degree_lower, is_admissible, term_order
 
 __all__ = [
     "DualExpansion",
@@ -132,7 +132,7 @@ def _degree_monomials(D: int, ctx: Context) -> tuple[tuple[int, ...], ...]:
 
 def admissible_basis(D: int, ctx: Context) -> list[OpSeq]:
     """All weakly increasing nonnegative integral eps = 0 sequences of
-    lower degree D, ascending under compare.
+    lower degree D, ascending by OpSeq.key.
 
     Enumerated directly (not through the Dickson side) so that the
     bijection with solve_degree_diophantine stays a real check; every
@@ -148,7 +148,6 @@ def _degree_basis(D: int, ctx: Context) -> tuple[tuple[int, ...], ...]:
 
 def kronecker_pair(m, J: OpSeq) -> int:
     """<d^m, Q_J>, in J's context: the coefficient of h^J in d^m."""
-    require_lower(J, "the pairing")
     ctx = J.ctx
     _check_dickson_exponents(m, ctx)
     if any(J.eps):
@@ -236,7 +235,6 @@ def dickson_of_dual(J: OpSeq) -> DPoly:
     Forward substitution gives x_i = 0 below the target; from the target
     upwards each c_ij is read only for the i with x_i != 0.
     """
-    require_lower(J, "dickson_of_dual")
     ctx = J.ctx
     if any(J.eps) or any(t % 2 for t in J.twice):
         raise DomainError("dickson_of_dual needs an integral eps = 0 sequence")
@@ -281,7 +279,6 @@ def adem_via_invariants(x: OpSeq) -> OpPoly:
     An admissible I = K_top has b_top = c_top,top, the diagonal entry
     the record checked, read from the reader's chain (``diagonal``).
     """
-    require_lower(x, "straightening")
     ctx = x.ctx
     if any(x.eps):
         raise DomainError("invariant-theoretic straightening needs eps = 0")

@@ -34,7 +34,7 @@ from math import comb, prod
 from operator import sub
 
 from .arith import Combination, Context, DomainError, binom_mod_p, compositions
-from .sequences import OpSeq, first_defect, require_lower, term_order
+from .sequences import OpSeq, check_entries, first_defect, term_order
 
 __all__ = [
     "OpPoly",
@@ -55,12 +55,11 @@ class OpPoly(Combination):
     def add_term(self, key, coeff: int):
         """Add coeff * key; DomainError unless key is the (twice, eps)
         pair of a valid OpSeq."""
-        OpSeq(self.ctx, *key)
+        check_entries(self.ctx, *key)
         Combination.add_term(self, key, coeff)
 
     @classmethod
     def from_seq(cls, s: OpSeq, coeff: int = 1) -> "OpPoly":
-        require_lower(s, "OpPoly.from_seq")
         out = cls(s.ctx)
         Combination.add_term(out, (s.twice, s.eps), coeff)
         return out
@@ -183,7 +182,6 @@ def adem_straighten_classical(x: OpPoly | OpSeq, max_steps: int = 10**7) -> OpPo
     if isinstance(x, OpPoly):
         ctx, items = x.ctx, x.terms.items()
     else:
-        require_lower(x, "straightening")
         ctx, items = x.ctx, (((x.twice, x.eps), 1),)
     # read once per call, so a patched heapq or first_defect still counts
     push, pop, defect = heapq.heappush, heapq.heappop, first_defect
@@ -299,7 +297,6 @@ def coproduct(x: OpPoly | OpSeq, folds: int = 2) -> TensorPoly:
     if folds < 1:
         raise DomainError(f"the coproduct needs folds >= 1, got {folds}")
     if not isinstance(x, OpPoly):
-        require_lower(x, "the coproduct")
         x = OpPoly.from_seq(x)
     bound, k = 0, folds - 1
     for twice, eps in x.terms:

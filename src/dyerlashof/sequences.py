@@ -7,6 +7,10 @@ monomial in upper notation is f^{i_1} ... f^{i_n} with
 
     i_t = j_t + |suffix after position t| / 2.
 
+Upper notation is only a way of writing input.  ``OpSeq``, the one
+sequence type, holds lower notation; lower_to_upper and upper_to_lower
+convert plain (ctx, twice, eps) entries.
+
 To keep all arithmetic exact, entries are stored doubled: the sequence
 (3, 1/2) is stored as twice = (6, 1).  Bocksteins are a parallel 0/1
 tuple ``eps``; eps_t = 1 means a Bockstein in front of the t-th factor.
@@ -15,7 +19,7 @@ tuple ``eps``; eps_t = 1 means a Bockstein in front of the t-th factor.
     >>> s = OpSeq.from_values(ctx, [0, 2])
     >>> degree_lower(s)
     24
-    >>> lower_to_upper(s).twice
+    >>> lower_to_upper(ctx, s.twice, s.eps)
     (8, 4)
 """
 
@@ -27,12 +31,10 @@ from .arith import Context, DomainError, Frozen
 
 __all__ = [
     "OpSeq",
-    "UpperSeq",
+    "check_entries",
     "degree_lower",
     "first_defect",
     "is_admissible",
-    "require_lower",
-    "compare",
     "term_order",
     "lower_to_upper",
     "upper_to_lower",
@@ -64,26 +66,33 @@ def entry_from_str(text: str) -> int:
         raise DomainError(f"entry must be like 3 or 3/2, got {text!r}") from None
 
 
-class _Seq(Frozen):
-    """An index sequence with doubled entries and its eps flags, checked
-    on construction.  Equality tells the notations apart."""
+def check_entries(ctx: Context, twice: tuple[int, ...], eps: tuple[int, ...]) -> None:
+    """Raise DomainError unless twice holds n doubled entries >= 0 and eps
+    n flags 0 or 1 that ctx admits: no half entry or Bockstein at p = 2.
+    The one statement of these checks, in either notation."""
+    if len(twice) != ctx.n:
+        raise DomainError(f"expected {ctx.n} entries, got {len(twice)}")
+    if len(eps) != ctx.n:
+        raise DomainError(f"expected {ctx.n} eps flags, got {len(eps)}")
+    if not _BITS.issuperset(eps):
+        raise DomainError(f"eps flags must be 0 or 1, got {eps}")
+    if min(twice) < 0:
+        raise DomainError(f"entries must be >= 0, got {_halves_str(twice)}")
+    if ctx.p == 2:
+        if 1 in eps:
+            raise DomainError("p = 2 sequences cannot carry Bocksteins")
+        if any(t % 2 for t in twice):
+            raise DomainError("p = 2 entries must be integers")
+
+
+class OpSeq(Frozen):
+    """Lower-notation index sequence with doubled entries and its eps
+    flags, checked on construction (check_entries)."""
 
     __slots__ = ("ctx", "twice", "eps")
 
     def __init__(self, ctx: Context, twice: tuple[int, ...], eps: tuple[int, ...]):
-        if len(twice) != ctx.n:
-            raise DomainError(f"expected {ctx.n} entries, got {len(twice)}")
-        if len(eps) != ctx.n:
-            raise DomainError(f"expected {ctx.n} eps flags, got {len(eps)}")
-        if not _BITS.issuperset(eps):
-            raise DomainError(f"eps flags must be 0 or 1, got {eps}")
-        if min(twice) < 0:
-            raise DomainError(f"entries must be >= 0, got {_halves_str(twice)}")
-        if ctx.p == 2:
-            if 1 in eps:
-                raise DomainError("p = 2 sequences cannot carry Bocksteins")
-            if any(t % 2 for t in twice):
-                raise DomainError("p = 2 entries must be integers")
+        check_entries(ctx, twice, eps)
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "twice", twice)
         object.__setattr__(self, "eps", eps)
@@ -114,27 +123,12 @@ class _Seq(Frozen):
         eps = (0,) * ctx.n if eps is None else tuple(int(e) for e in eps)
         return cls(ctx, twice, eps)
 
-
-class OpSeq(_Seq):
-    """Lower-notation index sequence with doubled entries."""
-
-    __slots__ = ()
-
     def key(self) -> tuple[int, ...]:
-        """Per-position tail excess vector (2 j_t - eps_t); see compare()."""
+        """Per-position tail excess vector (2 j_t - eps_t).  Sequences are
+        ordered by it lexicographically; this is a total preorder:
+        sequences differing only in how an excess value is split between
+        entry and Bockstein have equal keys."""
         return tuple(t - e for t, e in zip(self.twice, self.eps))
-
-
-class UpperSeq(_Seq):
-    """Upper-notation index sequence with doubled entries."""
-
-    __slots__ = ()
-
-
-def require_lower(x, what: str) -> None:
-    """Refuse an UpperSeq: read as lower notation it names another sequence."""
-    if not isinstance(x, OpSeq):
-        raise DomainError(f"{what} needs lower notation, got {type(x).__name__}")
 
 
 def degree_lower(s: OpSeq) -> int:
@@ -165,23 +159,8 @@ def is_admissible(s: OpSeq) -> bool:
 
 def term_order(twice, eps) -> tuple:
     """Sort key of the canonical order of a sum's terms: the tail-excess
-    vector (see compare), then the entries, then eps."""
+    vector (see OpSeq.key), then the entries, then eps."""
     return tuple(map(sub, twice, eps)), twice, eps
-
-
-def compare(a: OpSeq, b: OpSeq) -> int:
-    """Order sequences by their tail-excess vectors, lexicographically.
-
-    Returns -1, 0 or 1.  This is a total preorder: sequences differing
-    only in how an excess value is split between entry and Bockstein
-    compare equal.
-    """
-    ka, kb = a.key(), b.key()
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
 
 
 def _entry_degree(ctx: Context, twice: int, eps: int) -> int:
@@ -189,48 +168,47 @@ def _entry_degree(ctx: Context, twice: int, eps: int) -> int:
     return twice * ctx.weights[0] // 2 - eps
 
 
-def lower_to_upper(s: OpSeq) -> UpperSeq:
-    """Convert lower to upper notation: i_t = j_t + |suffix|/2.
+def lower_to_upper(ctx: Context, twice, eps) -> tuple[int, ...]:
+    """The doubled upper entries of the lower sequence (twice, eps):
+    i_t = j_t + |suffix|/2; the eps flags are the same in both notations.
 
     One pass from the right keeps the degree D of the standalone suffix
     after position t: D_t = deg(entry t+1) + p D_(t+1).  Raises
     DomainError, naming the leftmost position, if a negative upper entry
     would be produced.
     """
-    require_lower(s, "lower_to_upper")
-    p, twice, eps = s.ctx.p, s.twice, s.eps
-    scale = 2 if p == 2 else 1
+    scale = 2 if ctx.p == 2 else 1
     twice_up = list(twice)
     suffix = 0
     bad = None
-    for t in range(s.ctx.n - 2, -1, -1):
-        suffix = _entry_degree(s.ctx, twice[t + 1], eps[t + 1]) + p * suffix
+    for t in range(ctx.n - 2, -1, -1):
+        suffix = _entry_degree(ctx, twice[t + 1], eps[t + 1]) + ctx.p * suffix
         twice_up[t] += scale * suffix
         if twice_up[t] < 0:
             bad = t
     if bad is not None:
         raise DomainError(f"upper entry {bad + 1} is negative")
-    return UpperSeq(s.ctx, tuple(twice_up), eps)
+    return tuple(twice_up)
 
 
-def upper_to_lower(u: UpperSeq) -> OpSeq:
-    """Convert upper to lower notation (inverse of lower_to_upper).
+def upper_to_lower(ctx: Context, twice, eps) -> tuple[int, ...]:
+    """The doubled lower entries of the upper sequence (twice, eps), the
+    inverse of lower_to_upper.
 
     Peels from the right: once positions t+1..n are known in lower form,
     the degree D_t of that standalone suffix (as in lower_to_upper) is
     the shift at position t.  Raises DomainError if a negative lower
     entry would be produced.
     """
-    p, eps = u.ctx.p, u.eps
-    scale = 2 if p == 2 else 1
-    twice_low = list(u.twice)
+    scale = 2 if ctx.p == 2 else 1
+    twice_low = list(twice)
     suffix = 0
-    for t in range(u.ctx.n - 2, -1, -1):
-        suffix = _entry_degree(u.ctx, twice_low[t + 1], eps[t + 1]) + p * suffix
+    for t in range(ctx.n - 2, -1, -1):
+        suffix = _entry_degree(ctx, twice_low[t + 1], eps[t + 1]) + ctx.p * suffix
         twice_low[t] -= scale * suffix
         if twice_low[t] < 0:
             raise DomainError(f"lower entry {t + 1} is negative")
-    return OpSeq(u.ctx, tuple(twice_low), eps)
+    return tuple(twice_low)
 
 
 FAMILY_KINDS = ("I", "J", "K", "O", "J0", "K0")

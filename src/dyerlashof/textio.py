@@ -6,7 +6,7 @@ monomials `d1^3*d0` (indices 0..n-1).  Whitespace is insignificant;
 parse errors carry byte offsets.  Borel monomials `h1^3*h2` (indices
 1..n) are only rendered.
 
-Rendering is canonical: operation terms ascend under compare, monomials
+Rendering is canonical: operation terms ascend by OpSeq.key, monomials
 ascend in reverse-lex exponent order, coefficients sit in 1..p-1 and a
 zero element renders as `0`.
 """
@@ -19,7 +19,7 @@ from .arith import Context, DomainError
 from .correspondence import DualExpansion
 from .invariants import BPoly, DPoly
 from .opalgebra import OpPoly, TensorPoly
-from .sequences import OpSeq, UpperSeq, entry_from_str, entry_str, require_lower
+from .sequences import OpSeq, check_entries, entry_from_str, entry_str
 
 __all__ = [
     "ParseError",
@@ -33,6 +33,7 @@ __all__ = [
     "render_dickson_combo",
     "render_tensor",
     "seq_to_json",
+    "entries_to_json",
     "seq_from_json",
     "op_poly_to_json",
     "dual_to_json",
@@ -161,11 +162,17 @@ def parse_sequence(text: str, ctx: Context) -> OpSeq:
     return OpSeq(ctx, *_parse_seq_body(cur, ctx))
 
 
-def parse_any_sequence(text: str, ctx: Context) -> OpSeq | UpperSeq:
-    """Lower `e[...]`/`Q[...]` or upper `E[...]`/`Qu[...]`."""
+def parse_any_sequence(
+    text: str, ctx: Context
+) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
+    """Lower `e[...]`/`Q[...]` or upper `E[...]`/`Qu[...]`: the doubled
+    entries and eps flags as written, checked by check_entries, and True
+    for upper notation."""
     cur = _Cursor(text)
-    kind = UpperSeq if _parse_head(cur, lower_only=False) else OpSeq
-    return kind(ctx, *_parse_seq_body(cur, ctx))
+    upper = _parse_head(cur, lower_only=False)
+    twice, eps = _parse_seq_body(cur, ctx)
+    check_entries(ctx, twice, eps)
+    return twice, eps, upper
 
 
 def parse_dickson(text: str, ctx: Context) -> tuple[int, ...]:
@@ -213,8 +220,7 @@ def _render_entries(twice, eps) -> str:
 
 
 def render_seq(s: OpSeq) -> str:
-    """`Q[...]`, lower syntax; an UpperSeq raises DomainError."""
-    require_lower(s, "rendering a sequence")
+    """`Q[...]`, lower syntax."""
     return _render_entries(s.twice, s.eps)
 
 
@@ -290,12 +296,13 @@ def render_tensor(t: TensorPoly) -> str:
 # JSON forms (entries as decimal strings, halves as "3/2")
 
 
-def _seq_json(twice, eps) -> dict:
+def entries_to_json(twice, eps) -> dict:
+    """Doubled entries and eps flags, in either notation."""
     return {"seq": [entry_str(t) for t in twice], "eps": list(eps)}
 
 
 def seq_to_json(s: OpSeq) -> dict:
-    return _seq_json(s.twice, s.eps)
+    return entries_to_json(s.twice, s.eps)
 
 
 def seq_from_json(obj: dict, ctx: Context) -> OpSeq:
@@ -305,7 +312,7 @@ def seq_from_json(obj: dict, ctx: Context) -> OpSeq:
 
 
 def op_poly_to_json(x: OpPoly) -> list:
-    return [{"coeff": c, **_seq_json(*key)} for key, c in x.sorted_terms()]
+    return [{"coeff": c, **entries_to_json(*key)} for key, c in x.sorted_terms()]
 
 
 def dual_to_json(d: DualExpansion) -> list:
@@ -329,6 +336,6 @@ def dickson_combo_from_json(items: list) -> dict[tuple[int, ...], int]:
 
 def tensor_to_json(t: TensorPoly) -> list:
     return [
-        {"coeff": c, "legs": [_seq_json(*leg) for leg in legs]}
+        {"coeff": c, "legs": [entries_to_json(*leg) for leg in legs]}
         for legs, c in t.sorted_terms()
     ]

@@ -37,7 +37,7 @@ from .invariants import (
     realize_in_y,
 )
 from .opalgebra import OpPoly, adem_straighten_classical
-from .sequences import OpSeq, compare
+from .sequences import OpSeq
 from .textio import render_op_poly
 
 __all__ = ["SUITES", "run_suite"]
@@ -113,7 +113,7 @@ def suite_roundtrip(ctx: Context, max_sum: int = 6):
 
 
 def suite_triangularity(ctx: Context, max_sum: int = 6):
-    """Per-degree pairing matrices are unitriangular under compare."""
+    """Per-degree pairing matrices are unitriangular under OpSeq.key."""
     failures = []
     degrees = sorted(
         {dickson_monomial_degree(m, ctx) for m in _monomials_up_to(ctx, max_sum)}
@@ -128,7 +128,7 @@ def suite_triangularity(ctx: Context, max_sum: int = 6):
             if c[i] != 1:
                 failures.append(f"degree {D}: diagonal entry {c[i]} at {ks[i].twice}")
             for j in range(len(ks)):
-                if compare(ks[j], ks[i]) < 0 and c[j] != 0:
+                if ks[j].key() < ks[i].key() and c[j] != 0:
                     failures.append(
                         f"degree {D}: nonzero below diagonal at ({ks[i].twice},{ks[j].twice})"
                     )

@@ -299,6 +299,13 @@ FORMAT_CASES = [
         '"eps": [0]}, {"seq": ["1"], "eps": [1]}]}, {"coeff": 1, "legs": '
         '[{"seq": ["1"], "eps": [1]}, {"seq": ["0"], "eps": [0]}]}]}',
     ),
+    # zero: the lower form of an upper input has a negative entry
+    (
+        ["coprod", "--p", "3", "--n", "2", "Qu[1,4]"],
+        "0",
+        '{"p": 3, "n": 2, "command": "coprod", "input": {"seq": ["1", "4"], '
+        '"eps": [0, 0], "notation": "upper"}, "result": []}',
+    ),
     (
         ["coprod", "--p", "3", "--n", "1", "e[1]"],
         "Q[0] (x) Q[1] + Q[1] (x) Q[0]",
@@ -440,6 +447,25 @@ TEXT_CASES = [
     # excess quotient
     (["coprod", "--p", "2", "--n", "2", "E[0,5]"], "0\n"),
     (["coprod", "--p", "3", "--n", "2", "E[1,1;eps=01]"], "0\n"),
+    # an upper input is refused in this order: parse errors, the entry
+    # checks of every sequence, then non-integral upper entries; only after
+    # those does a negative lower entry give 0, as E[1/2,1]'s would at p = 3
+    (
+        ["coprod", "--p", "2", "--n", "2", "E[1/2,1"],
+        "error: expected ']', got '' (byte 7)\n",
+    ),
+    (
+        ["coprod", "--p", "2", "--n", "2", "E[1/2,1]"],
+        "error: p = 2 entries must be integers\n",
+    ),
+    (
+        ["coprod", "--p", "2", "--n", "2", "E[1,1;eps=01]"],
+        "error: p = 2 sequences cannot carry Bocksteins\n",
+    ),
+    (
+        ["coprod", "--p", "3", "--n", "2", "E[1/2,1]"],
+        "error: coproduct needs integral upper entries\n",
+    ),
     (
         ["coprod", "--p", "3", "--n", "2", "E[3,1;eps=11]"],
         "Q[0,0] (x) Q[3/2,1;eps=11] + 2*Q[1/2,1;eps=01] (x) Q[1,0;eps=10] + "

@@ -35,13 +35,9 @@ from dyerlashof.invariants import (
 from dyerlashof.opalgebra import OpPoly, adem_straighten_classical, coproduct
 from dyerlashof.sequences import (
     OpSeq,
-    UpperSeq,
-    compare,
     degree_lower,
     is_admissible,
-    lower_to_upper,
 )
-from dyerlashof.textio import parse_any_sequence
 
 P3N2 = Context(3, 2)
 P2N2 = Context(2, 2)
@@ -178,7 +174,7 @@ def test_enumerations_ascend_and_chi_min_maps_row_by_row():
             for D in range(3 * dickson_degree(0, ctx) + 1):
                 basis = admissible_basis(D, ctx)
                 monos = solve_degree_diophantine(D, ctx)
-                assert all(compare(a, b) < 0 for a, b in zip(basis, basis[1:])), D
+                assert all(a.key() < b.key() for a, b in zip(basis, basis[1:])), D
                 assert monos == sorted(set(monos)), (p, n, D)
                 assert [chi_min(m, ctx) for m in monos] == basis, (p, n, D)
 
@@ -340,22 +336,6 @@ def test_kronecker_refuses_a_foreign_sequence():
     assert kronecker_pair((0, 3), OpSeq(P2N2, (4, 4), (0, 0))) == 1
 
 
-def test_kronecker_refuses_upper_notation():
-    # before, E[2,4] at p = 3 was paired as if it were e[2,4] and gave 1
-    upper = UpperSeq(P3N2, (4, 8), (0, 0))
-    with pytest.raises(DomainError, match="lower notation, got UpperSeq"):
-        kronecker_pair((2, 2), upper)
-    assert kronecker_pair((2, 2), OpSeq(P3N2, (4, 8), (0, 0))) == 1
-
-
-def test_dickson_of_dual_refuses_upper_notation():
-    # before, E[2,4] at p = 3 gave {(2, 2): 1}, the answer for e[2,4]
-    upper = UpperSeq(P3N2, (4, 8), (0, 0))
-    with pytest.raises(DomainError, match="lower notation, got UpperSeq"):
-        dickson_of_dual(upper)
-    assert dickson_of_dual(OpSeq(P3N2, (4, 8), (0, 0))).terms == {(2, 2): 1}
-
-
 def test_kronecker_checks_the_exponents():
     # before, each of these paired to 0 instead of refusing m
     q3, q6 = OpSeq.from_values(P2N2, (0, 3)), OpSeq.from_values(P2N2, (0, 6))
@@ -375,6 +355,7 @@ def test_kronecker_checks_the_exponents():
 def test_kronecker_examples():
     assert kronecker_pair((0, 2), OpSeq(P3N2, (6, 2), (0, 0))) == 2
     assert kronecker_pair((0, 3), OpSeq(P2N2, (4, 4), (0, 0))) == 1
+    assert kronecker_pair((2, 2), OpSeq(P3N2, (4, 8), (0, 0))) == 1
     # degree mismatch pairs to zero
     assert kronecker_pair((0, 1), OpSeq(P3N2, (0, 4), (0, 0))) == 0
     # half-entry sequences pair to zero (no eps = 0 monomial matches)
@@ -418,12 +399,11 @@ def dual_by_pairing(m, ctx):
     lead = chi_min(m, ctx)
     for J in admissible_basis(D, ctx):
         c = kronecker_pair(m, J)
-        cmp = compare(J, lead)
-        if cmp < 0 and c:
+        if J.key() < lead.key() and c:
             raise InvariantError(
                 f"pairing <d^{m}, Q_{J.twice}> below chi_min is {c}, not 0"
             )
-        if cmp == 0 and J.twice == lead.twice and c != 1:
+        if J.key() == lead.key() and J.twice == lead.twice and c != 1:
             raise InvariantError(f"chi_min coefficient of d^{m} is {c}, not 1")
         if c:
             out.add_term(J, c)
@@ -548,6 +528,7 @@ def test_dual_rejects_bad_exponents():
 def test_dickson_of_dual_examples():
     assert dickson_of_dual(seq_of(P2N2, (4, 4))).terms == {(2, 0): 1}
     assert dickson_of_dual(seq_of(P2N2, (0, 6))).terms == {(0, 3): 1, (2, 0): 1}
+    assert dickson_of_dual(seq_of(P3N2, (4, 8))).terms == {(2, 2): 1}
     with pytest.raises(DomainError):
         dickson_of_dual(OpSeq(P2N2, (4, 2), (0, 0)))  # inadmissible
     with pytest.raises(DomainError):
@@ -591,24 +572,6 @@ def test_adem_via_invariants_guards():
         adem_via_invariants(OpSeq(P3N2, (6, 2), (1, 0)))
     with pytest.raises(DomainError):
         adem_via_invariants(OpSeq(P3N2, (5, 3), (0, 0)))
-
-
-def test_engines_refuse_upper_notation():
-    # E[4,2] is e[0,2] in upper notation; read as lower it straightened
-    # to 2*Q[1,3] in one engine and raised AttributeError in the other,
-    # OpPoly.from_seq kept it as Q[2,4] and lower_to_upper converted it
-    # a second time
-    up = parse_any_sequence("E[4,2]", P3N2)
-    assert isinstance(up, UpperSeq) and up.twice == (8, 4)
-    for reader in (
-        adem_via_invariants,
-        adem_straighten_classical,
-        OpPoly.from_seq,
-        lower_to_upper,
-        coproduct,
-    ):
-        with pytest.raises(DomainError, match="needs lower notation, got UpperSeq"):
-            reader(up)
 
 
 def test_invariant_engine_matches_classical():

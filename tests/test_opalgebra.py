@@ -22,7 +22,6 @@ from dyerlashof.opalgebra import (
 )
 from dyerlashof.sequences import (
     OpSeq,
-    UpperSeq,
     degree_lower,
     is_admissible,
     lower_to_upper,
@@ -536,8 +535,6 @@ def test_a_sequence_straightens_as_its_one_term():
     assert adem_straighten_classical(OpSeq(P3N2, (0, 2), (0, 0))).terms == {
         ((0, 2), (0, 0)): 1
     }
-    with pytest.raises(DomainError, match="needs lower notation, got UpperSeq"):
-        adem_straighten_classical(UpperSeq(P3N2, (4, 2), (0, 0)))
 
 
 def test_straightening_ignores_the_order_of_terms():
@@ -592,18 +589,19 @@ def test_domain_errors_replace_asserts():
 
 def upper(ctx, values, eps=None):
     """The lower form of the upper-notation sequence with these values."""
-    return upper_to_lower(UpperSeq.from_values(ctx, values, eps))
+    eps = (0,) * ctx.n if eps is None else eps
+    return OpSeq(ctx, upper_to_lower(ctx, tuple(2 * v for v in values), eps), eps)
 
 
-def coproduct_by_upper_cartan(u, folds=2):
-    """The Cartan formula read in upper notation, a second route to
-    coproduct: each upper factor f^i splits over all ways to share i
-    among the legs, a Bockstein lands on one leg (and beta f^0 = 0), and
-    a Koszul sign arises when it passes odd pieces on legs right of it.
-    Each leg is converted to lower notation, and a term is dropped when a
+def coproduct_by_upper_cartan(ctx, twice, eps, folds=2):
+    """The Cartan formula on the doubled upper entries twice, a second
+    route to coproduct: each upper factor f^i splits over all ways to
+    share i among the legs, a Bockstein lands on one leg (and beta f^0 =
+    0), and a Koszul sign arises when it passes odd pieces on legs right
+    of it.  Each leg is converted to lower notation, and a term is dropped when a
     leg has a negative lower entry or a factor with 2 j_t - eps_t < 0."""
     acc = {(((), ()),) * folds: 1}
-    for total, e in zip(u.twice, u.eps):
+    for total, e in zip(twice, eps):
         nxt = {}
         for legs, c in acc.items():
             for split in itertools.product(range(total // 2 + 1), repeat=folds):
@@ -619,10 +617,10 @@ def coproduct_by_upper_cartan(u, folds=2):
                     sign = b is not None and sum(sum(ep) for _, ep in legs[b + 1 :]) % 2
                     nxt[new_legs] = -c if sign else c
         acc = nxt
-    out = TensorPoly(u.ctx, folds)
+    out = TensorPoly(ctx, folds)
     for legs, c in acc.items():
         try:
-            low = [upper_to_lower(UpperSeq(u.ctx, *leg)) for leg in legs]
+            low = [OpSeq(ctx, upper_to_lower(ctx, *leg), leg[1]) for leg in legs]
         except DomainError:
             continue  # a leg with a negative lower entry is zero
         if any(min(map(operator.sub, leg.twice, leg.eps)) < 0 for leg in low):
@@ -670,7 +668,8 @@ def test_coproduct_matches_upper_cartan():
                         coproduct(s, folds)
                     continue
                 try:
-                    want = coproduct_by_upper_cartan(lower_to_upper(s), folds)
+                    up = lower_to_upper(ctx, twice, eps)
+                    want = coproduct_by_upper_cartan(ctx, up, eps, folds)
                 except DomainError as exc:
                     assert re.fullmatch(r"upper entry \d+ is negative", str(exc))
                     want = TensorPoly(ctx, folds)
@@ -690,7 +689,7 @@ def test_coproduct_examples():
     t0 = coproduct(upper(c31, (0,)))
     assert t0.terms == {(((0,), (0,)), ((0,), (0,))): 1}
     # psi(beta f^1) = beta f^1 (x) f^0 + f^0 (x) beta f^1 (beta f^0 = 0)
-    tb = coproduct(upper_to_lower(UpperSeq(c31, (2,), (1,))))
+    tb = coproduct(upper(c31, (1,), (1,)))
     assert tb.terms == {
         (((2,), (1,)), ((0,), (0,))): 1,
         (((0,), (0,)), ((2,), (1,))): 1,
@@ -704,7 +703,7 @@ def test_coproduct_counts():
         t = coproduct(upper(c51, (i,)))
         assert len(t.terms) == i + 1
         # with a Bockstein: one beta per split, except on f^0 legs
-        tb = coproduct(upper_to_lower(UpperSeq(c51, (2 * i,), (1,))))
+        tb = coproduct(upper(c51, (i,), (1,)))
         expected = 2 * (i + 1) - 2 if i else 0
         assert len(tb.terms) == expected
 
@@ -743,7 +742,7 @@ def test_coassociativity():
         for twice in itertools.product(range(0, 2 * top + 1, 2), repeat=n):
             for eps in eps_opts:
                 try:
-                    s = upper_to_lower(UpperSeq(ctx, twice, eps))
+                    s = OpSeq(ctx, upper_to_lower(ctx, twice, eps), eps)
                 except DomainError:
                     continue
                 t = coproduct(s)

@@ -10,8 +10,6 @@ import pytest
 from dyerlashof.arith import Context, DomainError
 from dyerlashof.sequences import (
     OpSeq,
-    UpperSeq,
-    compare,
     degree_lower,
     entry_from_str,
     entry_str,
@@ -30,13 +28,13 @@ def seq(ctx, values, eps=None):
     return OpSeq.from_values(ctx, values, eps)
 
 
-def upper_degree(u):
+def upper_degree(ctx, twice, eps):
     """Topological degree of f^{I,eps}: each factor f^i contributes
     2 i (p-1) (just i for p = 2), a Bockstein subtracts 1."""
-    p = u.ctx.p
+    p = ctx.p
     if p == 2:
-        return sum(t // 2 for t in u.twice)
-    return (p - 1) * sum(u.twice) - sum(u.eps)
+        return sum(t // 2 for t in twice)
+    return (p - 1) * sum(twice) - sum(eps)
 
 
 def excess(s):
@@ -68,24 +66,19 @@ def test_validation():
 
 def test_sequences_are_immutable_values():
     s = OpSeq(P3N2, (2, 4), (0, 0))
-    u = UpperSeq(P3N2, (2, 4), (0, 0))
     assert repr(s) == "OpSeq(ctx=Context(p=3, n=2), twice=(2, 4), eps=(0, 0))"
-    assert repr(u) == "UpperSeq(ctx=Context(p=3, n=2), twice=(2, 4), eps=(0, 0))"
-    # the notations never compare equal, so a set keeps both
-    assert s != u and u != s and len({s, u}) == 2
     twin = OpSeq(Context(3, 2), (2, 4), (0, 0))
     assert s == twin and hash(s) == hash(twin)
     assert s != OpSeq(P3N2, (2, 4), (1, 0))
-    for x in (s, u):
-        for name in ("ctx", "twice", "eps", "other"):
-            with pytest.raises(AttributeError):
-                setattr(x, name, (0, 0))
-            with pytest.raises(AttributeError):
-                delattr(x, name)
-        assert (x.twice, x.eps) == ((2, 4), (0, 0))
-        for copied in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
-            assert type(copied) is type(x)
-            assert copied == x and hash(copied) == hash(x)
+    for name in ("ctx", "twice", "eps", "other"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, (0, 0))
+        with pytest.raises(AttributeError):
+            delattr(s, name)
+    assert (s.twice, s.eps) == ((2, 4), (0, 0))
+    for copied in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+        assert type(copied) is OpSeq
+        assert copied == s and hash(copied) == hash(s)
 
 
 def test_entry_strings():
@@ -125,18 +118,15 @@ def test_degree_lower_with_bocksteins_and_halves_at_n6():
 
 
 def test_conversion_examples():
-    up = lower_to_upper(seq(P3N2, (0, 2)))
-    assert (up.twice, up.eps) == ((8, 4), (0, 0))
-    zero = lower_to_upper(seq(Context(5, 3), (0, 0, 0)))
-    assert zero.twice == (0, 0, 0)
-    low = upper_to_lower(UpperSeq.from_values(P2N2, (4, 1)))
-    assert (low.twice, low.eps) == ((6, 2), (0, 0))
+    assert lower_to_upper(P3N2, (0, 4), (0, 0)) == (8, 4)
+    assert lower_to_upper(Context(5, 3), (0, 0, 0), (0, 0, 0)) == (0, 0, 0)
+    assert upper_to_lower(P2N2, (8, 2), (0, 0)) == (6, 2)
 
 
 def test_conversion_out_of_range():
     # upper (0, 1) at p=2 would need lower entry -1
     with pytest.raises(DomainError):
-        upper_to_lower(UpperSeq.from_values(P2N2, (0, 1)))
+        upper_to_lower(P2N2, (0, 2), (0, 0))
 
 
 def all_lower(ctx, max_twice):
@@ -167,12 +157,12 @@ def test_roundtrip_exhaustive():
             bound = 20 if n <= 2 else 8
             for s in all_lower(ctx, bound):
                 try:
-                    u = lower_to_upper(s)
+                    up = lower_to_upper(ctx, s.twice, s.eps)
                 except DomainError:
                     assert min(suffix_degrees(s)) < 0
                     continue
-                assert upper_to_lower(u) == s
-                assert upper_degree(u) == degree_lower(s)
+                assert upper_to_lower(ctx, up, s.eps) == s.twice
+                assert upper_degree(ctx, up, s.eps) == degree_lower(s)
 
 
 def test_admissible_examples():
@@ -214,23 +204,22 @@ def test_admissible_is_monotone_for_eps_zero():
 
 
 def test_compare_examples():
-    assert compare(seq(P3N2, (0, 3)), seq(P3N2, (2, 2))) == -1
-    assert compare(seq(P3N2, (2, 2)), seq(P3N2, (0, 3))) == 1
-    s = seq(P3N2, (1, 2))
-    assert compare(s, s) == 0
-    assert compare(seq(P3N2, (1, 2)), seq(P3N2, (0, 3))) == 1
+    # sequences compare by their keys, the tail-excess vectors
+    assert seq(P3N2, (1, 2)).key() == (2, 4)
+    assert seq(P3N2, (0, 3)).key() < seq(P3N2, (2, 2)).key()
+    assert seq(P3N2, (1, 2)).key() > seq(P3N2, (0, 3)).key()
+    # an excess split differently between entry and Bockstein: equal keys
+    assert OpSeq(P3N2, (2, 2), (1, 0)).key() == OpSeq(P3N2, (1, 2), (0, 0)).key()
 
 
 def test_compare_total_preorder():
+    # keys order sequences by a total preorder, antisymmetric on the
+    # admissibles of one fixed degree and length
     pool = list(all_lower(Context(3, 2), 5))
-    for a in pool[:40]:
-        for b in pool[:40]:
-            assert compare(a, b) == -compare(b, a)
-    # antisymmetry on admissibles of one fixed degree and length
     fixed = [s for s in pool if is_admissible(s) and degree_lower(s) == 24]
     for a in fixed:
         for b in fixed:
-            if compare(a, b) == 0 and compare(b, a) == 0:
+            if a.key() == b.key():
                 assert a == b
 
 

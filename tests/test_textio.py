@@ -8,7 +8,7 @@ from dyerlashof.arith import Context, DomainError
 from dyerlashof.correspondence import DualExpansion, dual_of_dickson
 from dyerlashof.invariants import BPoly, DPoly, expand_dickson_monomial
 from dyerlashof.opalgebra import OpPoly, TensorPoly, adem_straighten_classical, coproduct
-from dyerlashof.sequences import OpSeq, UpperSeq, upper_to_lower
+from dyerlashof.sequences import OpSeq
 from dyerlashof.textio import (
     ParseError,
     bpoly_to_json,
@@ -47,12 +47,15 @@ def test_parse_sequence():
 
 
 def test_parse_upper():
-    u = parse_any_sequence("E[4,2]", P3N2)
-    assert isinstance(u, UpperSeq) and u.twice == (8, 4)
-    u = parse_any_sequence("Qu[1;eps=1]", Context(3, 1))
-    assert isinstance(u, UpperSeq) and (u.twice, u.eps) == ((2,), (1,))
-    s = parse_any_sequence("Q[0,2]", P3N2)
-    assert isinstance(s, OpSeq)
+    # the entries as written, and whether the notation is upper
+    assert parse_any_sequence("E[4,2]", P3N2) == ((8, 4), (0, 0), True)
+    assert parse_any_sequence("Qu[1;eps=1]", Context(3, 1)) == ((2,), (1,), True)
+    assert parse_any_sequence("Q[0,2]", P3N2) == ((0, 4), (0, 0), False)
+    # the entry checks of a sequence hold in either notation
+    with pytest.raises(DomainError, match="p = 2 entries must be integers"):
+        parse_any_sequence("E[1/2,1]", P2N2)
+    with pytest.raises(DomainError, match="cannot carry Bocksteins"):
+        parse_any_sequence("Qu[1,1;eps=01]", P2N2)
     with pytest.raises(ParseError):
         parse_sequence("E[4,2]", P3N2)  # lower-only entry point
 
@@ -87,12 +90,6 @@ def test_render_seq():
     # parse of a render is the identity
     for s in (OpSeq(P3N2, (1, 2), (1, 0)), OpSeq(P2N2, (4, 6), (0, 0))):
         assert parse_sequence(render_seq(s), s.ctx) == s
-
-
-def test_render_seq_refuses_upper_notation():
-    # E[2,4] in lower syntax would read back as e[2,4], another sequence
-    with pytest.raises(DomainError):
-        render_seq(UpperSeq(P3N2, (4, 8), (0, 0)))
 
 
 def test_render_op_poly():
@@ -177,9 +174,10 @@ def test_expansions_render_in_their_own_order(p):
 
 
 def test_render_tensor():
-    t = coproduct(upper_to_lower(UpperSeq(Context(3, 1), (2,), (0,))))
+    # at n = 1 upper and lower notation agree: these are Q^1 and beta Q^1
+    t = coproduct(OpSeq(Context(3, 1), (2,), (0,)))
     assert render_tensor(t) == "Q[0] (x) Q[1] + Q[1] (x) Q[0]"
-    tb = coproduct(upper_to_lower(UpperSeq(Context(3, 1), (2,), (1,))))
+    tb = coproduct(OpSeq(Context(3, 1), (2,), (1,)))
     assert render_tensor(tb) == "Q[0] (x) Q[1;eps=1] + Q[1;eps=1] (x) Q[0]"
 
 
@@ -224,7 +222,7 @@ def test_dickson_combo_json_roundtrip():
 
 def test_tensor_json_roundtrip():
     ctx = Context(3, 1)
-    t = coproduct(upper_to_lower(UpperSeq(ctx, (2,), (1,))))
+    t = coproduct(OpSeq(ctx, (2,), (1,)))
     items = tensor_to_json(t)
     back = TensorPoly(ctx, 2)
     for obj in items:
