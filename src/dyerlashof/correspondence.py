@@ -7,11 +7,8 @@ matrix is unitriangular for the excess-lex order with chi_min on the
 diagonal.  That gives the dual-basis algorithm, its inversion by forward
 substitution, and the straightening map rho(e_I) by back-substitution
 over the K <= I.  Both substitutions read only the entries they need;
-no matrix is built.  The diagonal is checked once per degree by
-``invariants._chi_min_coeffs``, which follows the chain
-chi_min(p m' + r) = p chi_min(m') + chi_min(r) (chi_min is partial
-sums) down m's base-p digits instead of reading each entry <d^m, Q_K>
-as a pair.
+no matrix is built.  The unit diagonal is checked once per degree,
+along the chain of ``invariants._chi_min_coeffs``.
 
 A degree's record is two tuples of exponent rows, the Dickson monomials
 and the halved admissible basis, from one cached bounded search that
@@ -29,7 +26,6 @@ from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd
-from operator import sub
 
 from .arith import Combination, Context, DomainError, InvariantError
 from .invariants import (
@@ -174,13 +170,8 @@ def _degree_data(D: int, ctx: Context):
     Checks once per degree that chi_min maps the monomials onto the
     basis row by row, that the columns strictly ascend (the solves
     bisect them, and the monomials with them) and that every diagonal
-    entry <d^m(K), Q_K> is 1; the solves then read the pairing memo
-    directly.  Each diagonal entry is computed exactly by _chi_min_coeffs
-    along chi_min(p m' + r) = p chi_min(m') + chi_min(r): the entry of m
-    is the next link, the entry of m' = m // p, times the coefficient of
-    h^chi_min(r) in d^(m % p), plus any other term of that residue class
-    mod p read through the reader.  The chain is memoised on m' alone,
-    so rows sharing a digit prefix share their links.
+    entry <d^m(K), Q_K>, computed exactly by _chi_min_coeffs, is 1; the
+    solves then rely on it without reading it again.
     """
     ms = _degree_monomials(D, ctx)
     cols = _degree_basis(D, ctx)
@@ -270,14 +261,12 @@ def adem_via_invariants(x: OpSeq) -> OpPoly:
     so a_i = 0 there too.  Back-substitution runs over the K_i <= I only
     and reads c_ij only for the j with a_j != 0.
 
-    The c_ij recur across straightenings of a degree and are read from
-    the context's memo.  Unless I is admissible, and so a column of the
-    matrix, each b_i is read once and not stored: the top digit level of
-    the reader's recursion runs here, over the terms of d^(m % p) in the
-    class of I mod p (taken once per straightening) from the reader's
-    cached ``split``, and only the reads below it go through the memo.
-    An admissible I = K_top has b_top = c_top,top, the diagonal entry
-    the record checked, read from the reader's chain (``diagonal``).
+    An admissible I = K_top is its own answer once the degree's record
+    is checked: b_top = c_top,top = 1, and every later b_i = c_i,top
+    cancels.  Otherwise the c_ij, which recur across straightenings of a
+    degree, are read from the context's memo, and each b_i is read once
+    through the reader's own unmemoised call, so only its reads at the
+    lower digits are stored.
     """
     ctx = x.ctx
     if any(x.eps):
@@ -285,30 +274,16 @@ def adem_via_invariants(x: OpSeq) -> OpPoly:
     if any(t % 2 for t in x.twice):
         raise DomainError("invariant-theoretic straightening needs integral entries")
     ms, cols = _degree_data(degree_lower(x), ctx)
+    exps = _exps(x)
+    top = bisect_right(cols, exps) - 1
+    if top >= 0 and cols[top] == exps:
+        return OpPoly.from_seq(x)
     coeff = coeff_memo(ctx)
     p = ctx.p
-    exps = _exps(x)
     a: dict[int, int] = {}
-    top = bisect_right(cols, exps) - 1
-    # an admissible I is the column cols[top], which the matrix reads again
-    admissible = top >= 0 and cols[top] == exps
-    split = coeff.split
-    residue = tuple([e % p for e in exps])
     for i in range(top, -1, -1):
         m = ms[i]
-        if not admissible:
-            # the top digit level of the reader's recursion, unstored
-            high, (grouped, _, _) = split(m)
-            acc = 0
-            for s, c in grouped.get(residue, ()):
-                rest = tuple(map(sub, exps, s))
-                if min(rest) >= 0:
-                    acc += c * coeff(high, tuple([r // p for r in rest]))
-        elif i == top:
-            # b_top is the diagonal entry the record checked, on the chain
-            acc = coeff.diagonal(m)
-        else:
-            acc = coeff(m, exps)
+        acc = coeff.__wrapped__(m, exps)
         for j, aj in a.items():
             acc -= aj * coeff(m, cols[j])
         acc %= p

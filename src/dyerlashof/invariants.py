@@ -7,9 +7,8 @@ extraction used by the duality algorithms (a base-p digit recursion
 that never expands a whole Dickson monomial; it and the full expansion
 of d^m read the same bounded cache of digit products d^r, r_i < p, all
 multiplied through ``kernels.poly_mul``), the diagonal pairing
-<d^m, Q_chi_min(m)> that ``_chi_min_coeffs`` computes along the chain
-chi_min(p m' + r) = p chi_min(m') + chi_min(r) of m's base-p digits,
-the chi_min / chi_max extremal-monomial maps, the
+<d^m, Q_chi_min(m)> that ``_chi_min_coeffs`` computes along m's base-p
+digits, the chi_min / chi_max extremal-monomial maps, the
 decomposition/inclusion identities, and a
 concrete realization inside F_p[y_1..y_n] for checking Borel/GL
 invariance by brute substitution.
@@ -315,13 +314,13 @@ def coeff_memo(ctx: Context):
     """The reader of ctx: ``coeff_memo(ctx)(m, J)`` is [h^J] d^m by the
     digit recursion of coeff_in_expansion, which checks m and J first.
     The reader, its ``split`` (m // p with the grouped terms of
-    d^(m % p), which a straightening reads to run one top level
-    unstored) and its ``diagonal`` (the chain of _chi_min_coeffs, keyed on
-    m alone) are ``lru_cache`` functions of COEFF_MEMO_SIZE entries
-    each, so its ``cache_info`` counts the memoised reads
-    (``cache_clear`` here drops every reader, with its split and chain).
-    The digit products they read come from the bounded
-    ``_digit_product`` cache that the expansion shares."""
+    d^(m % p)) and its ``diagonal`` (the chain of _chi_min_coeffs, keyed
+    on m alone) are ``lru_cache`` functions of COEFF_MEMO_SIZE entries
+    each, so its ``cache_info`` counts the memoised reads, and its
+    ``__wrapped__`` reads one (m, J) unstored, memoising only the reads
+    below the top digit level (``cache_clear`` here drops every reader,
+    with its split and chain).  The digit products they read come from
+    the bounded ``_digit_product`` cache that the expansion shares."""
     p = ctx.p
 
     @lru_cache(maxsize=DIGIT_CACHE_SIZE)

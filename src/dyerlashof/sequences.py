@@ -58,11 +58,17 @@ def entry_str(twice_value: int) -> str:
 
 
 def entry_from_str(text: str) -> int:
-    """Parse '3' or '3/2' into a doubled entry."""
+    """Parse '3' or '3/2' into a doubled entry.  Only ASCII digits are
+    read, as in the text parser: int() would also take '1_0', '+3' and
+    other scripts' digits."""
     body = text.strip()
+    half = body.endswith("/2")
+    digits = body[:-2] if half else body
     try:
-        return int(body[:-2]) if body.endswith("/2") else 2 * int(body)
-    except ValueError:
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError
+        return int(digits) if half else 2 * int(digits)
+    except ValueError:  # not digits, or longer than int()'s digit limit
         raise DomainError(f"entry must be like 3 or 3/2, got {text!r}") from None
 
 

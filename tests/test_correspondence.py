@@ -567,6 +567,21 @@ def test_adem_via_invariants_examples():
     assert adem_via_invariants(fixed) == OpPoly.from_seq(fixed)
 
 
+def test_admissible_input_is_its_own_answer_without_reads():
+    # once its degree's record is cached, an admissible input is returned
+    # as it is: neither the reader nor its chain is read
+    for p, n, top in ((2, 2, 12), (2, 3, 6), (3, 2, 8), (3, 3, 4), (5, 2, 6)):
+        ctx = Context(p, n)
+        reader = coeff_memo(ctx)
+        for values in itertools.combinations_with_replacement(range(top + 1), n):
+            s = OpSeq.from_values(ctx, values)
+            assert is_admissible(s), values
+            adem_via_invariants(s)
+            before = reader.cache_info(), reader.diagonal.cache_info()
+            assert adem_via_invariants(s) == OpPoly.from_seq(s), (p, n, values)
+            assert (reader.cache_info(), reader.diagonal.cache_info()) == before
+
+
 def test_adem_via_invariants_guards():
     with pytest.raises(DomainError):
         adem_via_invariants(OpSeq(P3N2, (6, 2), (1, 0)))
@@ -602,6 +617,9 @@ def test_broken_diagonal_raises(monkeypatch):
     # (1, 2) = chi_min(d^(1,1)) lies below (4, 1) in the same degree
     with pytest.raises(InvariantError):
         adem_via_invariants(OpSeq.from_values(ctx, (4, 1)))
+    # an admissible input, its own answer, still has its record checked
+    with pytest.raises(InvariantError):
+        adem_via_invariants(OpSeq.from_values(ctx, (1, 2)))
     with pytest.raises(InvariantError):
         dickson_of_dual(OpSeq.from_values(ctx, (1, 2)))
     with pytest.raises(InvariantError):

@@ -3,6 +3,7 @@
 import copy
 import itertools
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -92,11 +93,14 @@ def test_entry_strings():
 
 
 def test_bad_entry_string_is_named():
-    # a malformed entry raises DomainError naming it, not int()'s ValueError
-    for bad in ("3/4", "5/2/2", "x", "", "/2"):
-        with pytest.raises(DomainError, match=f"got {bad!r}"):
+    # a malformed entry raises DomainError naming it, not int()'s ValueError;
+    # from "1_0" on, int() would read 10, 11/2, 3, 3 (Arabic-Indic), -1, 3/2
+    for bad in ("3/4", "5/2/2", "x", "", "/2", "1_0", "1_1/2", "+3", "\u0663",
+                "-1", "3 /2"):
+        named = re.escape(f"got {bad!r}")
+        with pytest.raises(DomainError, match=named):
             entry_from_str(bad)
-        with pytest.raises(DomainError, match=f"got {bad!r}"):
+        with pytest.raises(DomainError, match=named):
             OpSeq.from_values(P3N2, (bad, "1"))
 
 
