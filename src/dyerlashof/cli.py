@@ -2,12 +2,19 @@
 
 Examples:
     dyerlashof adem --p 3 --n 2 "e[3,1]"
+    dyerlashof adem --p 2 --n 3 "e[400,200,10]" --check
     dyerlashof dual --p 2 --n 2 "d1^3"
     dyerlashof expand --p 3 --n 2 "d1" --format json
     dyerlashof verify oracle-equivalence --p 2 --n 2 --max-entry 12
 
+`adem` answers integral eps = 0 input through Adem-relation rewriting,
+the faster engine, and refuses other input as the paper's engine does;
+`adem --check` also runs the paper's invariant-theoretic engine on the
+input and fails unless the two answers agree.  `adem-classical` always
+rewrites.
+
 Exit codes: 0 success, 1 domain error (bad input values, failed
-verification), 2 usage error.
+verification, engines that disagree under --check), 2 usage error.
 
 A call imports ``json`` only with ``--format json``.
 """
@@ -30,7 +37,7 @@ from .correspondence import (
 )
 from .invariants import expand_dickson_monomial
 from .opalgebra import OpPoly, adem_straighten_classical, coproduct
-from .sequences import OpSeq, upper_to_lower
+from .sequences import OpSeq, is_integral_lower, upper_to_lower
 
 __all__ = ["main", "build_parser"]
 
@@ -48,6 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
+    common.set_defaults(check=False)  # only adem takes --check
 
     def command(name, handler, doc):
         q = sub.add_parser(name, parents=[common], help=doc)
@@ -55,11 +63,18 @@ def build_parser() -> argparse.ArgumentParser:
         return q
 
     for name, doc in (
-        ("adem", "straighten e[...] via the invariant-theoretic algorithm"),
+        ("adem", "straighten e[...] (integral, eps = 0) via Adem-relation rewriting"),
         ("adem-classical", "straighten e[...] via Adem-relation rewriting"),
     ):
         q = command(name, _adem, doc)
         q.add_argument("expr", help="sequence, e.g. e[3,1] or e[3/2,1;eps=01]")
+        if name == "adem":
+            q.add_argument(
+                "--check",
+                action="store_true",
+                help="also straighten via the invariant-theoretic algorithm; "
+                "exit 1 if the answers differ",
+            )
 
     q = command("dual", _dual, "dual basis expansion of d^m")
     q.add_argument("expr", help="Dickson monomial, e.g. d1^3*d0")
@@ -112,6 +127,8 @@ def _emit(args, result, to_json, to_text, input_json) -> None:
             "input": input_json(),
             "result": to_json(result),
         }
+        if args.check:  # a failed check raised before this
+            doc["checked"] = True
         # doc is a fresh tree built above and by textio: it holds no cycle
         print(json.dumps(doc, check_circular=False))
     else:
@@ -151,11 +168,19 @@ def _suite_text(suite: str, res) -> str:
 
 
 def _adem(args, ctx):
+    """`adem-classical`, and `adem` on its domain, rewrite; `adem` leaves
+    other input to the paper's engine, whose DomainError refuses it (the
+    rewriting's Bockstein answers are not yet trusted)."""
     s = textio.parse_sequence(args.expr, ctx)
-    if args.command == "adem":
-        res = adem_via_invariants(s)
-    else:
+    if args.command == "adem-classical" or is_integral_lower(s):
         res = adem_straighten_classical(s)
+    else:
+        res = adem_via_invariants(s)
+    if args.check and adem_via_invariants(s) != res:
+        raise DomainError(
+            "--check: Adem-relation rewriting and the invariant-theoretic "
+            "algorithm disagree"
+        )
     return res, textio.op_poly_to_json, textio.render_op_poly, _seq_input(s)
 
 

@@ -39,7 +39,13 @@ from .invariants import (
     psi_T,
 )
 from .opalgebra import OpPoly
-from .sequences import OpSeq, degree_lower, is_admissible, term_order
+from .sequences import (
+    OpSeq,
+    degree_lower,
+    is_admissible,
+    is_integral_lower,
+    term_order,
+)
 
 __all__ = [
     "DualExpansion",
@@ -146,10 +152,10 @@ def kronecker_pair(m, J: OpSeq) -> int:
     """<d^m, Q_J>, in J's context: the coefficient of h^J in d^m."""
     ctx = J.ctx
     _check_dickson_exponents(m, ctx)
-    if any(J.eps):
-        raise DomainError("the pairing is implemented for eps = 0 only")
-    if any(t % 2 for t in J.twice):
-        return 0
+    if not is_integral_lower(J):
+        if any(J.eps):
+            raise DomainError("the pairing is implemented for eps = 0 only")
+        return 0  # a half entry: no Dickson monomial has h^J
     if dickson_monomial_degree(m, ctx) != degree_lower(J):
         return 0
     return coeff_in_expansion(m, _exps(J), ctx)
@@ -227,7 +233,7 @@ def dickson_of_dual(J: OpSeq) -> DPoly:
     upwards each c_ij is read only for the i with x_i != 0.
     """
     ctx = J.ctx
-    if any(J.eps) or any(t % 2 for t in J.twice):
+    if not is_integral_lower(J):
         raise DomainError("dickson_of_dual needs an integral eps = 0 sequence")
     if not is_admissible(J):
         raise DomainError("dickson_of_dual needs an admissible sequence")
@@ -269,9 +275,9 @@ def adem_via_invariants(x: OpSeq) -> OpPoly:
     lower digits are stored.
     """
     ctx = x.ctx
-    if any(x.eps):
-        raise DomainError("invariant-theoretic straightening needs eps = 0")
-    if any(t % 2 for t in x.twice):
+    if not is_integral_lower(x):
+        if any(x.eps):
+            raise DomainError("invariant-theoretic straightening needs eps = 0")
         raise DomainError("invariant-theoretic straightening needs integral entries")
     ms, cols = _degree_data(degree_lower(x), ctx)
     exps = _exps(x)

@@ -31,10 +31,12 @@ from .arith import Context, DomainError, Frozen
 
 __all__ = [
     "OpSeq",
+    "ParseError",
     "check_entries",
     "degree_lower",
     "first_defect",
     "is_admissible",
+    "is_integral_lower",
     "term_order",
     "lower_to_upper",
     "upper_to_lower",
@@ -57,19 +59,57 @@ def entry_str(twice_value: int) -> str:
     return f"{twice_value}/2"
 
 
-def entry_from_str(text: str) -> int:
-    """Parse '3' or '3/2' into a doubled entry.  Only ASCII digits are
-    read, as in the text parser: int() would also take '1_0', '+3' and
-    other scripts' digits."""
-    body = text.strip()
-    half = body.endswith("/2")
-    digits = body[:-2] if half else body
+class ParseError(DomainError):
+    """Syntax or range error in an element expression, at a byte offset."""
+
+    def __init__(self, msg: str, offset: int):
+        super().__init__(f"{msg} (byte {offset})")
+        self.offset = offset
+
+
+_DIGITS = frozenset("0123456789")
+
+
+def scan_natural(text: str, i: int) -> tuple[int, int]:
+    """Read the ASCII digits at text[i:]: (value, offset past them).
+    str.isdigit would also accept superscripts and other scripts'
+    digits, which int() refuses or reads silently."""
+    end = i
+    while end < len(text) and text[end] in _DIGITS:
+        end += 1
+    if end == i:
+        raise ParseError("expected a number", i)
     try:
-        if not (digits.isascii() and digits.isdigit()):
-            raise ValueError
-        return int(digits) if half else 2 * int(digits)
-    except ValueError:  # not digits, or longer than int()'s digit limit
-        raise DomainError(f"entry must be like 3 or 3/2, got {text!r}") from None
+        return int(text[i:end]), end
+    except ValueError:  # longer than int()'s digit limit
+        raise ParseError("number too long", i) from None
+
+
+def scan_entry(text: str, i: int) -> tuple[int, int]:
+    """Read one entry at text[i:], the package's one entry grammar: ASCII
+    digits, optionally followed by '/2', with no blank inside.  Returns
+    the doubled entry and the offset past it: '3' -> 6, '3/2' -> 3."""
+    value, end = scan_natural(text, i)
+    if not text.startswith("/", end):
+        return 2 * value, end
+    den = end + 1
+    _, end = scan_natural(text, den)
+    if text[den:end] != "2":
+        raise ParseError("only halves are allowed", den)
+    return value, end
+
+
+def entry_from_str(text: str) -> int:
+    """Parse '3' or '3/2' into a doubled entry, by scan_entry's grammar;
+    blanks may stand around the entry."""
+    body = text.strip()
+    try:
+        twice, end = scan_entry(body, 0)
+        if end == len(body):
+            return twice
+    except ParseError:
+        pass
+    raise DomainError(f"entry must be like 3 or 3/2, got {text!r}")
 
 
 def check_entries(ctx: Context, twice: tuple[int, ...], eps: tuple[int, ...]) -> None:
@@ -152,6 +192,13 @@ def first_defect(twice, eps, start: int = 0) -> int | None:
         if twice[t + 1] - twice[t] + eps[t] < 0:
             return t
     return None
+
+
+def is_integral_lower(s: OpSeq) -> bool:
+    """True when s has no Bockstein and only integral entries: the domain
+    of the invariant side (the pairing, its dual basis and the paper's
+    straightening).  The package's one statement of that domain."""
+    return not any(s.eps) and not any(t % 2 for t in s.twice)
 
 
 def is_admissible(s: OpSeq) -> bool:

@@ -1,8 +1,9 @@
 """Parsing and rendering of element expressions.
 
 Grammar: sequences `e[3,1]`, `Q[3/2,1;eps=01]` (entries are integers or
-halves `k/2`, the eps block is n concatenated bits) and Dickson
-monomials `d1^3*d0` (indices 0..n-1).  Whitespace is insignificant;
+halves `k/2`, read by sequences.scan_entry; the eps block is n
+concatenated bits) and Dickson monomials `d1^3*d0` (indices 0..n-1).
+Whitespace between tokens is insignificant, but an entry holds none;
 parse errors carry byte offsets.  Borel monomials `h1^3*h2` (indices
 1..n) are only rendered.
 
@@ -15,11 +16,19 @@ from __future__ import annotations
 
 from operator import getitem
 
-from .arith import Context, DomainError
+from .arith import Context
 from .correspondence import DualExpansion
 from .invariants import BPoly, DPoly
 from .opalgebra import OpPoly, TensorPoly
-from .sequences import OpSeq, check_entries, entry_from_str, entry_str
+from .sequences import (
+    OpSeq,
+    ParseError,
+    check_entries,
+    entry_from_str,
+    entry_str,
+    scan_entry,
+    scan_natural,
+)
 
 __all__ = [
     "ParseError",
@@ -42,17 +51,6 @@ __all__ = [
     "dickson_combo_from_json",
     "tensor_to_json",
 ]
-
-
-class ParseError(DomainError):
-    """Syntax or range error in an element expression."""
-
-    def __init__(self, msg: str, offset: int):
-        super().__init__(f"{msg} (byte {offset})")
-        self.offset = offset
-
-
-_DIGITS = frozenset("0123456789")
 
 
 class _Cursor:
@@ -82,17 +80,14 @@ class _Cursor:
 
     def integer(self) -> int:
         self._skip_ws()
-        start = self.i
-        # ASCII only: str.isdigit also accepts superscripts and other
-        # scripts' digits, which int() refuses or reads silently
-        while self.i < len(self.text) and self.text[self.i] in _DIGITS:
-            self.i += 1
-        if self.i == start:
-            raise ParseError("expected a number", start)
-        try:
-            return int(self.text[start : self.i])
-        except ValueError:  # longer than int()'s digit limit
-            raise ParseError("number too long", start) from None
+        value, self.i = scan_natural(self.text, self.i)
+        return value
+
+    def entry(self) -> int:
+        """One sequence entry, returned doubled (sequences.scan_entry)."""
+        self._skip_ws()
+        twice, self.i = scan_entry(self.text, self.i)
+        return twice
 
     def done(self):
         self._skip_ws()
@@ -100,24 +95,11 @@ class _Cursor:
             raise ParseError("trailing input", self.i)
 
 
-def _parse_entry(cur: _Cursor) -> int:
-    """One sequence entry, returned doubled: `3` -> 6, `3/2` -> 3."""
-    value = cur.integer()
-    if cur.peek() == "/":
-        cur.expect("/")
-        off = cur.i
-        den = cur.integer()
-        if den != 2:
-            raise ParseError("only halves are allowed", off)
-        return value
-    return 2 * value
-
-
 def _parse_seq_body(cur: _Cursor, ctx: Context):
-    twice = [_parse_entry(cur)]
+    twice = [cur.entry()]
     while cur.peek() == ",":
         cur.take()
-        twice.append(_parse_entry(cur))
+        twice.append(cur.entry())
     eps = [0] * len(twice)
     if cur.peek() == ";":
         cur.take()

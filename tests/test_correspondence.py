@@ -134,7 +134,8 @@ def test_degree_is_enumerated_once(capsys):
         for argv in (
             ["basis", *common, str(D)],
             ["solve-degree", *common, str(D)],
-            ["adem", *common, "e[4,0,4]"],
+            # the per-degree record, built from the two searches above
+            ["invert-dual", *common, "Q[0,2,4]"],
             ["basis", *common, str(D), "--format", "json"],
         ):
             assert cli.main(argv) == 0
@@ -142,6 +143,7 @@ def test_degree_is_enumerated_once(capsys):
     # one search of the admissible basis, one of the Dickson monomials
     assert count_searches(session) == {True: 1, False: 1}
     assert correspondence._solutions.cache_info().misses == 2
+    assert correspondence._degree_data.cache_info().misses == 1
     out = capsys.readouterr().out.splitlines()
     assert out[:6] == ["Q[0,0,5]", "Q[0,2,4]", "Q[2,3,3]", "d2^5", "d1^2*d2^2", "d0^2*d1"]
 

@@ -22,7 +22,7 @@ def test_cli_block(capsys):
     block = fenced_blocks("CLI")[0]
     # each command with the lines it prints, up to the next command
     runs = re.findall(r"^\$ dyerlashof (.*)\n((?:(?!\$ ).*\n)*)", block, re.M)
-    assert len(runs) == 11
+    assert len(runs) == 13
     for argv, shown in runs:
         assert main(shlex.split(argv)) == 0, argv
         assert capsys.readouterr().out == shown, argv

@@ -96,7 +96,7 @@ def test_bad_entry_string_is_named():
     # a malformed entry raises DomainError naming it, not int()'s ValueError;
     # from "1_0" on, int() would read 10, 11/2, 3, 3 (Arabic-Indic), -1, 3/2
     for bad in ("3/4", "5/2/2", "x", "", "/2", "1_0", "1_1/2", "+3", "\u0663",
-                "-1", "3 /2"):
+                "-1", "3 /2", "3 / 2", "3/ 2", "3/0002", "3/02", "3/2 2"):
         named = re.escape(f"got {bad!r}")
         with pytest.raises(DomainError, match=named):
             entry_from_str(bad)

@@ -75,6 +75,37 @@ def test_parse_errors_carry_offsets():
         parse_sequence("e[1,1;eps=2]", P3N2)  # eps digits are bits
 
 
+# spellings of 3/2 that both routes refuse: the one entry grammar
+# (sequences.scan_entry) allows blanks around an entry, not inside it, and
+# a denominator spelt 2 only
+REFUSED_HALVES = ["3 / 2", "3 /2", "3/ 2", "3\t/2", "3/0002", "3/02"]
+
+
+@pytest.mark.parametrize("entry", REFUSED_HALVES)
+def test_one_entry_grammar(entry):
+    with pytest.raises(ParseError):
+        parse_sequence(f"e[{entry},1]", P3N2)
+    with pytest.raises(DomainError, match="entry must be like 3 or 3/2"):
+        seq_from_json({"seq": [entry, "1"]}, P3N2)
+
+
+def test_blanks_around_an_entry():
+    assert parse_sequence("e[ 3/2 ,1]", P3N2).twice == (3, 2)
+    assert seq_from_json({"seq": [" 3/2 ", "1"]}, P3N2).twice == (3, 2)
+
+
+def test_denominator_errors_keep_their_offsets():
+    for text, message in (
+        ("e[3/4,1]", "only halves are allowed (byte 4)"),
+        ("e[3/02,1]", "only halves are allowed (byte 4)"),
+        ("e[3/,1]", "expected a number (byte 4)"),
+        ("e[3 /2,1]", "expected ']', got '/' (byte 4)"),
+    ):
+        with pytest.raises(ParseError) as e:
+            parse_sequence(text, P3N2)
+        assert str(e.value) == message
+
+
 def test_parse_dickson():
     assert parse_dickson("d1^3", P2N2) == (0, 3)
     assert parse_dickson("d0*d1^2", P3N2) == (1, 2)
