@@ -55,26 +55,26 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
-    common.set_defaults(check=False)  # only adem takes --check
 
     def command(name, handler, doc):
         q = sub.add_parser(name, parents=[common], help=doc)
         q.set_defaults(handler=handler)
         return q
 
-    for name, doc in (
-        ("adem", "straighten e[...] (integral, eps = 0) via Adem-relation rewriting"),
-        ("adem-classical", "straighten e[...] via Adem-relation rewriting"),
-    ):
-        q = command(name, _adem, doc)
-        q.add_argument("expr", help="sequence, e.g. e[3,1] or e[3/2,1;eps=01]")
-        if name == "adem":
-            q.add_argument(
-                "--check",
-                action="store_true",
-                help="also straighten via the invariant-theoretic algorithm; "
-                "exit 1 if the answers differ",
-            )
+    seq_help = "sequence, e.g. e[3,1] or e[3/2,1;eps=01]"
+    doc = "straighten e[...] (integral, eps = 0) via Adem-relation rewriting"
+    q = command("adem", _adem, doc)
+    q.add_argument("expr", help=seq_help)
+    q.add_argument(
+        "--check",
+        action="store_true",
+        help="also straighten via the invariant-theoretic algorithm; "
+        "exit 1 if the answers differ",
+    )
+
+    doc = "straighten e[...] via Adem-relation rewriting"
+    q = command("adem-classical", _adem_classical, doc)
+    q.add_argument("expr", help=seq_help)
 
     q = command("dual", _dual, "dual basis expansion of d^m")
     q.add_argument("expr", help="Dickson monomial, e.g. d1^3*d0")
@@ -111,11 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, result, to_json, to_text, input_json) -> None:
+def _emit(args, result, to_json, to_text, input_json, extras=None) -> None:
     """Print result in the format args.format selects.
 
     Only that format is built: to_json(result) and the envelope's input
-    field input_json() for json, to_text(result) for text.
+    field input_json() for json, followed by the fields of extras, if
+    any; to_text(result) for text.
     """
     if args.format == "json":
         import json
@@ -127,8 +128,8 @@ def _emit(args, result, to_json, to_text, input_json) -> None:
             "input": input_json(),
             "result": to_json(result),
         }
-        if args.check:  # a failed check raised before this
-            doc["checked"] = True
+        if extras:
+            doc.update(extras)
         # doc is a fresh tree built above and by textio: it holds no cycle
         print(json.dumps(doc, check_circular=False))
     else:
@@ -163,24 +164,35 @@ def _suite_text(suite: str, res) -> str:
 
 
 # Command handlers.  Each returns the arguments of _emit after args:
-# (result, to_json, to_text, input_json).  They look up the engines and
-# textio's functions when they run, where a tracer may have patched them.
+# (result, to_json, to_text, input_json), and `adem` the envelope's
+# extras.  They look up the engines and textio's functions when they
+# run, where a tracer may have patched them.
 
 
 def _adem(args, ctx):
-    """`adem-classical`, and `adem` on its domain, rewrite; `adem` leaves
-    other input to the paper's engine, whose DomainError refuses it (the
-    rewriting's Bockstein answers are not yet trusted)."""
+    """Rewrite on the paper's domain; leave other input to the paper's
+    engine, whose DomainError refuses it (the rewriting's Bockstein
+    answers are not yet trusted).  --check also asks the paper's engine
+    and marks the envelope when the answers agree."""
     s = textio.parse_sequence(args.expr, ctx)
-    if args.command == "adem-classical" or is_integral_lower(s):
+    if is_integral_lower(s):
         res = adem_straighten_classical(s)
     else:
         res = adem_via_invariants(s)
-    if args.check and adem_via_invariants(s) != res:
-        raise DomainError(
-            "--check: Adem-relation rewriting and the invariant-theoretic "
-            "algorithm disagree"
-        )
+    extras = None
+    if args.check:
+        if adem_via_invariants(s) != res:
+            raise DomainError(
+                "--check: Adem-relation rewriting and the invariant-theoretic "
+                "algorithm disagree"
+            )
+        extras = {"checked": True}
+    return res, textio.op_poly_to_json, textio.render_op_poly, _seq_input(s), extras
+
+
+def _adem_classical(args, ctx):
+    s = textio.parse_sequence(args.expr, ctx)
+    res = adem_straighten_classical(s)
     return res, textio.op_poly_to_json, textio.render_op_poly, _seq_input(s)
 
 

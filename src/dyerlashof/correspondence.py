@@ -42,8 +42,8 @@ from .opalgebra import OpPoly
 from .sequences import (
     OpSeq,
     degree_lower,
+    integral_lower_need,
     is_admissible,
-    is_integral_lower,
     term_order,
 )
 
@@ -152,10 +152,11 @@ def kronecker_pair(m, J: OpSeq) -> int:
     """<d^m, Q_J>, in J's context: the coefficient of h^J in d^m."""
     ctx = J.ctx
     _check_dickson_exponents(m, ctx)
-    if not is_integral_lower(J):
-        if any(J.eps):
-            raise DomainError("the pairing is implemented for eps = 0 only")
-        return 0  # a half entry: no Dickson monomial has h^J
+    need = integral_lower_need(J)
+    if need == "eps = 0":
+        raise DomainError("the pairing is implemented for eps = 0 only")
+    if need:  # a half entry: no Dickson monomial has h^J
+        return 0
     if dickson_monomial_degree(m, ctx) != degree_lower(J):
         return 0
     return coeff_in_expansion(m, _exps(J), ctx)
@@ -233,7 +234,7 @@ def dickson_of_dual(J: OpSeq) -> DPoly:
     upwards each c_ij is read only for the i with x_i != 0.
     """
     ctx = J.ctx
-    if not is_integral_lower(J):
+    if integral_lower_need(J):
         raise DomainError("dickson_of_dual needs an integral eps = 0 sequence")
     if not is_admissible(J):
         raise DomainError("dickson_of_dual needs an admissible sequence")
@@ -275,10 +276,9 @@ def adem_via_invariants(x: OpSeq) -> OpPoly:
     lower digits are stored.
     """
     ctx = x.ctx
-    if not is_integral_lower(x):
-        if any(x.eps):
-            raise DomainError("invariant-theoretic straightening needs eps = 0")
-        raise DomainError("invariant-theoretic straightening needs integral entries")
+    need = integral_lower_need(x)
+    if need:
+        raise DomainError(f"invariant-theoretic straightening needs {need}")
     ms, cols = _degree_data(degree_lower(x), ctx)
     exps = _exps(x)
     top = bisect_right(cols, exps) - 1

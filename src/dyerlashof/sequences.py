@@ -36,6 +36,7 @@ __all__ = [
     "degree_lower",
     "first_defect",
     "is_admissible",
+    "integral_lower_need",
     "is_integral_lower",
     "term_order",
     "lower_to_upper",
@@ -194,11 +195,21 @@ def first_defect(twice, eps, start: int = 0) -> int | None:
     return None
 
 
+def integral_lower_need(s: OpSeq) -> str | None:
+    """What s lacks for the domain of the invariant side (the pairing, its
+    dual basis and the paper's straightening): "eps = 0" when it has a
+    Bockstein, else "integral entries" when it has a half entry; None
+    inside the domain.  The package's one statement of that domain."""
+    if any(s.eps):
+        return "eps = 0"
+    if any(t % 2 for t in s.twice):
+        return "integral entries"
+    return None
+
+
 def is_integral_lower(s: OpSeq) -> bool:
-    """True when s has no Bockstein and only integral entries: the domain
-    of the invariant side (the pairing, its dual basis and the paper's
-    straightening).  The package's one statement of that domain."""
-    return not any(s.eps) and not any(t % 2 for t in s.twice)
+    """True when s has no Bockstein and only integral entries."""
+    return integral_lower_need(s) is None
 
 
 def is_admissible(s: OpSeq) -> bool:
