@@ -37,7 +37,7 @@ from .correspondence import (
 )
 from .invariants import expand_dickson_monomial
 from .opalgebra import OpPoly, adem_straighten_classical, coproduct
-from .sequences import OpSeq, is_integral_lower, upper_to_lower
+from .sequences import OpSeq, integral_lower_need, upper_to_lower
 
 __all__ = ["main", "build_parser"]
 
@@ -175,7 +175,7 @@ def _adem(args, ctx):
     answers are not yet trusted).  --check also asks the paper's engine
     and marks the envelope when the answers agree."""
     s = textio.parse_sequence(args.expr, ctx)
-    if is_integral_lower(s):
+    if not integral_lower_need(s):
         res = adem_straighten_classical(s)
     else:
         res = adem_via_invariants(s)

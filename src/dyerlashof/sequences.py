@@ -37,7 +37,6 @@ __all__ = [
     "first_defect",
     "is_admissible",
     "integral_lower_need",
-    "is_integral_lower",
     "term_order",
     "lower_to_upper",
     "upper_to_lower",
@@ -205,11 +204,6 @@ def integral_lower_need(s: OpSeq) -> str | None:
     if any(t % 2 for t in s.twice):
         return "integral entries"
     return None
-
-
-def is_integral_lower(s: OpSeq) -> bool:
-    """True when s has no Bockstein and only integral entries."""
-    return integral_lower_need(s) is None
 
 
 def is_admissible(s: OpSeq) -> bool:

@@ -1,7 +1,7 @@
 """The domain of the invariant side is stated once, in
 ``sequences.integral_lower_need``: no Bockstein and only integral
 entries.  It names the rule a sequence breaks, so the callers that word
-their refusal by it do not test eps again; ``is_integral_lower`` asks it.
+their refusal by it do not test eps again.
 
 The pairing, the dual basis, the paper's straightening, the
 reference-vectors suite and the CLI's choice of engine all ask it, and
@@ -26,7 +26,7 @@ import pytest
 from dyerlashof import cli, correspondence, verify
 from dyerlashof.arith import Context, DomainError
 from dyerlashof.opalgebra import OpPoly
-from dyerlashof.sequences import OpSeq, integral_lower_need, is_integral_lower
+from dyerlashof.sequences import OpSeq, integral_lower_need
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dyerlashof"
 
@@ -120,13 +120,11 @@ P3N2 = Context(3, 2)
     ],
 )
 def test_integral_lower_need(twice, eps, need):
-    s = OpSeq(P3N2, twice, eps)
-    assert integral_lower_need(s) == need
-    assert is_integral_lower(s) is (need is None)
+    assert integral_lower_need(OpSeq(P3N2, twice, eps)) == need
 
 
-def _never(s):
-    return False
+def _outside(s):
+    return "eps = 0"
 
 
 @pytest.mark.parametrize(
@@ -161,22 +159,23 @@ def test_reference_vectors_ask_the_predicate(monkeypatch):
 
     monkeypatch.setattr(verify, "adem_via_invariants", wrong)
     cases, failures = verify.suite_reference_vectors(3)
-    inside = [s for _, s, _ in verify.reference_vector_cases(3) if is_integral_lower(s)]
+    vectors = verify.reference_vector_cases(3)
+    inside = [s for _, s, _ in vectors if not integral_lower_need(s)]
     assert 0 < len(inside) < cases
     assert len(failures) == len(inside)
-    monkeypatch.setattr(verify, "is_integral_lower", _never)
+    monkeypatch.setattr(verify, "integral_lower_need", _outside)
     assert verify.suite_reference_vectors(3) == (cases, [])
 
 
 def test_cli_routes_by_the_predicate(monkeypatch, capsys):
     argv = ["adem", "--p", "3", "--n", "2"]
     # outside the domain, adem leaves the input to the paper's engine
-    monkeypatch.setattr(cli, "is_integral_lower", _never)
+    monkeypatch.setattr(cli, "integral_lower_need", _outside)
     monkeypatch.setattr(cli, "adem_straighten_classical", None)
     assert cli.main(argv + ["e[3,1]"]) == 0
     assert capsys.readouterr().out == "2*Q[0,2]\n"
     # inside it, adem rewrites, even a Bockstein input
     monkeypatch.undo()
-    monkeypatch.setattr(cli, "is_integral_lower", lambda s: True)
+    monkeypatch.setattr(cli, "integral_lower_need", lambda s: None)
     assert cli.main(argv + ["e[3,1/2;eps=01]"]) == 0
     assert capsys.readouterr().out == "Q[0,3/2;eps=01]\n"
