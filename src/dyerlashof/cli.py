@@ -36,8 +36,14 @@ from .correspondence import (
     solve_degree_diophantine,
 )
 from .invariants import expand_dickson_monomial
-from .opalgebra import OpPoly, adem_straighten_classical, coproduct
-from .sequences import OpSeq, integral_lower_need, upper_to_lower
+from .opalgebra import TensorPoly, adem_straighten_classical, coproduct
+from .sequences import (
+    OpSeq,
+    integral_lower_need,
+    is_zero_by_excess,
+    upper_parity,
+    upper_to_lower,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -238,17 +244,14 @@ def _pair(args, ctx):
 def _coprod(args, ctx):
     twice, eps, upper = textio.parse_any_sequence(args.expr, ctx)
     note = {"notation": "upper"} if upper else {}
-    if not upper:
-        x = OpSeq(ctx, twice, eps)
-    elif any(t % 2 for t in twice):  # before a conversion that may fail
+    lower = upper_to_lower(ctx, twice, eps) if upper else twice
+    if upper_parity(lower, eps) != 0:
         raise DomainError("coproduct needs integral upper entries")
+    if is_zero_by_excess(lower, eps):
+        res = TensorPoly(ctx, 2)
     else:
-        try:
-            x = OpSeq(ctx, upper_to_lower(ctx, twice, eps), eps)
-        except DomainError:
-            x = OpPoly(ctx)  # a negative lower entry: zero in the excess quotient
+        res = coproduct(OpSeq(ctx, lower, eps))
     to_json, to_text = textio.tensor_to_json, textio.render_tensor
-    res = coproduct(x)
     return res, to_json, to_text, lambda: textio.entries_to_json(twice, eps) | note
 
 

@@ -185,8 +185,6 @@ def dickson_to_borel_recursive(k: int, s: int, ctx: Context) -> BPoly:
         return BPoly(ctx)
     if s == k:
         return BPoly.one(ctx)
-    if k == 0:
-        return BPoly(ctx)
     first = dickson_to_borel_recursive(k - 1, s - 1, ctx).frobenius()
     second = dickson_to_borel_recursive(k - 1, s, ctx) * BPoly.variable(k, ctx)
     return first + second

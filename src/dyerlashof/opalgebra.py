@@ -15,9 +15,10 @@ sequences (see :mod:`dyerlashof.sequences`).  The two workhorses here:
   entries.  A sequence input is read as its one term, with no OpPoly.
 
 * :func:`coproduct` applies the Cartan formula in lower notation, where
-  the legs' entries and Bocksteins add up to the input's.  It keeps the
-  legs whose upper entries are integral and whose factors have
-  2 j_t - eps_t >= 0; the Koszul sign flips once for each pair of
+  the legs' entries and Bocksteins add up to the input's.  It refuses
+  input whose upper entries are not integral (``upper_parity``) and
+  keeps only the legs that are not zero by excess
+  (``is_zero_by_excess``); the Koszul sign flips once for each pair of
   Bocksteins whose right one lies on an earlier leg.
 
     >>> ctx = Context(3, 2)
@@ -34,7 +35,13 @@ from math import comb, prod
 from operator import sub
 
 from .arith import Combination, Context, DomainError, binom_mod_p, compositions
-from .sequences import OpSeq, check_entries, first_defect, term_order
+from .sequences import (
+    OpSeq,
+    check_entries,
+    first_defect,
+    term_order,
+    upper_parity,
+)
 
 __all__ = [
     "OpPoly",
@@ -285,14 +292,15 @@ def coproduct(x: OpPoly | OpSeq, folds: int = 2) -> TensorPoly:
     Upper entries split among the legs, and s_t - j_t is half the degree
     of positions t+1..n, which is additive: so the legs' lower entries
     add up to the input's, and each Bockstein goes to one leg.  A leg is
-    zero unless its upper entries are integral (at odd p, 2 j_t has the
-    parity of its Bocksteins right of t) and each 2 j_t - eps_t >= 0.
+    zero unless its upper_parity is 0 and it is not is_zero_by_excess.
     Right to left, leg v takes 2 q_v + low_v over the compositions q:
-    low_v is that parity, or 2 if the leg takes the Bockstein at even
-    parity.  The Koszul sign flips once for each Bockstein already on a
+    low_v is the least 2 j_t that keeps the leg's upper_parity 0 and,
+    when the leg takes the Bockstein, keeps it from being zero by
+    excess.  The Koszul sign flips once for each Bockstein already on a
     leg left of the new one's.  folds = 1 wraps x in one leg.  Raises
-    DomainError on non-integral upper entries and, before enumerating,
-    when a bound on the output's terms exceeds COPRODUCT_TERMS_CAP.
+    DomainError when some term's upper_parity is not 0 and, before
+    enumerating, when a bound on the output's terms exceeds
+    COPRODUCT_TERMS_CAP.
     """
     if folds < 1:
         raise DomainError(f"the coproduct needs folds >= 1, got {folds}")
@@ -300,7 +308,7 @@ def coproduct(x: OpPoly | OpSeq, folds: int = 2) -> TensorPoly:
         x = OpPoly.from_seq(x)
     bound, k = 0, folds - 1
     for twice, eps in x.terms:
-        if any((t - sum(eps[i + 1 :])) % 2 for i, t in enumerate(twice)):
+        if upper_parity(twice, eps) != 0:
             raise DomainError("coproduct needs integral upper entries")
         # position t shares at most t // 2 among the legs, its beta goes to one
         bound += prod(comb(t // 2 + k, k) * folds**e for t, e in zip(twice, eps))

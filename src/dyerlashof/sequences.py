@@ -9,7 +9,9 @@ monomial in upper notation is f^{i_1} ... f^{i_n} with
 
 Upper notation is only a way of writing input.  ``OpSeq``, the one
 sequence type, holds lower notation; lower_to_upper and upper_to_lower
-convert plain (ctx, twice, eps) entries.
+convert plain (ctx, twice, eps) entries.  The sequence rules are stated
+here once each: check_entries, first_defect, integral_lower_need,
+upper_parity and is_zero_by_excess.
 
 To keep all arithmetic exact, entries are stored doubled: the sequence
 (3, 1/2) is stored as twice = (6, 1).  Bocksteins are a parallel 0/1
@@ -25,7 +27,7 @@ tuple ``eps``; eps_t = 1 means a Bockstein in front of the t-th factor.
 
 from __future__ import annotations
 
-from operator import mul, sub
+from operator import lt, mul, sub
 
 from .arith import Context, DomainError, Frozen
 
@@ -40,8 +42,8 @@ __all__ = [
     "term_order",
     "lower_to_upper",
     "upper_to_lower",
-    "family",
-    "FAMILY_KINDS",
+    "upper_parity",
+    "is_zero_by_excess",
 ]
 
 
@@ -206,6 +208,24 @@ def integral_lower_need(s: OpSeq) -> str | None:
     return None
 
 
+def upper_parity(twice, eps) -> int | None:
+    """The parity that every doubled upper entry 2 i_t of the lower
+    sequence (twice, eps) shares: 0 when the upper entries are integers,
+    1 when all are halves, None when they mix.  At odd p, 2 i_t has the
+    parity of 2 j_t plus the number of Bocksteins right of t; p = 2
+    sequences carry none.  The package's one statement of the rule."""
+    parities = {(t + sum(eps[i + 1 :])) % 2 for i, t in enumerate(twice)}
+    return parities.pop() if len(parities) == 1 else None
+
+
+def is_zero_by_excess(twice, eps) -> bool:
+    """Whether some factor of the lower sequence (twice, eps) has
+    2 j_t - eps_t < 0: a negative entry, or beta applied to a p-th power.
+    Either makes the whole operation zero.  The package's one statement
+    of the rule."""
+    return any(map(lt, twice, eps))
+
+
 def is_admissible(s: OpSeq) -> bool:
     """True when no pair of s breaks the rule of first_defect.
 
@@ -255,8 +275,9 @@ def upper_to_lower(ctx: Context, twice, eps) -> tuple[int, ...]:
 
     Peels from the right: once positions t+1..n are known in lower form,
     the degree D_t of that standalone suffix (as in lower_to_upper) is
-    the shift at position t.  Raises DomainError if a negative lower
-    entry would be produced.
+    the shift at position t.  Total: an upper sequence whose lower form
+    has a negative entry gets it, which OpSeq refuses and
+    is_zero_by_excess reads as zero.
     """
     scale = 2 if ctx.p == 2 else 1
     twice_low = list(twice)
@@ -264,65 +285,4 @@ def upper_to_lower(ctx: Context, twice, eps) -> tuple[int, ...]:
     for t in range(ctx.n - 2, -1, -1):
         suffix = _entry_degree(ctx, twice_low[t + 1], eps[t + 1]) + ctx.p * suffix
         twice_low[t] -= scale * suffix
-        if twice_low[t] < 0:
-            raise DomainError(f"lower entry {t + 1} is negative")
     return tuple(twice_low)
-
-
-FAMILY_KINDS = ("I", "J", "K", "O", "J0", "K0")
-
-
-def family(kind: str, params: tuple[int, ...], ctx: Context) -> OpSeq:
-    """Build one of the named test families of lower sequences.
-
-    kind "I", params (i):    i zeros then n-i ones; no Bocksteins.
-    kind "J", params (i):    i halves then n-i ones; Bockstein at i+1.
-    kind "K", params (s, i): s zeros, i-s halves, n-i ones; Bocksteins
-                             at s+1 and i+1.
-    kind "O", params (i):    a single 1 at position i, zeros elsewhere.
-    kind "J0", params (i):   i-1 halves, then 1, then zeros; Bockstein
-                             at position i.
-    kind "K0", params (s, i): s zeros, i-s-1 halves, then 1, then
-                             zeros; Bocksteins at s+1 and i.
-
-    The J/K kinds (half entries, Bocksteins) require odd p.
-    """
-    n = ctx.n
-    if kind not in FAMILY_KINDS:
-        raise DomainError(f"unknown family kind {kind!r}")
-    if kind != "I" and kind != "O" and ctx.p == 2:
-        raise DomainError(f"family {kind} needs odd p")
-    if kind == "I":
-        (i,) = params
-        if not 0 <= i <= n - 1:
-            raise DomainError(f"family I needs 0 <= i <= {n - 1}")
-        return OpSeq(ctx, (0,) * i + (2,) * (n - i), (0,) * n)
-    if kind == "J":
-        (i,) = params
-        if not 0 <= i <= n - 1:
-            raise DomainError(f"family J needs 0 <= i <= {n - 1}")
-        eps = tuple(1 if t == i else 0 for t in range(n))
-        return OpSeq(ctx, (1,) * i + (2,) * (n - i), eps)
-    if kind == "K":
-        s, i = params
-        if not 0 <= s < i <= n - 1:
-            raise DomainError(f"family K needs 0 <= s < i <= {n - 1}")
-        eps = tuple(1 if t in (s, i) else 0 for t in range(n))
-        return OpSeq(ctx, (0,) * s + (1,) * (i - s) + (2,) * (n - i), eps)
-    if kind == "O":
-        (i,) = params
-        if not 1 <= i <= n:
-            raise DomainError(f"family O needs 1 <= i <= {n}")
-        return OpSeq(ctx, (0,) * (i - 1) + (2,) + (0,) * (n - i), (0,) * n)
-    if kind == "J0":
-        (i,) = params
-        if not 1 <= i <= n:
-            raise DomainError(f"family J0 needs 1 <= i <= {n}")
-        eps = tuple(1 if t == i - 1 else 0 for t in range(n))
-        return OpSeq(ctx, (1,) * (i - 1) + (2,) + (0,) * (n - i), eps)
-    # K0
-    s, i = params
-    if not (0 <= s <= i - 2 and i <= n):
-        raise DomainError(f"family K0 needs 0 <= s <= i-2 and i <= {n}")
-    eps = tuple(1 if t in (s, i - 1) else 0 for t in range(n))
-    return OpSeq(ctx, (0,) * s + (1,) * (i - s - 1) + (2,) + (0,) * (n - i), eps)

@@ -25,6 +25,7 @@ from dyerlashof.sequences import (
     degree_lower,
     is_admissible,
     lower_to_upper,
+    upper_parity,
     upper_to_lower,
 )
 
@@ -640,6 +641,25 @@ def upper_is_integral(s):
         for t in range(1, n)
     ]
     return all((tw + d) % 2 == 0 for tw, d in zip(s.twice, suffix + [0]))
+
+
+def test_upper_parity_matches_the_degree_definitions():
+    # one_parity and upper_is_integral read 2 i_t = 2 j_t + |suffix| off
+    # degree_lower; upper_parity counts Bocksteins.  (n, doubled entries <)
+    box = [(1, 12), (2, 10), (3, 7), (4, 4)]
+    cases = mixed = 0
+    for p in (3, 5, 7):
+        for n, top in box:
+            ctx = Context(p, n)
+            for twice in itertools.product(range(top), repeat=n):
+                for eps in itertools.product((0, 1), repeat=n):
+                    s = OpSeq(ctx, twice, eps)
+                    parity = upper_parity(twice, eps)
+                    assert (parity is not None) == one_parity(s), (p, twice, eps)
+                    assert (parity == 0) == upper_is_integral(s), (p, twice, eps)
+                    cases += 1
+                    mixed += parity is None
+    assert (cases, mixed) == (3 * (24 + 400 + 2744 + 4096), 3 * (200 + 2058 + 3584))
 
 
 # (p, n, largest doubled lower entry, folds)

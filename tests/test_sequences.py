@@ -1,4 +1,5 @@
-"""Tests for sequence bookkeeping: degree, excess, conversion, families."""
+"""Tests for sequence bookkeeping: degree, excess, conversion, the sequence
+rules, and the paper's named families."""
 
 import copy
 import itertools
@@ -14,10 +15,11 @@ from dyerlashof.sequences import (
     degree_lower,
     entry_from_str,
     entry_str,
-    family,
     first_defect,
     is_admissible,
+    is_zero_by_excess,
     lower_to_upper,
+    upper_parity,
     upper_to_lower,
 )
 
@@ -36,6 +38,39 @@ def upper_degree(ctx, twice, eps):
     if p == 2:
         return sum(t // 2 for t in twice)
     return (p - 1) * sum(twice) - sum(eps)
+
+
+def word(ctx, entries, bocksteins=()):
+    """The lower sequence spelled by entries, one of "0", "h" (1/2) or "1"
+    per position, with a Bockstein at each listed position (from 1)."""
+    twice = tuple({"0": 0, "h": 1, "1": 2}[c] for c in entries)
+    eps = tuple(int(t in bocksteins) for t in range(1, ctx.n + 1))
+    return OpSeq(ctx, twice, eps)
+
+
+# the paper's named families of lower sequences; J and K need odd p
+def family_I(ctx, i):  # i zeros, then ones
+    return word(ctx, "0" * i + "1" * (ctx.n - i))
+
+
+def family_O(ctx, i):  # a single 1 at position i
+    return word(ctx, "0" * (i - 1) + "1" + "0" * (ctx.n - i))
+
+
+def family_J(ctx, i):  # i halves, then ones; Bockstein at i+1
+    return word(ctx, "h" * i + "1" * (ctx.n - i), (i + 1,))
+
+
+def family_J0(ctx, i):  # i-1 halves, 1, then zeros; Bockstein at i
+    return word(ctx, "h" * (i - 1) + "1" + "0" * (ctx.n - i), (i,))
+
+
+def family_K(ctx, s, i):  # s zeros, i-s halves, ones; Bocksteins at s+1, i+1
+    return word(ctx, "0" * s + "h" * (i - s) + "1" * (ctx.n - i), (s + 1, i + 1))
+
+
+def family_K0(ctx, s, i):  # s zeros, i-s-1 halves, 1, zeros; Bocksteins at s+1, i
+    return word(ctx, "0" * s + "h" * (i - s - 1) + "1" + "0" * (ctx.n - i), (s + 1, i))
 
 
 def excess(s):
@@ -107,7 +142,7 @@ def test_bad_entry_string_is_named():
 def test_degree_lower_examples():
     assert degree_lower(seq(P3N2, (0, 2))) == 24
     assert degree_lower(seq(P2N2, (1, 1))) == 3
-    assert degree_lower(family("I", (1,), P3N2)) == 12  # 2 p^i (p^(n-i) - 1)
+    assert degree_lower(family_I(P3N2, 1)) == 12  # 2 p^i (p^(n-i) - 1)
     assert degree_lower(seq(Context(3, 3), (0, 0, 0))) == 0
 
 
@@ -128,9 +163,42 @@ def test_conversion_examples():
 
 
 def test_conversion_out_of_range():
-    # upper (0, 1) at p=2 would need lower entry -1
-    with pytest.raises(DomainError):
-        upper_to_lower(P2N2, (0, 2), (0, 0))
+    # upper (0, 1) at p=2 has lower entry -1: the conversion is total, and
+    # OpSeq refuses its result
+    assert upper_to_lower(P2N2, (0, 2), (0, 0)) == (-2, 2)
+    with pytest.raises(DomainError, match="entries must be >= 0"):
+        OpSeq(P2N2, (-2, 2), (0, 0))
+
+
+@pytest.mark.parametrize(
+    "twice, eps, parity",
+    [
+        ((6, 2), (0, 0), 0),  # e[3,1]
+        ((1, 1), (0, 0), 1),  # e[1/2,1/2]
+        ((6, 2, 1), (0, 0, 0), None),  # e[3,1,1/2] names no operation
+        ((1, 2), (1, 1), 0),  # e[1/2,1;eps=11]: 2 i_1 = 1 + 1 Bockstein
+        ((1, 2), (0, 1), 0),
+        ((2, 2), (0, 1), None),
+        ((-3, 2), (0, 0), None),  # the lower form of E[1/2,1] at p = 3
+    ],
+)
+def test_upper_parity(twice, eps, parity):
+    assert upper_parity(twice, eps) == parity
+
+
+@pytest.mark.parametrize(
+    "twice, eps, zero",
+    [
+        ((0,), (1,), True),  # e[0;eps=1], beta of a p-th power
+        ((0, 1, 0), (0, 1, 1), True),  # e[0,1/2,0;eps=011]
+        ((-2, 2), (0, 0), True),  # the lower form of E[0,1] at p = 2
+        ((0,), (0,), False),
+        ((1, 0), (1, 0), False),  # e[1/2,0;eps=10]: 2 j_1 - eps_1 = 0
+        ((2, 2), (1, 1), False),
+    ],
+)
+def test_is_zero_by_excess(twice, eps, zero):
+    assert is_zero_by_excess(twice, eps) is zero
 
 
 def all_lower(ctx, max_twice):
@@ -228,14 +296,8 @@ def test_compare_total_preorder():
 
 
 def test_family_examples():
-    i21 = family("I", (1,), P3N2)
-    assert (i21.twice, i21.eps) == ((0, 2), (0, 0))
-    o32 = family("O", (2,), Context(3, 3))
-    assert (o32.twice, o32.eps) == ((0, 2, 0), (0, 0, 0))
-    assert degree_lower(o32) == 12  # 2 p^(i-1) (p-1)
-    k201 = family("K", (0, 1), P3N2)
-    assert (k201.twice, k201.eps) == ((1, 2), (1, 1))
-    assert degree_lower(k201) == 10  # 2 (p^i (p^(n-i) - 1) - p^s)
+    assert degree_lower(family_O(Context(3, 3), 2)) == 12  # 2 p^(i-1) (p-1)
+    assert degree_lower(family_K(P3N2, 0, 1)) == 10  # 2 (p^i (p^(n-i) - 1) - p^s)
 
 
 def test_family_closed_forms():
@@ -244,14 +306,14 @@ def test_family_closed_forms():
         for n in (1, 2, 3):
             ctx = Context(p, n)
             for i in range(n):
-                s = family("I", (i,), ctx)
+                s = family_I(ctx, i)
                 assert degree_lower(s) == 2 * p**i * (p ** (n - i) - 1) // (
                     2 if p == 2 else 1
                 )
                 if i >= 1:
                     assert excess(s) == 0
             for i in range(1, n + 1):
-                s = family("O", (i,), ctx)
+                s = family_O(ctx, i)
                 expected = 2 * p ** (i - 1) * (p - 1)
                 assert degree_lower(s) == (expected // 2 if p == 2 else expected)
                 if i >= 2:
@@ -259,31 +321,20 @@ def test_family_closed_forms():
             if p == 2:
                 continue
             for i in range(n):
-                s = family("J", (i,), ctx)
+                s = family_J(ctx, i)
                 assert degree_lower(s) == 2 * p**i * (p ** (n - i) - 1) - 1
                 assert excess(s) == 1
             for i in range(1, n + 1):
-                s = family("J0", (i,), ctx)
+                s = family_J0(ctx, i)
                 assert degree_lower(s) == 2 * p ** (i - 1) * (p - 1) - 1
                 assert excess(s) == 1
             for i in range(n):
                 for sdx in range(i):
-                    s = family("K", (sdx, i), ctx)
+                    s = family_K(ctx, sdx, i)
                     assert degree_lower(s) == 2 * (p**i * (p ** (n - i) - 1) - p**sdx)
                     assert excess(s) == 0
             for i in range(2, n + 1):
                 for sdx in range(i - 1):
-                    s = family("K0", (sdx, i), ctx)
+                    s = family_K0(ctx, sdx, i)
                     assert degree_lower(s) == 2 * (p**i - p**sdx - p ** (i - 1))
                     assert excess(s) == 0
-
-
-def test_family_guards():
-    with pytest.raises(DomainError):
-        family("I", (2,), P3N2)
-    with pytest.raises(DomainError):
-        family("J", (0,), P2N2)  # needs odd p
-    with pytest.raises(DomainError):
-        family("K", (1, 1), P3N2)  # needs s < i
-    with pytest.raises(DomainError):
-        family("X", (0,), P3N2)
