@@ -16,6 +16,9 @@ rewrites.
 Exit codes: 0 success, 1 domain error (bad input values, failed
 verification, engines that disagree under --check), 2 usage error.
 
+A call whose first argument names a command is parsed by that
+command's parser alone; help, an unknown command and leftover arguments
+go through the whole line's parser, so usage errors read as before.
 A call imports ``json`` only with ``--format json``.
 """
 
@@ -49,11 +52,14 @@ __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser of the whole command line.  Its ``commands`` maps
+    each command name to the parser it hands that command's arguments to."""
     parser = argparse.ArgumentParser(
         prog="dyerlashof",
         description="Adem relations and hom-duals for Dyer-Lashof operations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--p", type=int, required=True, help="prime (2, 3, 5, 7)")
@@ -289,7 +295,22 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    """Run one command line (sys.argv[1:] by default); return its exit code.
+
+    A line whose first argument names a command is parsed by that
+    command's parser alone, which is all the whole line's parser would
+    do with it.  An empty line, help, an unknown command and a command
+    with leftover arguments go through the whole line's parser, so their
+    usage errors read as before.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        args.command = argv[0]
+    if command is None or rest:
+        args = parser.parse_args(argv)
     try:
         return run(args)
     except DomainError as exc:

@@ -39,6 +39,7 @@ from .sequences import (
     OpSeq,
     check_entries,
     first_defect,
+    is_zero_by_excess,
     term_order,
     upper_parity,
 )
@@ -300,16 +301,20 @@ def coproduct(x: OpPoly | OpSeq, folds: int = 2) -> TensorPoly:
     leg left of the new one's.  folds = 1 wraps x in one leg.  Raises
     DomainError when some term's upper_parity is not 0 and, before
     enumerating, when a bound on the output's terms exceeds
-    COPRODUCT_TERMS_CAP.
+    COPRODUCT_TERMS_CAP.  A term that is zero by excess has no legs: it
+    is left out of both the bound and the expansion.
     """
     if folds < 1:
         raise DomainError(f"the coproduct needs folds >= 1, got {folds}")
     if not isinstance(x, OpPoly):
         x = OpPoly.from_seq(x)
-    bound, k = 0, folds - 1
-    for twice, eps in x.terms:
+    live, bound, k = [], 0, folds - 1
+    for (twice, eps), coeff in x.terms.items():
         if upper_parity(twice, eps) != 0:
             raise DomainError("coproduct needs integral upper entries")
+        if is_zero_by_excess(twice, eps):
+            continue
+        live.append((twice, eps, coeff))
         # position t shares at most t // 2 among the legs, its beta goes to one
         bound += prod(comb(t // 2 + k, k) * folds**e for t, e in zip(twice, eps))
     if bound > COPRODUCT_TERMS_CAP:
@@ -317,7 +322,7 @@ def coproduct(x: OpPoly | OpSeq, folds: int = 2) -> TensorPoly:
             f"the coproduct may have {bound} terms, above the cap {COPRODUCT_TERMS_CAP}"
         )
     out = TensorPoly(x.ctx, folds)
-    for (twice, eps), coeff in x.terms.items():
+    for twice, eps, coeff in live:
         acc = [((((), ()),) * folds, coeff)]
         for t, e in zip(reversed(twice), reversed(eps)):
             acc = [y for legs, c in acc for y in _split_position(legs, c, t, e)]

@@ -5,6 +5,7 @@ checked exactly as a shell user would see them.
 """
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -783,3 +784,109 @@ def test_shell_entry_point():
     proc = shell("no-such-command", "--p", "3")
     assert proc.returncode == 2
     assert proc.stdout == ""
+
+
+def _session_argvs():
+    """The argv of every op of the benchmark's seed-0 cli-session."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [op["argv"] for op in workloads.build("cli-session", 0)["ops"]]
+
+
+SESSION_ARGVS = _session_argvs()
+
+# usage errors and the edge cases of a parse by the command's parser alone
+USAGE_CASES = [
+    [],
+    ["--help"],
+    ["-h"],
+    ["adem", "-h"],
+    ["basis", "--p", "2", "--n", "two", "3"],
+    ["basis", "--p", "2", "--n", "2", "--bogus", "3"],
+    ["basis", "--p", "2", "--n", "2", "3", "4"],
+    ["ade", "--p", "3", "--n", "2", "e[3,1]"],
+    ["no-such-command", "--p", "3"],
+    ["adem", "--p", "3", "--n", "2", "--format", "xml", "e[3,1]"],
+    ["adem", "--p", "3", "--n", "2", "--form", "json", "e[3,1]"],
+    ["adem", "--p=3", "--n=2", "e[3,1]"],
+    ["adem", "--p", "3", "--n", "2", "--", "e[3,1]"],
+    ["adem", "--p", "3", "--n", "2", "e[3,1]", "--"],
+    ["verify", "no-such-suite", "--p", "2"],
+    ["pair", "--p", "2", "--n", "2", "--check", "d1", "Q[0,1]"],
+    ["basis", "--p", "2", "--n", "2", "-1"],
+    ["adem", "--p", "-3", "--n", "2", "e[3,1]"],
+    ["--p", "3", "adem", "--n", "2", "e[3,1]"],
+    ["adem"],
+    ["adem", "--p", "3", "--n", "2"],
+]
+
+DISPATCH_ARGVS = (
+    [argv for argv, _ in TEXT_CASES]
+    + [argv + extra for argv, _, _ in FORMAT_CASES for extra in ([], ["--format", "json"])]
+    + SESSION_ARGVS
+    + USAGE_CASES
+)
+
+
+def _reference_main(argv):
+    """main as a parse of the whole line by a fresh parser."""
+    args = build_parser().parse_args(argv)
+    try:
+        return cli.run(args)
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def _outcome(capsys, call, argv):
+    try:
+        rc = call(list(argv))
+    except SystemExit as exc:
+        rc = exc.code
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+def test_dispatch_matches_a_full_parse(capsys):
+    assert len(SESSION_ARGVS) == 232
+    for argv in DISPATCH_ARGVS:
+        want = _outcome(capsys, _reference_main, argv)
+        assert _outcome(capsys, main, argv) == want, argv
+
+
+@pytest.mark.parametrize(
+    "argv, full",
+    [
+        (["adem", "--p", "3", "--n", "2", "e[3,1]"], False),
+        (["pair", "--p", "2", "--n", "2", "d1", "Q[0,1]", "--format", "json"], False),
+        (["verify", "identities", "--p", "2", "--n", "2"], False),
+        (["adem", "-h"], False),
+        ([], True),
+        (["--help"], True),
+        (["no-such-command", "--p", "3"], True),
+        (["ade", "--p", "3", "--n", "2", "e[3,1]"], True),
+        (["basis", "--p", "2", "--n", "2", "3", "4"], True),
+    ],
+)
+def test_full_parser_only_off_the_command_path(capsys, monkeypatch, argv, full):
+    parser = cli._parser()
+    calls = []
+
+    def spy(args=None, namespace=None):
+        calls.append(args)
+        return type(parser).parse_args(parser, args, namespace)
+
+    monkeypatch.setattr(parser, "parse_args", spy)
+    _outcome(capsys, main, argv)
+    assert calls == ([argv] if full else [])
+
+
+@pytest.mark.parametrize("argv", [a for a in SESSION_ARGVS if a[0] == "adem"])
+def test_session_adem_answers_pass_check(capsys, argv):
+    # the paper's engine as a second route for each of the session's answers
+    rc, out, err = run_cli(capsys, *argv, "--check")
+    assert (rc, err) == (0, "")
+    if "json" in argv:
+        assert json_line(out)["checked"] is True

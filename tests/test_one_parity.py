@@ -2,7 +2,8 @@
 in ``sequences``: ``upper_parity`` and ``is_zero_by_excess``.
 
 ``opalgebra.coproduct`` refuses non-integral upper entries by asking
-``upper_parity``, and the CLI's ``coprod`` asks both predicates on one
+``upper_parity`` and leaves out the terms ``is_zero_by_excess`` holds
+for, and the CLI's ``coprod`` asks both predicates on one
 straight path: the lower form of its input, refused unless its upper
 entries are integers, then zero when some factor has 2 j_t - eps_t < 0,
 else the coproduct.  A second statement, say a parity scan inlined for
@@ -234,6 +235,14 @@ def test_coproduct_refuses_by_upper_parity(monkeypatch):
     monkeypatch.setattr(opalgebra, "upper_parity", lambda twice, eps: None)
     with pytest.raises(DomainError, match="integral upper entries"):
         coproduct(whole)
+
+
+def test_coproduct_skips_by_excess(monkeypatch):
+    dead = OpSeq(P3N2, (0, 2), (1, 0))  # beta e_0 e_1: beta of a p-th power
+    whole = OpSeq(P3N2, (2, 2), (0, 0))
+    assert coproduct(dead).is_zero()
+    monkeypatch.setattr(opalgebra, "is_zero_by_excess", lambda twice, eps: True)
+    assert coproduct(whole).is_zero()
 
 
 def test_cli_refuses_by_upper_parity(monkeypatch, capsys):

@@ -748,6 +748,18 @@ def test_coproduct_refuses_large_outputs_at_once(monkeypatch):
         coproduct(OpPoly.from_seq(edge) + poly(Context(2, 4), (20, 20, 20, 18)))
 
 
+def test_coproduct_skips_terms_zero_by_excess():
+    # beta e_0 e_100 e_100 e_100 is beta of a p-th power: zero, although
+    # the bound on its terms, 2,060,602, is above the cap
+    ctx = Context(3, 4)
+    dead = OpSeq(ctx, (0, 200, 200, 200), (1, 0, 0, 0))
+    assert coproduct(dead).is_zero()
+    # beside a live term it neither counts in the bound nor is expanded
+    live = OpSeq(ctx, (2, 2, 2, 2), (0, 0, 0, 0))
+    assert not coproduct(live).is_zero()
+    assert coproduct(OpPoly.from_seq(live) + OpPoly.from_seq(dead)) == coproduct(live)
+
+
 def test_coassociativity():
     # (p, n, largest upper entry, how many inputs have a nonzero 3-fold
     # coproduct).  An input whose lower form has a negative entry is
