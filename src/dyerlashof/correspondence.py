@@ -268,12 +268,15 @@ def adem_via_invariants(x: OpSeq) -> OpPoly:
     so a_i = 0 there too.  Back-substitution runs over the K_i <= I only
     and reads c_ij only for the j with a_j != 0.
 
-    An admissible I = K_top is its own answer once the degree's record
-    is checked: b_top = c_top,top = 1, and every later b_i = c_i,top
-    cancels.  Otherwise the c_ij, which recur across straightenings of a
-    degree, are read from the context's memo, and each b_i is read once
-    through the reader's own unmemoised call, so only its reads at the
-    lower digits are stored.
+    An I below every K is 0, with no read: no b_i remains.  An
+    admissible I = K_top is its own answer once the degree's record is
+    checked: b_top = c_top,top = 1, and every later b_i = c_i,top
+    cancels.  Otherwise the b_i come from one column read of the
+    reader, which stores only its reads at the lower digits, and the
+    c_ij, which recur across straightenings of a degree, from its
+    memo: each solved K_j is filed under its residue class mod p, and
+    row i reads c_ij only when d^(m(K_i) mod p) has terms in that class
+    (c_ij is 0 otherwise).
     """
     ctx = x.ctx
     need = integral_lower_need(x)
@@ -282,19 +285,23 @@ def adem_via_invariants(x: OpSeq) -> OpPoly:
     ms, cols = _degree_data(degree_lower(x), ctx)
     exps = _exps(x)
     top = bisect_right(cols, exps) - 1
-    if top >= 0 and cols[top] == exps:
+    if top < 0:
+        return OpPoly(ctx)
+    if cols[top] == exps:
         return OpPoly.from_seq(x)
     coeff = coeff_memo(ctx)
     p = ctx.p
+    b = coeff.column(ms[: top + 1], exps)
     a: dict[int, int] = {}
+    pending: dict = {}  # each solved K's class mod p -> its pairs (K, a)
     for i in range(top, -1, -1):
-        m = ms[i]
-        acc = coeff.__wrapped__(m, exps)
-        for j, aj in a.items():
-            acc -= aj * coeff(m, cols[j])
-        acc %= p
+        acc = b[i]
+        if pending:
+            acc = (acc - coeff.entries(ms[i], pending)) % p
         if acc:
             a[i] = acc
+            col = cols[i]
+            pending.setdefault(tuple([k % p for k in col]), []).append((col, acc))
     out = OpPoly(ctx)
     for i in sorted(a):
         Combination.add_term(out, (tuple(2 * v for v in cols[i]), (0,) * ctx.n), a[i])

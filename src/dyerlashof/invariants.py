@@ -317,8 +317,13 @@ def coeff_memo(ctx: Context):
     each, so its ``cache_info`` counts the memoised reads, and its
     ``__wrapped__`` reads one (m, J) unstored, memoising only the reads
     below the top digit level (``cache_clear`` here drops every reader,
-    with its split and chain).  The digit products they read come from
-    the bounded ``_digit_product`` cache that the expansion shares."""
+    with its split and chain).  Two reads serve a back-substitution:
+    ``column(ms, J)`` reads [h^J] d^m for every m of ms as
+    ``__wrapped__`` would, taking J's residue class once for them all,
+    and ``entries(m, pending)`` sums memoised reads of d^m, skipping
+    without a lookup every class d^(m % p) has no terms in.  The digit
+    products they read come from the bounded ``_digit_product`` cache
+    that the expansion shares."""
     p = ctx.p
 
     @lru_cache(maxsize=DIGIT_CACHE_SIZE)
@@ -370,8 +375,61 @@ def coeff_memo(ctx: Context):
                     total += c * coeff(high, J)
         return total % p
 
+    def column(ms, J: tuple[int, ...]) -> list[int]:
+        """[h^J] d^m for each m of ms, read as ``__wrapped__`` reads each
+        one: the top level unstored, the reads below it memoised.  J's
+        class mod p is taken once, J // p only once a row's digit
+        product has terms in that class, and each digit product's terms
+        of the class become sub-reads ((J - s) / p, c) once per call."""
+        cls = tuple([j % p for j in J])
+        quot = None
+        # id of a class's terms -> (those terms, kept so the id stays
+        # theirs, and their sub-reads)
+        subs: dict = {}
+        out = []
+        for m in ms:
+            if not any(m):
+                out.append(0 if any(J) else 1)
+                continue
+            high, (grouped, _, _) = split(m)
+            terms = grouped.get(cls)
+            if terms is None:
+                out.append(0)
+                continue
+            known = subs.get(id(terms))
+            if known is None:
+                if quot is None:
+                    quot = tuple([j // p for j in J])
+                reads = []
+                for s, c in terms:
+                    # s = J (mod p), so (J - s) / p = J // p - s // p
+                    rest = tuple([q - si // p for q, si in zip(quot, s)])
+                    if min(rest) >= 0:
+                        reads.append((rest, c))
+                known = subs[id(terms)] = (terms, reads)
+            total = 0
+            for rest, c in known[1]:
+                total += c * coeff(high, rest)
+            out.append(total % p)
+        return out
+
+    def entries(m: tuple[int, ...], pending: dict) -> int:
+        """The sum of a [h^K] d^m mod p over pending, which maps each
+        class mod p to the pairs (K, a) of that class.  Each [h^K] d^m
+        is a memoised read, made only when d^(m % p) has terms in K's
+        class: otherwise the read's first step finds none, and it is 0."""
+        grouped = split(m)[1][0]
+        total = 0
+        for cls, pairs in pending.items():
+            if cls in grouped:
+                for K, a in pairs:
+                    total += a * coeff(m, K)
+        return total % p
+
     coeff.split = split
     coeff.diagonal = diagonal
+    coeff.column = column
+    coeff.entries = entries
     return coeff
 
 

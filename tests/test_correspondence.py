@@ -584,6 +584,51 @@ def test_admissible_input_is_its_own_answer_without_reads():
             assert (reader.cache_info(), reader.diagonal.cache_info()) == before
 
 
+def test_input_below_every_column_is_zero_without_reads(monkeypatch):
+    # I < K_1: no b_i remains, so once the degree's record is cached the
+    # answer is 0 before the reader is even fetched: no read of it, its
+    # splits or its chain; and it is the classical engine's answer too
+    def no_reader(ctx):
+        raise AssertionError("the reader was fetched")
+
+    below = 0
+    for p, n, top in ((2, 3, 6), (2, 4, 4), (3, 3, 4), (5, 2, 8), (2, 6, 2)):
+        ctx = Context(p, n)
+        reader = coeff_memo(ctx)
+        for values in itertools.product(range(top + 1), repeat=n):
+            s = OpSeq.from_values(ctx, values)
+            _, cols = correspondence._degree_data(degree_lower(s), ctx)
+            if cols and cols[0] <= values:
+                continue
+            below += 1
+            infos = (reader.cache_info(), reader.split.cache_info(),
+                     reader.diagonal.cache_info())
+            with monkeypatch.context() as patch:
+                patch.setattr(correspondence, "coeff_memo", no_reader)
+                assert adem_via_invariants(s) == OpPoly(ctx), (p, n, values)
+            assert (reader.cache_info(), reader.split.cache_info(),
+                    reader.diagonal.cache_info()) == infos, (p, n, values)
+            want = adem_straighten_classical(OpPoly.from_seq(s))
+            assert want == OpPoly(ctx), (p, n, values)
+    assert below > 300
+
+
+def test_solved_coefficients_other_than_one_reach_later_rows():
+    # at odd p a solved a_j may be 2..p-1, and a later row subtracts
+    # a_j c_ij: these sweeps and the four inputs below go wrong if a
+    # pending entry is read with coefficient 1
+    for p, n, top in ((3, 3, 8), (5, 2, 30), (7, 2, 20)):
+        cases, failures = verify.run_suite("oracle-equivalence", p, n, max_entry=top)
+        assert cases == (top + 1) ** n and not failures, (p, n, failures[:3])
+    for p, values in (
+        (3, (3, 1, 5, 5)), (3, (8, 8, 6)), (5, (30, 28)), (7, (20, 17)),
+    ):
+        s = OpSeq.from_values(Context(p, len(values)), values)
+        want = adem_straighten_classical(OpPoly.from_seq(s))
+        assert adem_via_invariants(s) == want, (p, values)
+        assert any(c not in (0, 1) for c in want.terms.values()), (p, values)
+
+
 def test_adem_via_invariants_guards():
     with pytest.raises(DomainError):
         adem_via_invariants(OpSeq(P3N2, (6, 2), (1, 0)))

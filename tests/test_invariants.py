@@ -1,7 +1,9 @@
 """Tests for the Borel/Dickson polynomial side."""
 
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -256,6 +258,125 @@ def test_digit_product_matches_direct_product():
             for J in Js:
                 assert coeff(r, J) == terms.get(J, 0), (p, n, r, J)
     invariants.coeff_memo.cache_clear()
+
+
+def _fresh_degree_inputs():
+    """The halved entries of the benchmark's ten seed-0 fresh-degree inputs."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    ops = workloads.build("fresh-degree", 0)["ops"]
+    assert {(op["p"], op["n"]) for op in ops} == {(2, 4)}
+    return [tuple(t // 2 for t in op["twice"]) for op in ops]
+
+
+def _exponents_of_degree(D, ctx, count, rng):
+    """count random exponent vectors J of degree D: entries 1.. drawn
+    first, entry 0 (whose weight divides every other) takes the rest."""
+    w = ctx.weights
+    out = []
+    while len(out) < count:
+        J = [0] * ctx.n
+        rem = D
+        for t in rng.sample(range(1, ctx.n), ctx.n - 1):
+            J[t] = rng.randint(0, rem // w[t])
+            rem -= J[t] * w[t]
+        J[0] = rem // w[0]
+        out.append(tuple(J))
+    return out
+
+
+# (p, n): degrees of 8 or 9 rows, where most classes mod p occur in no
+# row's digit product d^(m % p)
+COLUMN_DEGREES = {(3, 3): (468, 504), (5, 2): (1680, 1760), (2, 6): (240, 248)}
+
+
+def _column_cases():
+    """(ctx, rows, J): the fresh-degree inputs against every row of their
+    degree, and at COLUMN_DEGREES each column and random J of the degree."""
+    rng = random.Random(34)
+    ctx = Context(2, 4)
+    for J in _fresh_degree_inputs():
+        D = h_monomial_degree(J, ctx)
+        yield ctx, correspondence.solve_degree_diophantine(D, ctx), J
+    for (p, n), degrees in COLUMN_DEGREES.items():
+        ctx = Context(p, n)
+        for D in degrees:
+            rows = correspondence.solve_degree_diophantine(D, ctx)
+            cols = correspondence._degree_basis(D, ctx)
+            for J in list(cols) + _exponents_of_degree(D, ctx, 12, rng):
+                yield ctx, rows, J
+
+
+def test_column_read_matches_the_unstored_reads_and_stores_the_same():
+    # on fresh readers, one column read and the per-row unstored reads
+    # give the same values with the same lookups, misses and stored
+    # entries, and every entry the per-row reads store is stored
+    classless = 0
+    for ctx, rows, J in _column_cases():
+        invariants.coeff_memo.cache_clear()
+        reader = invariants.coeff_memo(ctx)
+        want = [reader.__wrapped__(m, J) for m in rows]
+        stored = reader.cache_info(), reader.split.cache_info()
+        invariants.coeff_memo.cache_clear()
+        reader = invariants.coeff_memo(ctx)
+        assert reader.column(rows, J) == want, (ctx, J)
+        assert (reader.cache_info(), reader.split.cache_info()) == stored, (ctx, J)
+        misses = reader.cache_info().misses
+        assert [reader.__wrapped__(m, J) for m in rows] == want
+        assert reader.cache_info().misses == misses, (ctx, J)
+        # no row's digit product has a term in J's class: not one read
+        classless += stored[0].hits + stored[0].misses == 0
+    invariants.coeff_memo.cache_clear()
+    assert classless >= 10
+
+
+def test_column_read_of_the_empty_and_zero_rows():
+    # d^0 = 1 reads 1 at h^0 alone, without a lookup, as __wrapped__ does
+    ctx = Context(3, 2)
+    invariants.coeff_memo.cache_clear()
+    reader = invariants.coeff_memo(ctx)
+    assert reader.column([], (1, 2)) == []
+    assert reader.column([(0, 0)], (0, 0)) == [1] == [reader.__wrapped__((0, 0), (0, 0))]
+    assert reader.column([(0, 0)], (0, 1)) == [0]
+    assert reader.cache_info().currsize == reader.split.cache_info().currsize == 0
+    invariants.coeff_memo.cache_clear()
+
+
+def test_entries_read_matches_the_memoised_sum():
+    # for random pending sets over a degree's columns, the filtered read
+    # is the plain memoised sum mod p; a pending set of classes that
+    # d^(m % p) lacks reads 0 without a reader lookup
+    rng = random.Random(7)
+    cases = [(Context(2, 4), D) for D in (140, 212)]
+    cases += [(Context(p, n), D) for (p, n), Ds in COLUMN_DEGREES.items() for D in Ds]
+    absent_seen = present_seen = 0
+    for ctx, D in cases:
+        p = ctx.p
+        invariants.coeff_memo.cache_clear()
+        reader = invariants.coeff_memo(ctx)
+        rows = correspondence.solve_degree_diophantine(D, ctx)
+        cols = correspondence._degree_basis(D, ctx)
+        for _ in range(6):
+            pending = {}
+            for K in rng.sample(cols, min(len(cols), 12)):
+                cls = tuple(k % p for k in K)
+                pending.setdefault(cls, []).append((K, rng.randint(1, p - 1)))
+            for m in rows:
+                want = sum(a * reader(m, K) for pairs in pending.values() for K, a in pairs)
+                assert reader.entries(m, pending) == want % p, (ctx, m)
+                grouped = reader.split(m)[1][0]
+                absent = {c: pairs for c, pairs in pending.items() if c not in grouped}
+                absent_seen += bool(absent)
+                present_seen += len(absent) < len(pending)
+                info = reader.cache_info()
+                assert reader.entries(m, absent) == 0
+                after = reader.cache_info()
+                assert after.hits + after.misses == info.hits + info.misses, (ctx, m)
+                assert all(reader(m, K) == 0 for pairs in absent.values() for K, _ in pairs)
+    invariants.coeff_memo.cache_clear()
+    assert absent_seen and present_seen
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

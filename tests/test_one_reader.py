@@ -3,11 +3,12 @@
 ``invariants.coeff_memo(ctx)`` runs the recursion over the digit
 products d^r, grouped by residue (``groups``), split off m (``split``)
 and followed along the chi_min chain (``diagonal``).  Every other
-module reads coefficients by calling the reader, or its ``__wrapped__``
-for an unstored read, and never its parts.  So outside ``invariants``
-no module reads an attribute named ``split`` or ``diagonal`` or names
-``groups`` or ``_digit_product``.  This stands in for a lint rule over
-src/.
+module reads coefficients by calling the reader, its ``__wrapped__``
+for an unstored read, its ``column`` for the unstored reads of one J
+over many rows, or its ``entries`` for a sum of memoised reads of one
+row, and never its parts.  So outside ``invariants`` no module reads
+an attribute named ``split`` or ``diagonal`` or names ``groups`` or
+``_digit_product``.  This stands in for a lint rule over src/.
 """
 
 import ast
